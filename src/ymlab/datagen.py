@@ -19,7 +19,11 @@ from .spectral import leray_df, sobolev_norm
 
 
 def spec_of(name: str) -> StructureSpec:
-    return su2() if name == "su2" else u1()
+    if name == "su2":
+        return su2()
+    if name == "u1":
+        return u1()
+    raise ValueError(f"unknown structure group {name!r}")
 
 
 def abelian_wave(grid: Grid, spec: StructureSpec, amplitude: float,

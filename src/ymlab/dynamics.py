@@ -13,10 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import StructureSpec, bracket
-from .gauge import PAIRS, curvature, gauss_residual
+from .gauge import _PAIR_INDEX, PAIRS, curvature, gauss_residual
 from .grid import Grid
-from .spectral import (dealias, derivative_hat, divergence, laplacian,
-                       leray_cf, leray_df, inverse_laplacian, sobolev_norm)
+from .spectral import (dealias, derivative_hat, divergence, gradient,
+                       laplacian, leray_cf, leray_df, inverse_laplacian,
+                       sobolev_norm)
 
 
 class BlowUpError(RuntimeError):
@@ -58,10 +59,6 @@ def active_kmax(grid: Grid) -> float:
     return float(2.0 * np.pi / grid.L * cut * np.sqrt(3.0))
 
 
-_PAIR_IDX = {(0, 1): (0, 1.0), (1, 0): (0, -1.0), (0, 2): (1, 1.0),
-             (2, 0): (1, -1.0), (1, 2): (2, 1.0), (2, 1): (2, -1.0)}
-
-
 def covariant_curl_div(grid: Grid, spec: StructureSpec, A: np.ndarray) -> np.ndarray:
     """sum_j D_j F_{ji} for the curvature of A, products dealiased."""
     mask = grid.dealias_mask
@@ -79,7 +76,8 @@ def covariant_curl_div(grid: Grid, spec: StructureSpec, A: np.ndarray) -> np.nda
         for j in range(3):
             if i == j:
                 continue
-            c, sgn = _PAIR_IDX[(j, i)]
+            # sign applied last: exact either way, measurably faster here
+            c, sgn = _PAIR_INDEX[(j, i)]
             acc_h = acc_h + sgn * derivative_hat(grid, Fh[c], j)
             acc_b = acc_b + sgn * bracket(A[j], F[c], spec)
         out_hat[i] = acc_h
@@ -165,9 +163,7 @@ def ymt_bracket_rhs(state: CauchyState) -> np.ndarray:
     i.e. what the d'Alembertian of A minus grad div A equals."""
     g, spec = state.grid, state.spec
     A = state.A
-    Ah = g.fft(A)
-    dA = np.stack([g.ifft(derivative_hat(g, Ah, j)) for j in range(3)])  # dA[j] = d_j A
-    divA = g.ifft(sum(derivative_hat(g, Ah[j], j) for j in range(3)))
+    dA = gradient(g, A)  # dA[j] = d_j A
     out = np.empty_like(A)
     for i in range(3):
         t = np.zeros_like(A[i])
@@ -197,8 +193,7 @@ def df_cf_consistency(state: CauchyState) -> dict:
     brk = np.zeros_like(E[0])
     for j in range(3):
         brk = brk + dealias(g, bracket(E[j], A[j], spec))
-    grad_part = np.stack([inverse_laplacian(
-        g, g.ifft(derivative_hat(g, g.fft(brk), i))) for i in range(3)])
+    grad_part = inverse_laplacian(g, gradient(g, brk))
     cf_res = leray_cf(g, E) - grad_part
     # divergence-free part
     PA = leray_df(g, A)

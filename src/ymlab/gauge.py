@@ -15,21 +15,13 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
 from .grid import Grid
-from .spectral import (dealias, derivative_hat, divergence, gradient,
-                       inverse_laplacian)
+from .spectral import (ConvergenceError, dealias, derivative, derivative_hat,
+                       divergence, gradient, inverse_laplacian)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 _PAIR_INDEX = {(0, 1): (0, 1.0), (1, 0): (0, -1.0),
                (0, 2): (1, 1.0), (2, 0): (1, -1.0),
                (1, 2): (2, 1.0), (2, 1): (2, -1.0)}
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative gauge solver failed to contract."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history or [])
 
 
 def pair_component(F: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -63,8 +55,7 @@ def covariant_derivative(grid: Grid, A: np.ndarray, B: np.ndarray, axis: int,
     """
     if axis == 0 and A.shape[0] == 4:
         raise ValueError("temporal covariant derivative requires a time stencil")
-    dB = grid.ifft(derivative_hat(grid, grid.fft(B), axis))
-    return dB + dealias(grid, bracket(A[axis], B, spec))
+    return derivative(grid, B, axis) + dealias(grid, bracket(A[axis], B, spec))
 
 
 def mc_derivative(grid: Grid, U: np.ndarray, spec: StructureSpec,
@@ -81,11 +72,11 @@ def mc_derivative(grid: Grid, U: np.ndarray, spec: StructureSpec,
     X = alg.log_map(U, spec)
     theta_max = float(np.max(np.sqrt(np.einsum("a...,a...->...", X, X))))
     if theta_max < 0.9 * np.pi:
-        dX = np.stack([grid.ifft(derivative_hat(grid, grid.fft(X), i)) for i in range(3)])
+        dX = gradient(grid, X)
         out = np.stack([alg.dexp_right(X, dX[i], spec) for i in range(3)])
         resid = 0.0
     else:
-        dU = np.stack([grid.ifft(derivative_hat(grid, grid.fft(U), i)) for i in range(3)])
+        dU = gradient(grid, U)
         comps, resid = [], 0.0
         for i in range(3):
             c, r = alg.maurer_cartan_coeff(U, dU[i], spec, return_residual=True)
@@ -126,7 +117,7 @@ def gauss_residual(grid: Grid, A: np.ndarray, E: np.ndarray,
 
 def _repair_source_terms(grid, A, phi, spec):
     """d^l [A_l, phi] + [A^l, d_l phi] + [A^l, [A_l, phi]], products dealiased."""
-    dphi = np.stack([grid.ifft(derivative_hat(grid, grid.fft(phi), i)) for i in range(3)])
+    dphi = gradient(grid, phi)
     out = np.zeros_like(phi)
     div_arg = np.stack([dealias(grid, bracket(A[l], phi, spec)) for l in range(3)])
     out = out + divergence(grid, div_arg)

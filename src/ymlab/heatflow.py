@@ -24,12 +24,9 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
 from .dynamics import CauchyState, covariant_curl_div, rk4_step
-from .gauge import PAIRS, curvature, gauge_transform
+from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
-from .spectral import derivative_hat, heat_propagate
-
-_PAIR_IDX = {(0, 1): (0, 1.0), (1, 0): (0, -1.0), (0, 2): (1, 1.0),
-             (2, 0): (1, -1.0), (1, 2): (2, 1.0), (2, 1): (2, -1.0)}
+from .spectral import dealias, divergence, duhamel, gradient, heat_propagate
 
 
 class ParabolicBlowUpError(RuntimeError):
@@ -61,15 +58,6 @@ def sample_grid(s0: float, n_samples: int = 32, span: float = 1024.0) -> np.ndar
 
 # --- DeTurck right-hand side ------------------------------------------------
 
-def _dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.fft(f) * grid.dealias_mask)
-
-
-def _grad_all(grid: Grid, Fh: np.ndarray) -> np.ndarray:
-    """d_l of every component from the spectral representation: out[l] = d_l F."""
-    return np.stack([grid.ifft(derivative_hat(grid, Fh, l)) for l in range(3)])
-
-
 def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
                       B: np.ndarray | None, Ah=None, Bh=None):
     """Bracket terms of the DeTurck parabolic system, dealiased.
@@ -79,19 +67,9 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
 
     Returns (N_A, N_B, F_magnetic); N_B is None when B is None.
     """
-    mask = grid.dealias_mask
     Ah = grid.fft(A) if Ah is None else Ah
-    dA = _grad_all(grid, Ah)                     # dA[l, i] = d_l A_i
-    pair_br = np.stack([bracket(A[i], A[j], spec) for i, j in PAIRS])
-    pair_br = grid.ifft(grid.fft(pair_br) * mask)
-
-    def aa(l, i):
-        """Dealiased [A_l, A_i]."""
-        if l == i:
-            return 0.0
-        c, sgn = _PAIR_IDX[(l, i)]
-        return sgn * pair_br[c]
-
+    dA = gradient(grid, fh=Ah)                   # dA[l, i] = d_l A_i
+    pair_br = dealias(grid, np.stack([bracket(A[i], A[j], spec) for i, j in PAIRS]))
     Fmag = np.stack([dA[i][j] - dA[j][i] for i, j in PAIRS]) + pair_br
     NA = np.empty_like(A)
     for i in range(3):
@@ -100,27 +78,27 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
             acc = acc + 2.0 * bracket(A[l], dA[l][i], spec) \
                       - bracket(A[l], dA[i][l], spec)
             if l != i:
-                acc = acc + bracket(A[l], aa(l, i), spec)
+                acc = acc + bracket(A[l], pair_component(pair_br, l, i), spec)
         NA[i] = acc
-    NA = _dealias(grid, NA)
+    NA = dealias(grid, NA)
     if B is None:
         return NA, None, Fmag
 
     Bh = grid.fft(B) if Bh is None else Bh
-    dB = _grad_all(grid, Bh)
-    ab = np.stack([bracket(A[l], B[i], spec) for l in range(3) for i in range(3)])
-    ab = grid.ifft(grid.fft(ab) * mask).reshape((3, 3) + B.shape[1:])
+    dB = gradient(grid, fh=Bh)
+    ab = dealias(grid, np.stack([bracket(A[l], B[i], spec)
+                                 for l in range(3) for i in range(3)]))
+    ab = ab.reshape((3, 3) + B.shape[1:])
     NB = np.empty_like(B)
     for i in range(3):
         acc = 0.0
         for l in range(3):
             if l != i:
-                c, sgn = _PAIR_IDX[(l, i)]
-                acc = acc + 2.0 * bracket(B[l], sgn * Fmag[c], spec)
+                acc = acc + 2.0 * bracket(B[l], pair_component(Fmag, l, i), spec)
             acc = acc + 2.0 * bracket(A[l], dB[l][i], spec)
             acc = acc + bracket(A[l], ab[l, i], spec)
         NB[i] = acc
-    return NA, _dealias(grid, NB), Fmag
+    return NA, dealias(grid, NB), Fmag
 
 
 def deturck_rhs(flow: FlowState):
@@ -174,11 +152,35 @@ class _IFSystem:
             for u0, a1, a2, a3, a4, kd in zip(y, k1, k2, k3, k4, kinds))
 
 
-def _leg_substeps(s_lo: float, s_hi: float, base: int) -> int:
-    """Substep count for one sample leg; the first leg is refined."""
-    if s_lo == 0.0:
-        return max(2 * base, 4)
-    return base
+def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
+    """Advance `state` through the sorted parabolic times, calling
+    emit(s, state) at each sample.
+
+    step(state, h) makes one step of size h.  A sample at s = 0 is emitted
+    as given; the leg from s = 0 takes max(2 * substeps, 4) equal steps and
+    every later leg `substeps`.  Non-finite values in any field raise
+    ParabolicBlowUpError.  emit copies what it keeps; being a callback, not
+    a generator, no sampled state stays referenced through the next leg,
+    which would raise peak memory.
+    """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
+    times = sorted(float(s) for s in s_samples)
+    if times and times[0] < 0:
+        raise ValueError("parabolic times must be nonnegative")
+    if times and times[0] == 0.0:
+        emit(0.0, state)
+        times = times[1:]
+    s_prev = 0.0
+    for s_target in times:
+        nsub = max(2 * substeps, 4) if s_prev == 0.0 else substeps
+        h = (s_target - s_prev) / nsub
+        for _ in range(nsub):
+            state = step(state, h)
+        if not all(np.isfinite(u).all() for u in state):
+            raise ParabolicBlowUpError(f"non-finite flow state at s={s_target:.3e}")
+        emit(s_target, state)
+        s_prev = s_target
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:
@@ -210,52 +212,38 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
     large runs through the observer without retaining fields.
     """
     g, spec = origin.grid, origin.spec
-    s_samples = np.asarray(sorted(float(s) for s in s_samples))
-    if s_samples[0] < 0:
-        raise ValueError("parabolic times must be nonnegative")
-    U0 = alg.identity_group(spec, (g.n,) * 3) if with_transport else None
-    cur = FlowState(g, spec, 0.0, origin.A.copy(), origin.E.copy(), U=U0)
-    out = []
-
-    def emit(fs: FlowState):
-        if observer is not None:
-            observer(fs)
-        if keep_states:
-            out.append(fs)
-
-    if s_samples[0] == 0.0:
-        emit(FlowState(g, spec, 0.0, cur.A.copy(), cur.B.copy(),
-                       U=None if U0 is None else U0.copy()))
-        s_samples = s_samples[1:]
-
-    kinds = ("heat", "heat", "ode") if with_transport else ("heat", "heat")
-    sys = _IFSystem(g, kinds)
+    state = (origin.A.copy(), origin.E.copy())
+    if with_transport:
+        state += (alg.identity_group(spec, (g.n,) * 3),)
+    sys = _IFSystem(g, ("heat", "heat", "ode") if with_transport else ("heat", "heat"))
 
     def nonlin(y):
         NA, NB, _ = deturck_nonlinear(g, spec, y[0], y[1])
         if not with_transport:
             return NA, NB
-        div_a = g.ifft(sum(derivative_hat(g, g.fft(y[0][l]), l) for l in range(3)))
-        return NA, NB, _transport_rhs(y[2], div_a, spec)
+        return NA, NB, _transport_rhs(y[2], divergence(g, y[0]), spec)
 
-    s_prev = 0.0
-    state = (cur.A, cur.B) + ((cur.U,) if with_transport else ())
-    for s_target in s_samples:
-        nsub = _leg_substeps(s_prev, s_target, substeps)
-        h = (s_target - s_prev) / nsub
-        for _ in range(nsub):
-            state = sys.step(state, h, nonlin)
-            if with_transport:
-                U, corr = alg.renormalize(state[2], spec)
-                if corr > renorm_tol:
-                    raise ParabolicBlowUpError(
-                        f"caloric transport left the group: correction {corr:.2e}")
-                state = (state[0], state[1], U)
-        if not np.isfinite(state[0]).all():
-            raise ParabolicBlowUpError(f"non-finite flow state at s={s_target:.3e}")
-        emit(FlowState(g, spec, s_target, state[0].copy(), state[1].copy(),
-                       U=state[2].copy() if with_transport else None))
-        s_prev = s_target
+    def step(y, h):
+        y = sys.step(y, h, nonlin)
+        if not with_transport:
+            return y
+        U, corr = alg.renormalize(y[2], spec)
+        if corr > renorm_tol:
+            raise ParabolicBlowUpError(
+                f"caloric transport left the group: correction {corr:.2e}")
+        return y[0], y[1], U
+
+    out = []
+
+    def emit(s, y):
+        fs = FlowState(g, spec, s, y[0].copy(), y[1].copy(),
+                       U=y[2].copy() if with_transport else None)
+        if observer is not None:
+            observer(fs)
+        if keep_states:
+            out.append(fs)
+
+    sample_legs(state, s_samples, substeps, step, emit)
     return out
 
 
@@ -266,13 +254,6 @@ def _transport_rhs(U: np.ndarray, a_s: np.ndarray, spec: StructureSpec) -> np.nd
     q = np.zeros((4,) + a_s.shape[1:])
     q[1:] = 0.5 * a_s  # basis e_a is half the quaternion unit
     return alg.quat_mul(U, q)
-
-
-def caloric_transport(flow: list[FlowState]) -> list[np.ndarray]:
-    """Transport fields U(s) recorded along a run_flow(with_transport=True)."""
-    if any(f.U is None for f in flow):
-        raise ValueError("flow was run without transport; use with_transport=True")
-    return [f.U for f in flow]
 
 
 def to_caloric(flow: list[FlowState]) -> list[np.ndarray]:
@@ -294,14 +275,10 @@ def to_caloric(flow: list[FlowState]) -> list[np.ndarray]:
     return out
 
 
-def caloric_rhs_direct(grid: Grid, spec: StructureSpec, A: np.ndarray) -> np.ndarray:
-    """dA_i/ds = D^l F_li, assembled covariantly (degenerate parabolic)."""
-    return covariant_curl_div(grid, spec, A)
-
-
 def run_caloric_direct(origin_A: np.ndarray, grid: Grid, spec: StructureSpec,
                        s_end: float, ds: float) -> np.ndarray:
-    """Explicit RK4 on the caloric flow; guarded by the diffusion limit."""
+    """Explicit RK4 on the caloric flow dA_i/ds = D^l F_li (degenerate
+    parabolic); guarded by the diffusion limit."""
     cut = np.floor(grid.n / 3.0)
     k2max = 3.0 * (2.0 * np.pi / grid.L * cut) ** 2
     if ds * k2max > 0.25:
@@ -310,7 +287,7 @@ def run_caloric_direct(origin_A: np.ndarray, grid: Grid, spec: StructureSpec,
     nsteps = int(round(s_end / ds))
     A = origin_A.copy()
     for _ in range(nsteps):
-        A = rk4_step((A,), ds, lambda y: (caloric_rhs_direct(grid, spec, y[0]),))[0]
+        A = rk4_step((A,), ds, lambda y: (covariant_curl_div(grid, spec, y[0]),))[0]
         if not np.isfinite(A).all():
             raise ParabolicBlowUpError("caloric direct integration blew up")
     return A
@@ -402,10 +379,6 @@ class TimeStencil:
         w = fornberg_weights(np.arange(5) * self.delta, node * self.delta, 1)
         return np.tensordot(w, fields, axes=(0, 0))
 
-    def d2_dt2(self, fields: np.ndarray, node: int = 2) -> np.ndarray:
-        w = fornberg_weights(np.arange(5) * self.delta, node * self.delta, 2)
-        return np.tensordot(w, fields, axes=(0, 0))
-
 
 def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
     """Flow the five slices in lockstep, integrating A_0 per slice.
@@ -416,7 +389,6 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
     of lists of 5 FlowStates carrying A, B, A0.
     """
     g, spec = stencil.grid, stencil.spec
-    s_samples = np.asarray(sorted(float(s) for s in s_samples))
     d = spec.dim
     A = np.stack([st.A for st in stencil.states])       # (5, 3, d, n, n, n)
     B = np.stack([st.E for st in stencil.states])
@@ -433,43 +405,27 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
         div_a = np.empty((5, d) + (g.n,) * 3)
         dive_cov = np.empty_like(div_a)
         for m in range(5):
-            na, nb, _ = deturck_nonlinear(g, spec, Am[m], Bm[m])
-            NA[m], NB[m] = na, nb
-            Ah = g.fft(Am[m])
-            div_a[m] = g.ifft(sum(derivative_hat(g, Ah[l], l) for l in range(3)))
-            db = g.ifft(sum(derivative_hat(g, g.fft(Bm[m][l]), l) for l in range(3)))
+            Ah, Bh = g.fft(Am[m]), g.fft(Bm[m])
+            NA[m], NB[m], _ = deturck_nonlinear(g, spec, Am[m], Bm[m], Ah, Bh)
+            div_a[m] = divergence(g, vh=Ah)
+            db = divergence(g, vh=Bh)
             for l in range(3):
-                db = db + _dealias(g, bracket(Am[m][l], Bm[m][l], spec))
+                db = db + dealias(g, bracket(Am[m][l], Bm[m][l], spec))
             dive_cov[m] = db
         dt_div = np.tensordot(wrows, div_a, axes=(1, 0))   # (5, d, ...)
         NA0 = np.empty_like(A0m)
         for m in range(5):
-            NA0[m] = dt_div[m] - _dealias(g, bracket(div_a[m], A0m[m], spec)) \
+            NA0[m] = dt_div[m] - dealias(g, bracket(div_a[m], A0m[m], spec)) \
                      - dive_cov[m]
         return NA, NB, NA0
 
     out = []
-    state = (A, B, A0)
-    s_prev = 0.0
-    if s_samples[0] == 0.0:
-        out.append(_pack_stencil_states(g, spec, 0.0, state))
-        s_samples = s_samples[1:]
-    for s_target in s_samples:
-        nsub = _leg_substeps(s_prev, s_target, substeps)
-        h = (s_target - s_prev) / nsub
-        for _ in range(nsub):
-            state = sys.step(state, h, nonlin)
-        if not np.isfinite(state[0]).all():
-            raise ParabolicBlowUpError(f"stencil flow blew up at s={s_target:.3e}")
-        out.append(_pack_stencil_states(g, spec, s_target, state))
-        s_prev = s_target
+    sample_legs((A, B, A0), s_samples, substeps,
+                lambda y, h: sys.step(y, h, nonlin),
+                lambda s, y: out.append([
+                    FlowState(g, spec, s, y[0][m].copy(), y[1][m].copy(),
+                              A0=y[2][m].copy()) for m in range(5)]))
     return out
-
-
-def _pack_stencil_states(g, spec, s, state):
-    A, B, A0 = state
-    return [FlowState(g, spec, s, A[m].copy(), B[m].copy(), A0=A0[m].copy())
-            for m in range(5)]
 
 
 def tension_field(stencil: TimeStencil, s: float, substeps: int = 4,
@@ -495,7 +451,7 @@ def tension_field(stencil: TimeStencil, s: float, substeps: int = 4,
     w = np.empty_like(c.B)
     curl_div = covariant_curl_div(g, spec, c.A)
     for i in range(3):
-        w[i] = dtB[i] + _dealias(g, bracket(c.A0, c.B[i], spec)) - curl_div[i]
+        w[i] = dtB[i] + dealias(g, bracket(c.A0, c.B[i], spec)) - curl_div[i]
     _stencil_resolution_warning(stencil, B, coarse_warn)
     return w
 
@@ -525,10 +481,10 @@ def b_compatibility_residual(stencil: TimeStencil, s: float,
     A_all = np.stack([f.A for f in slices])
     dtA = stencil.d_dt(A_all)
     c = slices[2]
-    gradA0 = np.stack([g.ifft(derivative_hat(g, g.fft(c.A0), i)) for i in range(3)])
+    gradA0 = gradient(g, c.A0)
     B_rec = np.empty_like(c.B)
     for i in range(3):
-        B_rec[i] = dtA[i] - gradA0[i] + _dealias(g, bracket(c.A0, c.A[i], spec))
+        B_rec[i] = dtA[i] - gradA0[i] + dealias(g, bracket(c.A0, c.A[i], spec))
     return g.l2_norm(B_rec - c.B) / max(g.l2_norm(c.B), 1e-30)
 
 
@@ -548,55 +504,45 @@ def f_bilinear_part(origin: CauchyState, s: float, substeps: int = 6,
     return mag, ele
 
 
-def _signed_pair(Fmag, i, j):
-    c, sgn = _PAIR_IDX[(i, j)]
-    return sgn * Fmag[c]
-
-
 def _feq_quadratic(g: Grid, spec: StructureSpec, A, Fmag, B):
     """Bracket source of the DeTurck curvature equation for all components:
-    2[F_a^l, F_lb] + 2[A^l, d_l F_ab] + [A^l, [A_l, F_ab]]."""
-    dF = _grad_all(g, g.fft(Fmag))
-    dB = _grad_all(g, g.fft(B))
+    2[F_a^l, F_lb] + 2[A^l, d_l F_ab] + [A^l, [A_l, F_ab]], stacked magnetic
+    then electric; the outer product is left for the caller to dealias."""
+    dF = gradient(g, Fmag)
+    dB = gradient(g, B)
     Gmag = np.empty_like(Fmag)
     Gele = np.empty_like(B)
     for c, (i, j) in enumerate(PAIRS):
         acc = 0.0
         for l in range(3):
             if l != i and l != j:
-                acc = acc + 2.0 * bracket(_signed_pair(Fmag, i, l),
-                                          _signed_pair(Fmag, l, j), spec)
+                acc = acc + 2.0 * bracket(pair_component(Fmag, i, l),
+                                          pair_component(Fmag, l, j), spec)
             acc = acc + 2.0 * bracket(A[l], dF[l][c], spec)
-            acc = acc + bracket(A[l], _dealias(g, bracket(A[l], Fmag[c], spec)), spec)
+            acc = acc + bracket(A[l], dealias(g, bracket(A[l], Fmag[c], spec)), spec)
         Gmag[c] = acc
     for i in range(3):
         acc = 0.0
         for l in range(3):
             if l != i:
-                acc = acc + 2.0 * bracket(B[l], _signed_pair(Fmag, l, i), spec)
+                acc = acc + 2.0 * bracket(B[l], pair_component(Fmag, l, i), spec)
             acc = acc + 2.0 * bracket(A[l], dB[l][i], spec)
-            acc = acc + bracket(A[l], _dealias(g, bracket(A[l], B[i], spec)), spec)
+            acc = acc + bracket(A[l], dealias(g, bracket(A[l], B[i], spec)), spec)
         Gele[i] = acc
-    return _dealias(g, Gmag), _dealias(g, Gele)
+    return np.concatenate([Gmag, Gele])
 
 
 def f_bilinear_duhamel(origin: CauchyState, s: float, n_quad: int = 16,
                        substeps: int = 6):
     """Duhamel-integral route for F_bil, by Gauss-Legendre in s'."""
     g, spec = origin.grid, origin.spec
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    sq = 0.5 * s * (nodes + 1.0)
-    wq = 0.5 * s * weights
-    order = np.argsort(sq)
-    flows = run_flow(origin, sq[order], substeps=substeps)
-    acc_mag = 0.0
-    acc_ele = 0.0
-    for f, w in zip(flows, wq[order]):
-        Fmag = curvature(g, f.A, spec)
-        Gmag, Gele = _feq_quadratic(g, spec, f.A, Fmag, f.B)
-        acc_mag = acc_mag + w * heat_propagate(g, Gmag, s - f.s)
-        acc_ele = acc_ele + w * heat_propagate(g, Gele, s - f.s)
-    return acc_mag, acc_ele
+
+    def sources(s_nodes):
+        for f in run_flow(origin, s_nodes, substeps=substeps):
+            yield g.fft(_feq_quadratic(g, spec, f.A, curvature(g, f.A, spec), f.B))
+
+    out = duhamel(g, s, n_quad, sources)
+    return out[:3], out[3:]
 
 
 def w2_leading(origin: CauchyState, s: float, n_quad: int = 32) -> np.ndarray:
@@ -609,25 +555,19 @@ def w2_leading(origin: CauchyState, s: float, n_quad: int = 32) -> np.ndarray:
     g, spec = origin.grid, origin.spec
     E = origin.E
     Eh = g.fft(E)
-    dE = _grad_all(g, Eh)                       # dE[l][i] = d_l E_i
+    dE = gradient(g, fh=Eh)                     # dE[l][i] = d_l E_i
     G = np.empty((3, 3) + E.shape[1:])          # G[i, l] = d_i E_l - 2 d_l E_i
     for i in range(3):
         for l in range(3):
             G[i, l] = dE[i][l] - 2.0 * dE[l][i]
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    sq = 0.5 * s * (nodes + 1.0)
-    wq = 0.5 * s * weights
     Gh = g.fft(G)
-    acc = np.zeros((3,) + E.shape[1:])
-    for s_node, w_node in zip(sq, wq):
-        decay = np.exp(-s_node * g.k2)
-        Eheat = g.ifft(decay * Eh)
-        Gheat = g.ifft(decay * Gh)
-        integ = np.empty_like(acc)
-        for i in range(3):
-            t = 0.0
-            for l in range(3):
-                t = t + bracket(Eheat[l], Gheat[i, l], spec)
-            integ[i] = t
-        acc = acc + w_node * heat_propagate(g, integ, s - s_node)
-    return _dealias(g, -2.0 * acc)
+
+    def sources(s_nodes):
+        for s_node in s_nodes:
+            decay = np.exp(-s_node * g.k2)
+            Eheat = g.ifft(decay * Eh)
+            Gheat = g.ifft(decay * Gh)
+            yield g.fft(np.stack([sum(bracket(Eheat[l], Gheat[i, l], spec)
+                                      for l in range(3)) for i in range(3)]))
+
+    return -2.0 * duhamel(g, s, n_quad, sources)

@@ -20,8 +20,8 @@ from .algebra import u1
 from .dynamics import CauchyState, rk4_step
 from .gauge import curvature
 from .grid import Grid
-from .spectral import (cdealias, cgradient, dealias, derivative_hat,
-                       divergence, gradient)
+from .spectral import (cdealias, cgradient, claplacian, dealias, divergence,
+                       duhamel, gradient, laplacian, leray_df)
 
 _U1 = u1()
 
@@ -61,27 +61,34 @@ def scalar_current(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return J[:, None]
 
 
+def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
+    """2i A.grad phi and |A|^2 phi, products dealiased; dphi = grad phi."""
+    a = A[:, 0]
+    a2 = dealias(grid, a[0]**2 + a[1]**2 + a[2]**2)
+    adg = cdealias(grid, a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2])
+    return 2j * adg, cdealias(grid, a2 * phi)
+
+
+def covariant_laplacian(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """D_j D_j phi = Lap phi + 2i A.grad phi + i (div A) phi - |A|^2 phi."""
+    phih = grid.cfft(phi)
+    drift, mass = _drift_terms(grid, A, phi, cgradient(grid, fh=phih))
+    div_a = divergence(grid, A)[0]
+    return grid.cifft(-grid.k2_full * phih) + drift \
+        + 1j * cdealias(grid, div_a * phi) - mass
+
+
 def mkg_rhs(state: MkgState):
     """(dA, dE, dphi, dphit) in the temporal gauge.
 
     The Maxwell part goes through the Yang-Mills right-hand side with the
     abelian structure spec plus the scalar current; the scalar wave is
-    phi_tt = Lap phi + 2i A.grad phi + i (div A) phi - |A|^2 phi.
+    phi_tt = D_j D_j phi.
     """
     g = state.grid
     _, Edot = dyn.ym_rhs(state.maxwell_state())
     Edot = Edot + scalar_current(g, state.A, state.phi)
-    phi = state.phi
-    phih = g.cfft(phi)
-    lap = g.cifft(-g.k2_full * phih)
-    dphi = np.stack([g.cifft(1j * g.kfull(i) * phih) for i in range(3)])
-    a = state.A[:, 0]
-    div_a = divergence(g, state.A)[0]
-    a2 = dealias(g, a[0]**2 + a[1]**2 + a[2]**2)
-    adot_grad = cdealias(g, a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2])
-    phitdot = lap + 2j * adot_grad + 1j * cdealias(g, div_a * phi) \
-        - cdealias(g, a2 * phi)
-    return state.E, Edot, state.phit, phitdot
+    return state.E, Edot, state.phit, covariant_laplacian(g, state.A, state.phi)
 
 
 def step(state: MkgState, dt: float) -> MkgState:
@@ -137,8 +144,7 @@ def repair_constraint(state: MkgState) -> MkgState:
         raise ValueError(
             f"constraint source has nonzero mean {mean:.2e}: "
             "charge-neutralize the scalar data first")
-    psih = -g.inv_k2 * g.fft(src)
-    grad_psi = np.stack([g.ifft(derivative_hat(g, psih, i)) for i in range(3)])
+    grad_psi = gradient(g, fh=-g.inv_k2 * g.fft(src))
     return MkgState(g, state.t, state.A, state.E + grad_psi[:, None],
                     state.phi, state.phit)
 
@@ -173,26 +179,14 @@ def mkg_heatflow_rhs(grid: Grid, A: np.ndarray, phi: np.ndarray):
     dA_i/ds = Lap A_i + Im(phi conj(D_i phi)),
     dphi/ds = Lap phi + 2i A.grad phi - |A|^2 phi
     (the i div A terms cancel against the gauge drift)."""
-    Ah = grid.fft(A)
-    dA = grid.ifft(-grid.k2 * Ah) + scalar_current(grid, A, phi)
-    phih = grid.cfft(phi)
-    dphi_vec = np.stack([grid.cifft(1j * grid.kfull(i) * phih) for i in range(3)])
-    a = A[:, 0]
-    a2 = dealias(grid, a[0]**2 + a[1]**2 + a[2]**2)
-    adg = cdealias(grid, a[0] * dphi_vec[0] + a[1] * dphi_vec[1] + a[2] * dphi_vec[2])
-    dphi = grid.cifft(-grid.k2_full * phih) + 2j * adg - cdealias(grid, a2 * phi)
-    return dA, dphi
+    NA, Nphi = _mkg_nonlinear(grid, A, phi)
+    return laplacian(grid, A) + NA, claplacian(grid, phi) + Nphi
 
 
 def _mkg_nonlinear(grid, A, phi):
     """Heat-subtracted parts of mkg_heatflow_rhs (for the IF stepper)."""
-    NA = scalar_current(grid, A, phi)
-    dphi_vec = cgradient(grid, phi)
-    a = A[:, 0]
-    a2 = dealias(grid, a[0]**2 + a[1]**2 + a[2]**2)
-    adg = cdealias(grid, a[0] * dphi_vec[0] + a[1] * dphi_vec[1] + a[2] * dphi_vec[2])
-    Nphi = 2j * adg - cdealias(grid, a2 * phi)
-    return NA, Nphi
+    drift, mass = _drift_terms(grid, A, phi, cgradient(grid, phi))
+    return scalar_current(grid, A, phi), drift - mass
 
 
 @dataclass
@@ -260,23 +254,11 @@ def flow_mkg_stencil(stencil: MkgStencil, s_samples, substeps: int = 4):
                              - A0m[m] * np.abs(phim[m]) ** 2)
         return NA, Nphi, NA0
 
-    s_samples = np.asarray(sorted(float(s) for s in s_samples))
     out = []
-    state = (A, phi, A0)
-    s_prev = 0.0
-    if s_samples[0] == 0.0:
-        out.append({"s": 0.0, "A": A.copy(), "phi": phi.copy(), "A0": A0.copy()})
-        s_samples = s_samples[1:]
-    for s_target in s_samples:
-        nsub = hf._leg_substeps(s_prev, s_target, substeps)
-        h = (s_target - s_prev) / nsub
-        for _ in range(nsub):
-            state = sys.step(state, h, nonlin)
-        if not np.isfinite(state[0]).all():
-            raise hf.ParabolicBlowUpError(f"MKG stencil flow blew up at s={s_target:.3e}")
-        out.append({"s": s_target, "A": state[0].copy(), "phi": state[1].copy(),
-                    "A0": state[2].copy()})
-        s_prev = s_target
+    hf.sample_legs((A, phi, A0), s_samples, substeps,
+                   lambda y, h: sys.step(y, h, nonlin),
+                   lambda s, y: out.append({"s": s, "A": y[0].copy(),
+                                            "phi": y[1].copy(), "A0": y[2].copy()}))
     return out
 
 
@@ -325,7 +307,7 @@ def mkg_tension(stencil: MkgStencil, s: float, substeps: int = 4):
     dtB = np.tensordot(w1, B5, axes=(0, 0))
 
     Ah = g.fft(A_c)
-    div_a = g.ifft(sum(derivative_hat(g, Ah[l], l) for l in range(3)))[0]
+    div_a = divergence(g, vh=Ah)[0]
     lapA = g.ifft(-g.k2 * Ah)
     grad_div = gradient(g, div_a)
     J = scalar_current(g, A_c, phi_c)
@@ -339,37 +321,21 @@ def mkg_tension(stencil: MkgStencil, s: float, substeps: int = 4):
     dtA0 = np.tensordot(w1, A05, axes=(0, 0))
     DtDtphi = dt2phi + 1j * cdealias(g, dtA0 * phi_c) \
         + 2j * cdealias(g, A0_c * dtphi) - cdealias(g, A0_c**2 * phi_c)
-    a = A_c[:, 0]
-    phih = g.cfft(phi_c)
-    dphi_vec = np.stack([g.cifft(1j * g.kfull(i) * phih) for i in range(3)])
-    a2 = dealias(g, a[0]**2 + a[1]**2 + a[2]**2)
-    adg = cdealias(g, a[0] * dphi_vec[0] + a[1] * dphi_vec[1] + a[2] * dphi_vec[2])
-    div_aD = g.ifft(sum(derivative_hat(g, g.fft(a[l]), l) for l in range(3)))
-    DjDjphi = g.cifft(-g.k2_full * phih) + 2j * adg \
-        + 1j * cdealias(g, div_aD * phi_c) - cdealias(g, a2 * phi_c)
-    v = -DtDtphi + DjDjphi
+    v = -DtDtphi + covariant_laplacian(g, A_c, phi_c)
     return v, w
 
 
 def mkg_w2_leading(state: MkgState, s: float, n_quad: int = 32) -> np.ndarray:
     """Leading quadratic tension: P_j w(s) ~ -2 P_j Im W(d_t phi, conj grad d_t phi)."""
-    from .spectral import leray_df
     g = state.grid
-    phit = state.phit
-    gh = g.cfft(phit)
-    grad_pt = np.stack([g.cifft(1j * g.kfull(i) * gh) for i in range(3)])
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    sq = 0.5 * s * (nodes + 1.0)
-    wq = 0.5 * s * weights
-    acc = np.zeros((3,) + phit.shape)
-    for s_node, w_node in zip(sq, wq):
-        decay = np.exp(-s_node * g.k2_full)
-        f_heat = g.cifft(decay * gh)
-        g_heat = np.stack([g.cifft(decay * g.cfft(grad_pt[i])) for i in range(3)])
-        integ = np.stack([np.imag(f_heat * np.conj(g_heat[i])) for i in range(3)])
-        from .spectral import heat_propagate
-        acc = acc + w_node * heat_propagate(g, integ, s - s_node)
-    w2 = -2.0 * leray_df(g, dealias(g, acc))
+    gh = g.cfft(state.phit)
+
+    def sources(s_nodes):
+        for s_node in s_nodes:
+            fh = np.exp(-s_node * g.k2_full) * gh
+            yield g.fft(np.imag(g.cifft(fh) * np.conj(cgradient(g, fh=fh))))
+
+    w2 = -2.0 * leray_df(g, duhamel(g, s, n_quad, sources))
     return w2[:, None]
 
 

@@ -17,7 +17,7 @@ from . import dynamics as dyn
 from . import heatflow as hf
 from . import mkg as mkg_mod
 from .ckpt import write_checkpoint
-from .config import ExperimentConfig, emit_config
+from .config import ConfigError, ExperimentConfig, emit_config
 from .datagen import make_data, spec_of
 from .gauge import random_alg_field
 from .grid import Grid
@@ -53,6 +53,10 @@ def _write_summary(out_dir: str, summary: dict):
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+    if cfg.kind != "invariants" and (cfg.kind == "mkg") != cfg.family.startswith("mkg-"):
+        raise ConfigError(f"family {cfg.family!r} does not fit kind {cfg.kind!r}: "
+                          "kind mkg takes the mkg-* families, the other kinds "
+                          "the Yang-Mills ones")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.echo"), "w", encoding="ascii") as fh:

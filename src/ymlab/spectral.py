@@ -13,6 +13,14 @@ from .algebra import StructureSpec, bracket
 from .grid import Grid
 
 
+class ConvergenceError(RuntimeError):
+    """An iteration (gauge solver or quadrature) failed to converge."""
+
+    def __init__(self, message, history=None):
+        super().__init__(message)
+        self.history = list(history or [])
+
+
 def derivative_hat(grid: Grid, fh: np.ndarray, axis: int) -> np.ndarray:
     return (1j * grid.k(axis)) * fh
 
@@ -24,16 +32,24 @@ def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     return grid.ifft(derivative_hat(grid, grid.fft(f), axis))
 
 
-def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
-    fh = grid.fft(f)
+def gradient(grid: Grid, f: np.ndarray | None = None, *,
+             fh: np.ndarray | None = None) -> np.ndarray:
+    """Stacked partial derivatives, out[l] = d_l f.
+
+    Pass the transform as fh instead of f when the caller already holds it.
+    """
+    fh = grid.fft(f) if fh is None else fh
     return np.stack([grid.ifft(derivative_hat(grid, fh, i)) for i in range(3)])
 
 
-def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """div of a field whose leading axis is the spatial component."""
-    vh = grid.fft(v)
-    dh = sum(derivative_hat(grid, vh[i], i) for i in range(3))
-    return grid.ifft(dh)
+def divergence(grid: Grid, v: np.ndarray | None = None, *,
+               vh: np.ndarray | None = None) -> np.ndarray:
+    """div of a field whose leading axis is the spatial component.
+
+    Pass the transform as vh instead of v when the caller already holds it.
+    """
+    vh = grid.fft(v) if vh is None else vh
+    return grid.ifft(sum(derivative_hat(grid, vh[i], i) for i in range(3)))
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -64,12 +80,10 @@ def mult2(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 # --- complex scalar variants ------------------------------------------------
 
-def cderivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    return grid.cifft(1j * grid.kfull(axis) * grid.cfft(f))
-
-
-def cgradient(grid: Grid, f: np.ndarray) -> np.ndarray:
-    fh = grid.cfft(f)
+def cgradient(grid: Grid, f: np.ndarray | None = None, *,
+              fh: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of a complex scalar; fh is its full-layout transform, if held."""
+    fh = grid.cfft(f) if fh is None else fh
     return np.stack([grid.cifft(1j * grid.kfull(i) * fh) for i in range(3)])
 
 
@@ -79,12 +93,6 @@ def claplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 def cdealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.cifft(grid.dealias_mask_full * grid.cfft(f))
-
-
-def cheat_propagate(grid: Grid, f: np.ndarray, s: float) -> np.ndarray:
-    if s < 0:
-        raise ValueError("parabolic time s must be nonnegative")
-    return grid.cifft(np.exp(-s * grid.k2_full) * grid.cfft(f))
 
 
 # --- multipliers ----------------------------------------------------------
@@ -275,13 +283,30 @@ def w_symbol(xi_sq, eta_sq, dot, s: float):
     return np.where(small, w_small, w_big)
 
 
+def duhamel(grid: Grid, s: float, n_quad: int, sources) -> np.ndarray:
+    """Gauss-Legendre quadrature of int_0^s e^{(s-s')Lap} G(s') ds'.
+
+    sources(s_nodes) yields the rfft of the real source G at each of the
+    n_quad nodes of [0, s], in their (ascending) order.  The weighted,
+    heat-propagated sum is accumulated in Fourier space, dealiased and
+    transformed back once.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    s_nodes = 0.5 * s * (x + 1.0)
+    acc = 0.0
+    for sq, wq, Gh in zip(s_nodes, 0.5 * s * w, sources(s_nodes)):
+        acc = acc + wq * np.exp(-(s - sq) * grid.k2) * Gh
+    return grid.ifft(grid.dealias_mask * acc)
+
+
 def bilinear_W(grid: Grid, f: np.ndarray, g: np.ndarray, s: float,
                mode: str = "duhamel", tol: float = 1e-9) -> np.ndarray:
     """Symmetric bilinear heat form with symbol W(xi, eta, s) on real scalars.
 
     duhamel: Gauss-Legendre quadrature of
              int_0^s e^{(s-s')Lap} (e^{s'Lap} f . e^{s'Lap} g) ds',
-             node count doubled from 16 until the relative change < tol.
+             node count doubled from 16 until the relative change < tol;
+             ConvergenceError when 256 nodes do not reach it.
     symbol:  direct double mode loop applying the closed form; guarded to
              grids with n <= 16 (cost O(n^6)).
 
@@ -304,27 +329,25 @@ def bilinear_W(grid: Grid, f: np.ndarray, g: np.ndarray, s: float,
 
     fh = grid.dealias_mask * grid.fft(f)
     gh = grid.dealias_mask * grid.fft(g)
-    prev = None
-    nq = 16
-    while True:
-        nodes, weights = np.polynomial.legendre.leggauss(nq)
-        sp = 0.5 * s * (nodes + 1.0)
-        wq = 0.5 * s * weights
-        acc = np.zeros_like(fh)
-        for sq, ww in zip(sp, wq):
+
+    def products(s_nodes):
+        for sq in s_nodes:
             decay = np.exp(-sq * grid.k2)
-            prod = grid.ifft(decay * fh) * grid.ifft(decay * gh)
-            acc += ww * np.exp(-(s - sq) * grid.k2) * grid.fft(prod)
-        acc *= grid.dealias_mask
-        out = grid.ifft(acc)
+            yield grid.fft(grid.ifft(decay * fh) * grid.ifft(decay * gh))
+
+    prev, history = None, []
+    for nq in (16, 32, 64, 128, 256):
+        out = duhamel(grid, s, nq, products)
         if prev is not None:
             scale = float(np.max(np.abs(out))) or 1.0
-            if float(np.max(np.abs(out - prev))) <= tol * scale:
+            change = float(np.max(np.abs(out - prev)))
+            history.append(change / scale)
+            if change <= tol * scale:
                 return out
-        if nq >= 256:
-            return out
         prev = out
-        nq *= 2
+    raise ConvergenceError(
+        f"bilinear_W quadrature did not reach tol {tol:.1e} with {nq} nodes: "
+        f"last relative change {history[-1]:.3e}", history)
 
 
 def _bilinear_w_symbol(grid: Grid, f: np.ndarray, g: np.ndarray, s: float) -> np.ndarray:

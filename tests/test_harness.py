@@ -10,7 +10,7 @@ from ymlab import mkg
 from ymlab.ckpt import CheckpointError, read_checkpoint, write_checkpoint
 from ymlab.config import (ConfigError, ExperimentConfig, emit_config,
                           load_config, parse_config)
-from ymlab.datagen import make_data, mkg_random
+from ymlab.datagen import make_data, mkg_random, spec_of
 from ymlab.dynamics import CauchyState
 from ymlab.grid import Grid
 from ymlab.runner import run
@@ -44,6 +44,31 @@ def test_config_round_trip():
                            family="pulses", amplitude=0.05, seed=42,
                            N_list=(2.0, 4.0), s0=0.003)
     assert parse_config(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("substeps", 0), ("s_samples", 0), ("time_samples", -1),
+    ("N_list", ()), ("N_list", (4.0, -8.0))],
+    ids=["substeps", "s_samples", "time_samples", "N_list-empty", "N_list-negative"])
+def test_config_rejects_bad_counts(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kind, family", [("mkg", "random"),
+                                          ("evolve", "mkg-random")])
+def test_runner_rejects_kind_family_mismatch(tmp_path, kind, family):
+    group = "u1" if family.startswith("mkg") else "su2"
+    cfg = ExperimentConfig(kind=kind, family=family, group=group, n=8, T=0.01)
+    with pytest.raises(ConfigError, match="family"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_of_rejects_unknown_group():
+    assert spec_of("su2").name == "su2" and spec_of("u1").name == "u1"
+    with pytest.raises(ValueError, match="su3"):
+        spec_of("su3")
 
 
 def test_config_parse_errors():

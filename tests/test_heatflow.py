@@ -246,6 +246,52 @@ def test_w2_zero_cases(grid16, s2, ab, rng):
     assert np.max(np.abs(hf.w2_leading(stu, 0.01))) == 0.0
 
 
+def test_w2_leading_symbol_oracle(grid8, s2, rng):
+    """w2_i = -2 sum_l W([E^l, d_i E_l - 2 d_l E_i]), rebuilt by expanding the
+    bracket in the basis and taking each scalar W from the closed-form symbol."""
+    from ymlab.algebra import bracket
+    E = gt.random_alg_field(grid8, s2, rng, 0.3, mode_cut=2.0, components=3)
+    st = dyn.CauchyState(grid8, s2, 0.0, np.zeros_like(E), E)
+    s = 0.05
+    dE = sp.gradient(grid8, E)                   # dE[l][i] = d_l E_i
+    basis = np.eye(3).reshape(3, 3, 1, 1, 1)
+    oracle = np.zeros_like(E)
+    for a in range(3):
+        for b in range(3):
+            c_ab = bracket(basis[a], basis[b], s2)      # [e_a, e_b]
+            if not c_ab.any():
+                continue
+            for i in range(3):
+                for l in range(3):
+                    G = dE[i][l] - 2.0 * dE[l][i]
+                    oracle[i] += -2.0 * c_ab * sp.bilinear_W(
+                        grid8, E[l, a], G[b], s, mode="symbol")
+    w2 = hf.w2_leading(st, s)
+    assert np.max(np.abs(w2 - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_sample_legs_schedule_and_validation(grid8, s2, rng):
+    steps = []
+
+    def step(y, h):
+        steps.append(h)
+        return (y[0] + h,)
+
+    out = []
+    hf.sample_legs((np.zeros(1),), [0.3, 0.0, 0.1], 2, step,
+                   lambda s, y: out.append((s, y[0][0])))
+    assert [s for s, _ in out] == [0.0, 0.1, 0.3]
+    assert len(steps) == 4 + 2          # the leg from s = 0 is refined
+    assert abs(out[-1][1] - 0.3) < 1e-15
+    with pytest.raises(ValueError, match="substeps"):
+        hf.sample_legs((np.zeros(1),), [0.1], 0, step, print)
+    with pytest.raises(hf.ParabolicBlowUpError):   # any field, not only the first
+        hf.sample_legs((np.zeros(1), np.zeros(1)), [0.1], 1,
+                       lambda y, h: (y[0], y[1] + np.nan), print)
+    with pytest.raises(ValueError, match="substeps"):
+        hf.run_flow(su2_state(grid8, s2, rng), [0.0, 1e-3], substeps=0)
+
+
 def test_w2_amplitude_sweep_slope(grid16, s2, rng):
     """||w - w2|| must scale cubically in the data amplitude."""
     dt = 2e-3

@@ -133,6 +133,16 @@ def test_w_duhamel_vs_symbol(grid8, rng):
         assert rel < 1e-8
 
 
+def test_w_duhamel_raises_when_unconverged(grid8, rng):
+    from ymlab.gauge import ConvergenceError
+    assert ConvergenceError is sp.ConvergenceError
+    f = smooth(grid8, rng, cut=2.0)
+    h = smooth(grid8, rng, cut=2.0)
+    with pytest.raises(ConvergenceError) as err:
+        sp.bilinear_W(grid8, f, h, 0.1, tol=1e-30)
+    assert len(err.value.history) == 4  # 16 -> 32 -> ... -> 256 nodes
+
+
 def test_w_symbol_guard_and_validation(grid32, rng):
     f = rng.standard_normal((32,) * 3)
     with pytest.raises(ValueError):
