@@ -68,9 +68,11 @@ class ExperimentConfig:
             problems.append("N, L, dt must be positive and T nonnegative")
         if self.cfl > 1.0:
             problems.append("cfl must not exceed 1")
-        for name in ("substeps", "s_samples", "time_samples"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.dt > 0 and abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
+        for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 1)):
+            if getattr(self, name) < low:
+                problems.append(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.N_list or min(self.N_list) <= 0:
             problems.append(f"N_list must hold positive thresholds, got {self.N_list}")
         if problems:

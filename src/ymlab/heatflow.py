@@ -5,8 +5,10 @@ connection and the electric curvature B_i = F_{0i} satisfy genuinely
 parabolic equations.  Stiffness is absorbed exactly by an integrating-factor
 RK4: the heat factor is applied in Fourier space and only the bracket terms
 are stepped explicitly, so the abelian flow reproduces the heat semigroup to
-round-off.  The caloric gauge (A_s = 0) is reached by the pointwise
-transport ODE dU/ds = U A_s.
+round-off.  The flow state lives in Fourier space between samples, so the
+heat factor is a multiply; only the samples go back to physical fields.
+The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
+dU/ds = U A_s.
 
 The tension field w_i(s) = D_0 F_{0i} - D^j F_{ji} needs time derivatives at
 level s; these come from five Cauchy slices flowed in lockstep, with A_0(s)
@@ -26,7 +28,8 @@ from .algebra import StructureSpec, bracket
 from .dynamics import CauchyState, covariant_curl_div, rk4_step
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
-from .spectral import dealias, divergence, duhamel, gradient, heat_propagate
+from .spectral import (dealias, derivative_hat, divergence, duhamel, gradient,
+                       heat_propagate)
 
 
 class ParabolicBlowUpError(RuntimeError):
@@ -60,45 +63,49 @@ def sample_grid(s0: float, n_samples: int = 32, span: float = 1024.0) -> np.ndar
 
 def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
                       B: np.ndarray | None, Ah=None, Bh=None):
-    """Bracket terms of the DeTurck parabolic system, dealiased.
+    """Bracket terms of the DeTurck parabolic system, as dealiased transforms.
 
-    connection:  2[A^l, d_l A_i] - [A^l, d_i A_l] + [A^l, [A_l, A_i]]
-    electric:    2[B^l, F_li] + 2[A^l, d_l B_i] + [A^l, [A_l, B_i]]
+    connection:  [A^l, d_l A_i + F_li]
+                 (= 2[A^l, d_l A_i] - [A^l, d_i A_l] + [A^l, [A_l, A_i]])
+    electric:    2[B^l, F_li] + [A^l, 2 d_l B_i + [A_l, B_i]]
 
-    Returns (N_A, N_B, F_magnetic); N_B is None when B is None.
+    The inner brackets [A_i, A_j] and [A_l, B_i] are dealiased; the sum
+    2 d_l B_i + [A_l, B_i] is formed in Fourier space and inverted once.
+    A and B are physical; pass their rfft as Ah, Bh when the caller holds it.
+    Returns (N_A, N_B, F_magnetic): N_A and N_B in rfft layout with the
+    two-thirds mask applied (N_B is None when B is None), F physical.
     """
+    mask = grid.dealias_mask
     Ah = grid.fft(A) if Ah is None else Ah
-    dA = gradient(grid, fh=Ah)                   # dA[l, i] = d_l A_i
+    G = gradient(grid, fh=Ah)                    # G[l, i] = d_l A_i
     pair_br = dealias(grid, np.stack([bracket(A[i], A[j], spec) for i, j in PAIRS]))
-    Fmag = np.stack([dA[i][j] - dA[j][i] for i, j in PAIRS]) + pair_br
-    NA = np.empty_like(A)
-    for i in range(3):
-        acc = 0.0
-        for l in range(3):
-            acc = acc + 2.0 * bracket(A[l], dA[l][i], spec) \
-                      - bracket(A[l], dA[i][l], spec)
-            if l != i:
-                acc = acc + bracket(A[l], pair_component(pair_br, l, i), spec)
-        NA[i] = acc
-    NA = dealias(grid, NA)
+    Fmag = np.stack([G[i][j] - G[j][i] for i, j in PAIRS]) + pair_br
+    for c, (i, j) in enumerate(PAIRS):          # G[l, i] = d_l A_i + F_li
+        G[i, j] += Fmag[c]
+        G[j, i] -= Fmag[c]
+    NA = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
+                   for i in range(3)])
     if B is None:
-        return NA, None, Fmag
+        return mask * grid.fft(NA), None, Fmag
 
     Bh = grid.fft(B) if Bh is None else Bh
-    dB = gradient(grid, fh=Bh)
-    ab = dealias(grid, np.stack([bracket(A[l], B[i], spec)
-                                 for l in range(3) for i in range(3)]))
-    ab = ab.reshape((3, 3) + B.shape[1:])
-    NB = np.empty_like(B)
-    for i in range(3):
-        acc = 0.0
-        for l in range(3):
-            if l != i:
-                acc = acc + 2.0 * bracket(B[l], pair_component(Fmag, l, i), spec)
-            acc = acc + 2.0 * bracket(A[l], dB[l][i], spec)
-            acc = acc + bracket(A[l], ab[l, i], spec)
-        NB[i] = acc
-    return NA, dealias(grid, NB), Fmag
+    Gh = mask * grid.fft(np.stack([[bracket(A[l], B[i], spec) for i in range(3)]
+                                   for l in range(3)]))
+    for l in range(3):
+        Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
+    G = grid.ifft(Gh)                            # G[l, i] = 2 d_l B_i + [A_l, B_i]
+    NB = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
+                   for i in range(3)])
+    for c, (i, j) in enumerate(PAIRS):          # 2[B^l, F_li], F_ji = -F_ij
+        NB[j] += 2.0 * bracket(B[i], Fmag[c], spec)
+        NB[i] -= 2.0 * bracket(B[j], Fmag[c], spec)
+    return mask * grid.fft(NA), mask * grid.fft(NB), Fmag
+
+
+def _deturck_hat(grid: Grid, spec: StructureSpec, Ah, Bh):
+    """(N_A, N_B) of deturck_nonlinear for a state held in rfft layout."""
+    NA, NB, _ = deturck_nonlinear(grid, spec, grid.ifft(Ah), grid.ifft(Bh), Ah, Bh)
+    return NA, NB
 
 
 def deturck_rhs(flow: FlowState):
@@ -106,17 +113,20 @@ def deturck_rhs(flow: FlowState):
     g = flow.grid
     Ah, Bh = g.fft(flow.A), g.fft(flow.B)
     NA, NB, _ = deturck_nonlinear(g, flow.spec, flow.A, flow.B, Ah, Bh)
-    return g.ifft(-g.k2 * Ah) + NA, g.ifft(-g.k2 * Bh) + NB
+    return g.ifft(NA - g.k2 * Ah), g.ifft(NB - g.k2 * Bh)
 
 
 # --- integrating-factor stepping ---------------------------------------------
 
 class _IFSystem:
-    """Integrating-factor RK4 on a family of fields.
+    """Integrating-factor RK4 on a family of fields held in Fourier space.
 
-    Each field kind is "heat" (real field, exact e^{s Lap} factor through the
-    rfft layout), "cheat" (complex scalar, full layout), or "ode" (no linear
-    part; stepped inside the same stage structure).
+    Each field kind is "heat" (real field, rfft layout), "cheat" (complex
+    scalar, full cfft layout) or "ode" (physical, no linear part; stepped
+    inside the same stage structure).  The heat factor e^{s Lap} is then a
+    multiply, and the step is exact IF-RK4 on the spectral state (Kassam &
+    Trefethen 2005).  `spectral` and `physical` convert a state; the
+    nonlinearity given to `step` maps a spectral state to its derivatives.
     """
 
     def __init__(self, grid: Grid, kinds: tuple):
@@ -125,31 +135,39 @@ class _IFSystem:
         if any(k not in ("heat", "cheat", "ode") for k in self.kinds):
             raise ValueError(f"unknown field kinds in {kinds}")
 
-    def _prop(self, u, kind, h):
-        g = self.grid
-        if kind == "heat":
-            return g.ifft(np.exp(-h * g.k2) * g.fft(u))
-        if kind == "cheat":
-            return g.cifft(np.exp(-h * g.k2_full) * g.cfft(u))
-        return u
+    def _each(self, y, heat, cheat):
+        return tuple(heat(u) if kd == "heat" else cheat(u) if kd == "cheat" else u
+                     for u, kd in zip(y, self.kinds))
+
+    def spectral(self, y: tuple) -> tuple:
+        return self._each(y, self.grid.fft, self.grid.cfft)
+
+    def physical(self, y: tuple) -> tuple:
+        return self._each(y, self.grid.ifft, self.grid.cifft)
+
+    def sample_legs(self, y: tuple, s_samples, substeps: int, step, emit) -> None:
+        """Module `sample_legs` on the spectral state of the physical y; emit
+        gets physical fields that no later step writes to (copies of y at
+        s = 0)."""
+        sample_legs(self.spectral(y), s_samples, substeps, step,
+                    lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
+                                      else self.physical(z)))
+
+    def _factors(self, h):
+        k2 = {"heat": self.grid.k2, "cheat": self.grid.k2_full}
+        return [np.exp(-h * k2[kd]) if kd in k2 else 1.0 for kd in self.kinds]
 
     def step(self, y: tuple, h: float, nonlin) -> tuple:
-        prop = self._prop
-        kinds = self.kinds
+        half, full = self._factors(0.5 * h), self._factors(h)
         k1 = nonlin(y)
-        ya = tuple(prop(u0 + 0.5 * h * k, kd, 0.5 * h)
-                   for u0, k, kd in zip(y, k1, kinds))
+        ya = tuple(e * (u0 + 0.5 * h * k) for u0, k, e in zip(y, k1, half))
         k2 = nonlin(ya)
-        yb = tuple(prop(u0, kd, 0.5 * h) + 0.5 * h * k
-                   for u0, k, kd in zip(y, k2, kinds))
+        yb = tuple(e * u0 + 0.5 * h * k for u0, k, e in zip(y, k2, half))
         k3 = nonlin(yb)
-        yc = tuple(prop(u0, kd, h) + h * prop(k, kd, 0.5 * h)
-                   for u0, k, kd in zip(y, k3, kinds))
+        yc = tuple(f * u0 + h * (e * k) for u0, k, e, f in zip(y, k3, half, full))
         k4 = nonlin(yc)
-        return tuple(
-            prop(u0, kd, h) + (h / 6.0) * (prop(a1, kd, h)
-                                           + 2.0 * prop(a2 + a3, kd, 0.5 * h) + a4)
-            for u0, a1, a2, a3, a4, kd in zip(y, k1, k2, k3, k4, kinds))
+        return tuple(f * u0 + (h / 6.0) * (f * a1 + 2.0 * (e * (a2 + a3)) + a4)
+                     for u0, a1, a2, a3, a4, e, f in zip(y, k1, k2, k3, k4, half, full))
 
 
 def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
@@ -189,12 +207,8 @@ def flow_step(flow: FlowState, ds: float) -> FlowState:
         raise ValueError("ds must be positive")
     g, spec = flow.grid, flow.spec
     sys = _IFSystem(g, ("heat", "heat"))
-
-    def nonlin(y):
-        NA, NB, _ = deturck_nonlinear(g, spec, y[0], y[1])
-        return NA, NB
-
-    A, B = sys.step((flow.A, flow.B), ds, nonlin)
+    A, B = sys.physical(sys.step(sys.spectral((flow.A, flow.B)), ds,
+                                 lambda y: _deturck_hat(g, spec, *y)))
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ParabolicBlowUpError(f"non-finite flow state at s={flow.s + ds:.3e}")
     return FlowState(g, spec, flow.s + ds, A, B, U=flow.U, A0=flow.A0)
@@ -212,16 +226,16 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
     large runs through the observer without retaining fields.
     """
     g, spec = origin.grid, origin.spec
-    state = (origin.A.copy(), origin.E.copy())
+    state = (origin.A, origin.E)
     if with_transport:
         state += (alg.identity_group(spec, (g.n,) * 3),)
     sys = _IFSystem(g, ("heat", "heat", "ode") if with_transport else ("heat", "heat"))
 
     def nonlin(y):
-        NA, NB, _ = deturck_nonlinear(g, spec, y[0], y[1])
+        N = _deturck_hat(g, spec, y[0], y[1])
         if not with_transport:
-            return NA, NB
-        return NA, NB, _transport_rhs(y[2], divergence(g, y[0]), spec)
+            return N
+        return N + (_transport_rhs(y[2], divergence(g, vh=y[0]), spec),)
 
     def step(y, h):
         y = sys.step(y, h, nonlin)
@@ -236,14 +250,13 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
     out = []
 
     def emit(s, y):
-        fs = FlowState(g, spec, s, y[0].copy(), y[1].copy(),
-                       U=y[2].copy() if with_transport else None)
+        fs = FlowState(g, spec, s, y[0], y[1], U=y[2] if with_transport else None)
         if observer is not None:
             observer(fs)
         if keep_states:
             out.append(fs)
 
-    sample_legs(state, s_samples, substeps, step, emit)
+    sys.sample_legs(state, s_samples, substeps, step, emit)
     return out
 
 
@@ -399,19 +412,18 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
     sys = _IFSystem(g, ("heat", "heat", "ode"))
 
     def nonlin(y):
-        Am, Bm, A0m = y
-        NA = np.empty_like(Am)
-        NB = np.empty_like(Bm)
+        Ahm, Bhm, A0m = y
+        NA = np.empty_like(Ahm)
+        NB = np.empty_like(Bhm)
         div_a = np.empty((5, d) + (g.n,) * 3)
         dive_cov = np.empty_like(div_a)
         for m in range(5):
-            Ah, Bh = g.fft(Am[m]), g.fft(Bm[m])
-            NA[m], NB[m], _ = deturck_nonlinear(g, spec, Am[m], Bm[m], Ah, Bh)
+            Ah, Bh = Ahm[m], Bhm[m]
+            A, B = g.ifft(Ah), g.ifft(Bh)
+            NA[m], NB[m], _ = deturck_nonlinear(g, spec, A, B, Ah, Bh)
             div_a[m] = divergence(g, vh=Ah)
-            db = divergence(g, vh=Bh)
-            for l in range(3):
-                db = db + dealias(g, bracket(Am[m][l], Bm[m][l], spec))
-            dive_cov[m] = db
+            dive_cov[m] = divergence(g, vh=Bh) + dealias(
+                g, sum(bracket(A[l], B[l], spec) for l in range(3)))
         dt_div = np.tensordot(wrows, div_a, axes=(1, 0))   # (5, d, ...)
         NA0 = np.empty_like(A0m)
         for m in range(5):
@@ -420,11 +432,10 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
         return NA, NB, NA0
 
     out = []
-    sample_legs((A, B, A0), s_samples, substeps,
-                lambda y, h: sys.step(y, h, nonlin),
-                lambda s, y: out.append([
-                    FlowState(g, spec, s, y[0][m].copy(), y[1][m].copy(),
-                              A0=y[2][m].copy()) for m in range(5)]))
+    sys.sample_legs((A, B, A0), s_samples, substeps,
+                    lambda y, h: sys.step(y, h, nonlin),
+                    lambda s, y: out.append([FlowState(g, spec, s, y[0][m], y[1][m],
+                                                       A0=y[2][m]) for m in range(5)]))
     return out
 
 

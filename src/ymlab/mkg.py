@@ -149,9 +149,10 @@ def repair_constraint(state: MkgState) -> MkgState:
                     state.phi, state.phit)
 
 
-def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0):
+def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
+           cfl: float = 0.5):
     """Integrate, recording energy / charge / constraint residual."""
-    if dt * dyn.active_kmax(state.grid) > 0.5 + 1e-12:
+    if dt * dyn.active_kmax(state.grid) > cfl + 1e-12:
         raise ValueError("CFL violation for the MKG step")
     nsteps = int(round(T / dt))
     times, energies, charges, constraint = [], [], [], []
@@ -241,24 +242,19 @@ def flow_mkg_stencil(stencil: MkgStencil, s_samples, substeps: int = 4):
     sys = hf._IFSystem(g, ("heat", "cheat", "heat"))
 
     def nonlin(y):
-        Am, phim, A0m = y
+        Am, phim, A0m = sys.physical(y)
         NA = np.empty_like(Am)
         Nphi = np.empty_like(phim)
         for m in range(5):
-            na, nphi = _mkg_nonlinear(g, Am[m], phim[m])
-            NA[m], Nphi[m] = na, nphi
+            NA[m], Nphi[m] = _mkg_nonlinear(g, Am[m], phim[m])
         dt_phi = np.tensordot(wrows, phim, axes=(1, 0))
-        NA0 = np.empty_like(A0m)
-        for m in range(5):
-            NA0[m] = dealias(g, np.imag(phim[m] * np.conj(dt_phi[m]))
-                             - A0m[m] * np.abs(phim[m]) ** 2)
-        return NA, Nphi, NA0
+        NA0 = np.imag(phim * np.conj(dt_phi)) - A0m * np.abs(phim) ** 2
+        return g.fft(NA), g.cfft(Nphi), g.dealias_mask * g.fft(NA0)
 
     out = []
-    hf.sample_legs((A, phi, A0), s_samples, substeps,
-                   lambda y, h: sys.step(y, h, nonlin),
-                   lambda s, y: out.append({"s": s, "A": y[0].copy(),
-                                            "phi": y[1].copy(), "A0": y[2].copy()}))
+    sys.sample_legs((A, phi, A0), s_samples, substeps,
+                    lambda y, h: sys.step(y, h, nonlin),
+                    lambda s, y: out.append({"s": s, "A": y[0], "phi": y[1], "A0": y[2]}))
     return out
 
 

@@ -179,7 +179,7 @@ def _run_acl_sweep(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
 
 def _run_mkg(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     state, report = make_data(cfg, grid)
-    out = mkg_mod.evolve(state, cfg.dt, cfg.T,
+    out = mkg_mod.evolve(state, cfg.dt, cfg.T, cfl=cfg.cfl,
                          sample_every=max(1, int(round(cfg.T / cfg.dt / 50))))
     e = np.asarray(out["energies"])
     q = np.asarray(out["charges"])

@@ -47,12 +47,21 @@ def test_config_round_trip():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("substeps", 0), ("s_samples", 0), ("time_samples", -1),
+    ("substeps", 0), ("s_samples", 0), ("s_samples", 1), ("time_samples", -1),
     ("N_list", ()), ("N_list", (4.0, -8.0))],
-    ids=["substeps", "s_samples", "time_samples", "N_list-empty", "N_list-negative"])
+    ids=["substeps", "s_samples", "s_samples-one", "time_samples", "N_list-empty",
+         "N_list-negative"])
 def test_config_rejects_bad_counts(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_rejects_T_off_the_dt_grid():
+    with pytest.raises(ConfigError, match="T must be an integer multiple of dt"):
+        ExperimentConfig(T=0.0031, dt=0.002)
+    for T in (0.0, 0.01, 0.1, 0.2, 0.5, 1.0):   # default and benchmark horizons
+        assert ExperimentConfig(T=T).T == T
+    assert ExperimentConfig(T=0.3, dt=0.1).T == 0.3  # 3 * 0.1 is not 0.3 in binary
 
 
 @pytest.mark.parametrize("kind, family", [("mkg", "random"),

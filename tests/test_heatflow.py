@@ -361,3 +361,66 @@ def test_covariant_derivative_trend(grid16, s2, rng):
             base = max(vals[0], 1e-30)
         worst = max(worst, max(vals) / base)
     assert worst < 50.0
+
+
+def _physical_if_rk4(grid, kinds, y, h, nonlin):
+    """IF-RK4 on physical fields, each heat factor applied by a transform
+    round trip: the form that the spectral `_IFSystem` step replaces."""
+    def prop(u, kind, t):
+        if kind == "heat":
+            return grid.ifft(np.exp(-t * grid.k2) * grid.fft(u))
+        if kind == "cheat":
+            return grid.cifft(np.exp(-t * grid.k2_full) * grid.cfft(u))
+        return u
+
+    k1 = nonlin(y)
+    ya = [prop(u0 + 0.5 * h * k, kd, 0.5 * h) for u0, k, kd in zip(y, k1, kinds)]
+    k2 = nonlin(ya)
+    yb = [prop(u0, kd, 0.5 * h) + 0.5 * h * k for u0, k, kd in zip(y, k2, kinds)]
+    k3 = nonlin(yb)
+    yc = [prop(u0, kd, h) + h * prop(k, kd, 0.5 * h) for u0, k, kd in zip(y, k3, kinds)]
+    k4 = nonlin(yc)
+    return [prop(u0, kd, h) + (h / 6.0) * (prop(a1, kd, h)
+                                          + 2.0 * prop(a2 + a3, kd, 0.5 * h) + a4)
+            for u0, a1, a2, a3, a4, kd in zip(y, k1, k2, k3, k4, kinds)]
+
+
+def _toy_quadratic(y):
+    """Pointwise quadratic couplings; real for real fields, complex for the
+    complex scalar of a "cheat" field (always the second one here)."""
+    u, v, w = y
+    if np.iscomplexobj(v):
+        return u * w + np.abs(v) ** 2, u * v, w * w - u * u
+    return u * v, u * u - v * w, v * w
+
+
+@pytest.mark.parametrize("kinds", [("heat", "heat", "ode"), ("heat", "cheat", "heat")])
+def test_spectral_if_step_matches_physical_oracle(grid16, kinds):
+    g = grid16
+    rng = np.random.default_rng(7)
+    y = [0.5 * rng.standard_normal((2,) + (16,) * 3) for _ in kinds]
+    if kinds[1] == "cheat":
+        y[1] = y[1] + 0.5j * rng.standard_normal((2,) + (16,) * 3)
+    sys = hf._IFSystem(g, kinds)
+    yh = sys.spectral(tuple(y))
+    for _ in range(4):
+        y = _physical_if_rk4(g, kinds, y, 0.01, _toy_quadratic)
+        yh = sys.step(yh, 0.01, lambda z: sys.spectral(_toy_quadratic(sys.physical(z))))
+    for ref, got in zip(y, sys.physical(yh)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_flow_step_transform_count(s2, rng):
+    """One su(2) DeTurck IF-RK4 step at n = 16 makes at most 648 scalar 3-D
+    transforms, state conversion included (972 with physical-space stages)."""
+    from ymlab.grid import Grid
+    g = Grid(16)
+    st = su2_state(g, s2, rng)
+    count = [0]
+    for name in ("fft", "ifft", "cfft", "cifft"):
+        def counted(f, _fn=getattr(g, name)):
+            count[0] += int(np.prod(f.shape[:-3]))
+            return _fn(f)
+        setattr(g, name, counted)
+    hf.flow_step(hf.FlowState(g, s2, 0.0, st.A, st.E), 1e-3)
+    assert 0 < count[0] <= 648

@@ -59,6 +59,14 @@ def test_klein_gordon_standing_wave(grid16):
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
 
 
+def test_evolve_uses_cfl_bound(grid16):
+    st = mkg_wave(grid16, 0.1)
+    dt = 0.4 / dyn.active_kmax(grid16)
+    assert mkg.evolve(st, dt, dt)["final"].t == pytest.approx(dt)
+    with pytest.raises(ValueError, match="CFL"):
+        mkg.evolve(st, dt, dt, cfl=0.25)
+
+
 def test_conservation_coupled(grid16):
     st = mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6)
     assert mkg.constraint_residual(st)[1] < 1e-12
