@@ -13,7 +13,8 @@ Layout (all little-endian):
   t       f64      physical time
   s       f64      parabolic time (0 for Cauchy/MKG states)
 payload: ncomp * algdim arrays of n^3 f64, component-major, x varying
-fastest within each array.
+fastest within each array.  The reader checks kind, group, ncomp (6, 6, 10
+by kind) and algdim (by group) before it reads the payload.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ def read_checkpoint(path: str):
             raise CheckpointError(f"bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}")
+        if kind not in (0, 1, 2):
+            raise CheckpointError(f"unknown state kind {kind}")
+        if group not in (0, 1) or (kind == 2 and group != 1):
+            raise CheckpointError(f"group tag {group} does not fit kind {kind} "
+                                  "(0 = su2 or 1 = u1; MKG states are u1)")
+        spec = (su2, u1)[group]()
+        if ncomp != (6, 6, 10)[kind]:
+            raise CheckpointError(f"ncomp {ncomp} does not fit kind {kind}")
+        if algdim != spec.dim:
+            raise CheckpointError(f"algdim {algdim} does not fit group {spec.name}")
         count = ncomp * algdim * n**3
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
         if data.size != count:
@@ -97,13 +108,10 @@ def read_checkpoint(path: str):
         for a in range(algdim):
             arr[c, a] = flat[c, a].reshape((n, n, n), order="F")
     grid = Grid(n, L)
-    spec = su2() if group == 0 else u1()
     if kind == 0:
         return CauchyState(grid, spec, t, arr[0:3], arr[3:6])
     if kind == 1:
         return FlowState(grid, spec, s, arr[0:3], arr[3:6])
-    if kind == 2:
-        phi = arr[6, 0] + 1j * arr[7, 0]
-        phit = arr[8, 0] + 1j * arr[9, 0]
-        return mkg_mod.MkgState(grid, t, arr[0:3], arr[3:6], phi, phit)
-    raise CheckpointError(f"unknown state kind {kind}")
+    phi = arr[6, 0] + 1j * arr[7, 0]
+    phit = arr[8, 0] + 1j * arr[9, 0]
+    return mkg_mod.MkgState(grid, t, arr[0:3], arr[3:6], phi, phit)

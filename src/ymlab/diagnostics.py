@@ -4,6 +4,7 @@ experiment."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,13 +12,14 @@ from scipy.integrate import simpson
 
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
-from .dynamics import CauchyState, covariant_curl_div, step_rk4
+from .dynamics import CauchyState, step_rk4
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
 from .grid import Grid
 from .spectral import dealias, derivative
 
 SIGMA_DEFAULT = 5.0 / 6.0
+log = logging.getLogger(__name__)
 
 
 def energy_at(flow: hf.FlowState) -> float:
@@ -72,8 +74,7 @@ def modified_energy_of_state(state: CauchyState, N: float, sigma: float,
     hf.run_flow(state, hf.sample_grid(1.0 / N**2, n_samples, span),
                 substeps=substeps, keep_states=False,
                 observer=lambda f: rec.append((f.s, energy_at(f))))
-    s_vals = np.array([r[0] for r in rec])
-    e_vals = np.array([r[1] for r in rec])
+    s_vals, e_vals = np.array(rec).T
     return modified_energy(s_vals, e_vals, N, sigma)
 
 
@@ -108,12 +109,7 @@ def energy_identity_check(state0: CauchyState, t_span: float, s: float,
         stencil = hf.make_stencil(st, delta, dt)
         slices = hf.flow_stencil(stencil, [s], substeps=substeps)[-1]
         c = slices[2]
-        B5 = np.stack([f.B for f in slices])
-        dtB = stencil.d_dt(B5)
-        w = np.empty_like(c.B)
-        curl_div = covariant_curl_div(g, spec, c.A)
-        for i in range(3):
-            w[i] = dtB[i] + dealias(g, bracket(c.A0, c.B[i], spec)) - curl_div[i]
+        w = hf.slice_tension(stencil, slices)
         dens = sum(inner(w[i], c.B[i], spec) for i in range(3))
         integrand.append(g.integrate(dens))
         if q in (0, n_nodes - 1):
@@ -205,13 +201,18 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
                               substeps: int = 2) -> SweepResult:
     """Drift of the modified energy over [0, T] for each threshold N.
 
-    One heat flow per sampled time serves every N: the union of the per-N
-    geometric s-grids is flowed once and each modified energy reads its own
-    subgrid.  The fitted log-log slope is exploratory output.
+    One heat flow per sampled time serves every N: the per-N s-grids are
+    drawn from one lattice (`heatflow.nested_sample_grids`), so they share
+    most of their points; their union is flowed once and each modified
+    energy reads its own grid.  Each time sample logs one INFO record with
+    t, the union size and the IF steps taken.  The fitted log-log slope is
+    exploratory output.
     """
     N_values = sorted(N_values)
-    grids = {N: hf.sample_grid(1.0 / N**2, n_s, span) for N in N_values}
+    grids = dict(zip(N_values, hf.nested_sample_grids(
+        [1.0 / N**2 for N in N_values], n_s, span)))
     union = np.unique(np.concatenate(list(grids.values())))
+    if_steps = sum(hf.leg_steps(len(union) - 1, substeps))
     t_samples = np.linspace(0.0, T, n_time_samples)
     ie = {N: [] for N in N_values}
 
@@ -224,8 +225,9 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
         rec = []
         hf.run_flow(st, union, substeps=substeps, keep_states=False,
                     observer=lambda f: rec.append((f.s, energy_at(f))))
-        s_all = np.array([r[0] for r in rec])
-        e_all = np.array([r[1] for r in rec])
+        log.info("sweep t = %.6g: %d flow samples, %d IF steps",
+                 t, len(union), if_steps)
+        s_all, e_all = np.array(rec).T
         for N in N_values:
             sel = np.isin(s_all, grids[N]) | (s_all == 0.0)
             val, _ = modified_energy(s_all[sel], e_all[sel], N, sigma)

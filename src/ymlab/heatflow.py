@@ -59,6 +59,24 @@ def sample_grid(s0: float, n_samples: int = 32, span: float = 1024.0) -> np.ndar
     return np.concatenate([[0.0], np.geomspace(s0 / span, s0, n_samples)])
 
 
+def nested_sample_grids(s0_values, n_samples: int = 32,
+                        span: float = 1024.0) -> list[np.ndarray]:
+    """One `sample_grid`-shaped grid per s0, all drawn from one lattice that
+    descends from the largest s0 in `sample_grid` spans (ratio
+    span^(1/(n_samples-1))), so the largest s0 gets `sample_grid` bit for
+    bit.  Each other s0 keeps its exact endpoints s0 and s0/span and the
+    n_samples - 2 lattice points below the one nearest s0: every end
+    interval lies within [0.5, 1.5] lattice steps in log s."""
+    if min(s0_values) <= 0 or n_samples < 2:
+        raise ValueError("s0 must be positive and n_samples at least 2")
+    top, m = max(s0_values), n_samples - 1
+    first = [round(np.log(top / s0) * m / np.log(span)) for s0 in s0_values]
+    lattice = np.concatenate([sample_grid(top / span**b, n_samples, span)[:1:-1]
+                              for b in range((max(first) + m - 1) // m + 1)])
+    return [np.concatenate([[0.0, s0 / span], lattice[k + 1:k + m][::-1], [s0]])
+            for s0, k in zip(s0_values, first)]
+
+
 # --- DeTurck right-hand side ------------------------------------------------
 
 def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
@@ -72,8 +90,9 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
     The inner brackets [A_i, A_j] and [A_l, B_i] are dealiased; the sum
     2 d_l B_i + [A_l, B_i] is formed in Fourier space and inverted once.
     A and B are physical; pass their rfft as Ah, Bh when the caller holds it.
-    Returns (N_A, N_B, F_magnetic): N_A and N_B in rfft layout with the
-    two-thirds mask applied (N_B is None when B is None), F physical.
+    Returns (N_A, N_B, F_magnetic, DB) with F physical and the others in rfft
+    layout, masked brackets; DB = D^l B_l, the trace of the transformed
+    2 d_l B_i + [A_l, B_i] less div B.  N_B and DB are None when B is None.
     """
     mask = grid.dealias_mask
     Ah = grid.fft(A) if Ah is None else Ah
@@ -86,25 +105,26 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
     NA = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
                    for i in range(3)])
     if B is None:
-        return mask * grid.fft(NA), None, Fmag
+        return mask * grid.fft(NA), None, Fmag, None
 
     Bh = grid.fft(B) if Bh is None else Bh
     Gh = mask * grid.fft(np.stack([[bracket(A[l], B[i], spec) for i in range(3)]
                                    for l in range(3)]))
     for l in range(3):
         Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
+    DB = sum(Gh[l, l] - derivative_hat(grid, Bh[l], l) for l in range(3))
     G = grid.ifft(Gh)                            # G[l, i] = 2 d_l B_i + [A_l, B_i]
     NB = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
                    for i in range(3)])
     for c, (i, j) in enumerate(PAIRS):          # 2[B^l, F_li], F_ji = -F_ij
         NB[j] += 2.0 * bracket(B[i], Fmag[c], spec)
         NB[i] -= 2.0 * bracket(B[j], Fmag[c], spec)
-    return mask * grid.fft(NA), mask * grid.fft(NB), Fmag
+    return mask * grid.fft(NA), mask * grid.fft(NB), Fmag, DB
 
 
 def _deturck_hat(grid: Grid, spec: StructureSpec, Ah, Bh):
     """(N_A, N_B) of deturck_nonlinear for a state held in rfft layout."""
-    NA, NB, _ = deturck_nonlinear(grid, spec, grid.ifft(Ah), grid.ifft(Bh), Ah, Bh)
+    NA, NB, _, _ = deturck_nonlinear(grid, spec, grid.ifft(Ah), grid.ifft(Bh), Ah, Bh)
     return NA, NB
 
 
@@ -112,7 +132,7 @@ def deturck_rhs(flow: FlowState):
     """Full parabolic right-hand side (dA/ds, dB/ds), Laplacian included."""
     g = flow.grid
     Ah, Bh = g.fft(flow.A), g.fft(flow.B)
-    NA, NB, _ = deturck_nonlinear(g, flow.spec, flow.A, flow.B, Ah, Bh)
+    NA, NB, _, _ = deturck_nonlinear(g, flow.spec, flow.A, flow.B, Ah, Bh)
     return g.ifft(NA - g.k2 * Ah), g.ifft(NB - g.k2 * Bh)
 
 
@@ -170,16 +190,21 @@ class _IFSystem:
                      for u0, a1, a2, a3, a4, e, f in zip(y, k1, k2, k3, k4, half, full))
 
 
+def leg_steps(n_legs: int, substeps: int) -> list[int]:
+    """Equal steps per leg of `sample_legs`: the leg from s = 0 takes
+    max(2 * substeps, 4) and every later leg `substeps`."""
+    return [max(2 * substeps, 4)] + [substeps] * (n_legs - 1) if n_legs else []
+
+
 def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
     """Advance `state` through the sorted parabolic times, calling
     emit(s, state) at each sample.
 
-    step(state, h) makes one step of size h.  A sample at s = 0 is emitted
-    as given; the leg from s = 0 takes max(2 * substeps, 4) equal steps and
-    every later leg `substeps`.  Non-finite values in any field raise
-    ParabolicBlowUpError.  emit copies what it keeps; being a callback, not
-    a generator, no sampled state stays referenced through the next leg,
-    which would raise peak memory.
+    step(state, h) makes one step of size h, `leg_steps` of them per leg.
+    A sample at s = 0 is emitted as given.  Non-finite values in any field
+    raise ParabolicBlowUpError.  emit copies what it keeps; being a
+    callback, not a generator, no sampled state stays referenced through
+    the next leg, which would raise peak memory.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
@@ -190,8 +215,7 @@ def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
         emit(0.0, state)
         times = times[1:]
     s_prev = 0.0
-    for s_target in times:
-        nsub = max(2 * substeps, 4) if s_prev == 0.0 else substeps
+    for s_target, nsub in zip(times, leg_steps(len(times), substeps)):
         h = (s_target - s_prev) / nsub
         for _ in range(nsub):
             state = step(state, h)
@@ -393,13 +417,14 @@ class TimeStencil:
         return np.tensordot(w, fields, axes=(0, 0))
 
 
-def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
+def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4, observer=None):
     """Flow the five slices in lockstep, integrating A_0 per slice.
 
     A_0 obeys dA_0/ds = d_t(div A) - [div A, A_0] - D^l B_l with A_0(0)=0;
     the cross-slice time derivative of div A is evaluated stage by stage so
     every slice sees consistent data.  Returns a list (one entry per sample)
-    of lists of 5 FlowStates carrying A, B, A0.
+    of lists of 5 FlowStates carrying A, B, A0; with an observer, each such
+    list is passed to it instead and none is kept.
     """
     g, spec = stencil.grid, stencil.spec
     d = spec.dim
@@ -419,11 +444,10 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
         dive_cov = np.empty_like(div_a)
         for m in range(5):
             Ah, Bh = Ahm[m], Bhm[m]
-            A, B = g.ifft(Ah), g.ifft(Bh)
-            NA[m], NB[m], _ = deturck_nonlinear(g, spec, A, B, Ah, Bh)
+            NA[m], NB[m], _, DBh = deturck_nonlinear(g, spec, g.ifft(Ah), g.ifft(Bh),
+                                                     Ah, Bh)
             div_a[m] = divergence(g, vh=Ah)
-            dive_cov[m] = divergence(g, vh=Bh) + dealias(
-                g, sum(bracket(A[l], B[l], spec) for l in range(3)))
+            dive_cov[m] = g.ifft(DBh)
         dt_div = np.tensordot(wrows, div_a, axes=(1, 0))   # (5, d, ...)
         NA0 = np.empty_like(A0m)
         for m in range(5):
@@ -432,55 +456,53 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
         return NA, NB, NA0
 
     out = []
+    emit = out.append if observer is None else observer
     sys.sample_legs((A, B, A0), s_samples, substeps,
                     lambda y, h: sys.step(y, h, nonlin),
-                    lambda s, y: out.append([FlowState(g, spec, s, y[0][m], y[1][m],
-                                                       A0=y[2][m]) for m in range(5)]))
+                    lambda s, y: emit([FlowState(g, spec, s, y[0][m], y[1][m], A0=y[2][m])
+                                       for m in range(5)]))
     return out
 
 
-def tension_field(stencil: TimeStencil, s: float, substeps: int = 4,
-                  coarse_warn: float = 1e-3):
-    """Yang-Mills tension w_i(s) = D_0 F_{0i} - D^j F_{ji} at the central slice.
+def slice_tension(stencil: TimeStencil, slices, coarse_warn: float = 1e-3):
+    """Tension w_i = d_t B_i + [A_0, B_i] - D^j F_ji at the central slice of
+    the five flowed `slices`, d_t taken across them.
 
-    At s = 0 this is the residual of the temporal-gauge equation itself.
-    For s > 0 the five slices are flowed to level s and the time derivative
-    of B is taken across them; D_0 includes the reconstructed A_0(s).
+    Warns when the 5- and 3-point d_t B differ by more than 500 coarse_warn
+    of its size: the gap estimates the delta^2 error of the coarse rule.
     """
     g, spec = stencil.grid, stencil.spec
-    if s == 0.0:
-        B = np.stack([st.E for st in stencil.states])
-        dtB = stencil.d_dt(B)
-        center = stencil.center
-        w = dtB - covariant_curl_div(g, spec, center.A)
-        _stencil_resolution_warning(stencil, B, coarse_warn)
-        return w
-    slices = flow_stencil(stencil, [s], substeps=substeps)[-1]
     B = np.stack([f.B for f in slices])
     dtB = stencil.d_dt(B)
+    gap = float(np.max(np.abs(dtB - (B[3] - B[1]) / (2.0 * stencil.delta))))
+    gap /= float(np.max(np.abs(dtB))) or 1.0
+    if gap > coarse_warn * 500.0:
+        warnings.warn(f"time stencil may be too coarse: 3/5-point gap {gap:.2e}")
     c = slices[2]
     w = np.empty_like(c.B)
     curl_div = covariant_curl_div(g, spec, c.A)
     for i in range(3):
         w[i] = dtB[i] + dealias(g, bracket(c.A0, c.B[i], spec)) - curl_div[i]
-    _stencil_resolution_warning(stencil, B, coarse_warn)
     return w
 
 
-def _stencil_resolution_warning(stencil, B, threshold):
-    """Compare the 5-point and 3-point time derivatives of B.
+def tension_profile(stencil: TimeStencil, s_samples, substeps: int = 4,
+                    coarse_warn: float = 1e-3) -> list[np.ndarray]:
+    """Tension fields w(s) at the sorted s_samples from one stencil flow, each
+    assembled as its sample is emitted, so no sample's slices stay alive
+    through the next leg."""
+    out = []
+    flow_stencil(stencil, s_samples, substeps, observer=lambda slices: out.append(
+        slice_tension(stencil, slices, coarse_warn)))
+    return out
 
-    The gap estimates the delta^2 error of the coarse rule; when it is not
-    small against the derivative itself the stencil cannot resolve d/dt.
-    """
-    w5 = fornberg_weights(np.arange(5) * stencil.delta, 2 * stencil.delta, 1)
-    w3 = np.array([0.0, -1.0, 0.0, 1.0, 0.0]) / (2.0 * stencil.delta)
-    d5 = np.tensordot(w5, B, axes=(0, 0))
-    d3 = np.tensordot(w3, B, axes=(0, 0))
-    scale = float(np.max(np.abs(d5))) or 1.0
-    gap = float(np.max(np.abs(d5 - d3))) / scale
-    if gap > threshold * 500.0:
-        warnings.warn(f"time stencil may be too coarse: 3/5-point gap {gap:.2e}")
+
+def tension_field(stencil: TimeStencil, s: float, substeps: int = 4,
+                  coarse_warn: float = 1e-3):
+    """Yang-Mills tension w_i(s) = D_0 F_{0i} - D^j F_{ji} at the central slice,
+    D_0 with the reconstructed A_0(s); at s = 0 the residual of the
+    temporal-gauge equation.  One sample of `tension_profile`."""
+    return tension_profile(stencil, [s], substeps, coarse_warn)[0]
 
 
 def b_compatibility_residual(stencil: TimeStencil, s: float,

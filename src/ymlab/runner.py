@@ -112,9 +112,7 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
                 observer=lambda f: rec.append(
                     (f.s, dg.energy_at(f),
                      0.5 * grid.l2_norm(f.magnetic()) ** 2)))
-    s_vals = np.array([r[0] for r in rec])
-    e_vals = np.array([r[1] for r in rec])
-    m_vals = np.array([r[2] for r in rec])
+    s_vals, e_vals, m_vals = np.array(rec).T
     ie, parts = dg.modified_energy(s_vals, e_vals, cfg.N, cfg.sigma)
     _write_csv(os.path.join(out_dir, "results.csv"),
                {"s": s_vals, "energy": e_vals, "magnetic_energy": m_vals},
@@ -137,8 +135,8 @@ def _run_tension(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     stencil = hf.make_stencil(state, delta, cfg.dt)
     s0 = cfg.s0_value
     rows = {"s": [], "w_norm": [], "w2_norm": [], "w_minus_w2": []}
-    for s in (0.0, s0 / 4.0, s0):
-        w = hf.tension_field(stencil, s, substeps=cfg.substeps)
+    samples = (0.0, s0 / 4.0, s0)
+    for s, w in zip(samples, hf.tension_profile(stencil, samples, cfg.substeps)):
         rows["s"].append(s)
         rows["w_norm"].append(grid.l2_norm(w))
         if s > 0:

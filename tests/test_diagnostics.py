@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -139,6 +141,31 @@ def test_sweep_small(grid16, s2, rng):
     assert len(res.drifts) == 2
     assert all(d >= 0 for d in res.drifts)
     assert np.isfinite(res.slope)
+
+
+def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch):
+    """test_sweep_small's sweep: 17 nested samples and 34 IF steps per time
+    sample (25 and 50 with disjoint grids), one INFO record per time sample,
+    nothing on stdout."""
+    st, _ = random_state(grid16, s2, 0.08, seed=9, mode_cut=2.0, decay=1e6)
+    calls = [0]
+    step = hf._IFSystem.step
+
+    def counted(self, *args):
+        calls[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(hf._IFSystem, "step", counted)
+    caplog.set_level(logging.INFO, logger="ymlab.diagnostics")
+    dg.almost_conservation_sweep(
+        st, [4.0, 8.0], 5.0 / 6.0, T=0.05, dt=2.5e-3, n_time_samples=3,
+        n_s=12, span=256.0, substeps=2)
+    assert 0 < calls[0] <= 3 * 34
+    msgs = [r.getMessage() for r in caplog.records if r.name == "ymlab.diagnostics"]
+    assert len(msgs) == 3
+    for t, msg in zip(("0", "0.025", "0.05"), msgs):
+        assert msg == f"sweep t = {t}: 17 flow samples, 34 IF steps"
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_abelian_noise_floor(grid16, ab):

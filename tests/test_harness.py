@@ -152,6 +152,28 @@ def test_checkpoint_corruption(tmp_path, grid16, s2, rng):
         read_checkpoint(bad)
 
 
+@pytest.mark.parametrize("group, kind, ncomp, algdim, field", [
+    (0, 0, 2, 3, "ncomp"),       # a Cauchy state stores six components
+    (1, 2, 6, 1, "ncomp"),
+    (0, 0, 6, 1, "algdim"),      # su(2) has three
+    (1, 1, 6, 3, "algdim"),
+    (2, 0, 6, 3, "group"),       # neither su(2) nor u(1)
+    (0, 2, 10, 3, "group"),      # MKG states are u(1)
+])
+def test_checkpoint_rejects_inconsistent_header(tmp_path, group, kind, ncomp,
+                                                algdim, field):
+    n = 8
+    header = struct.Struct("<4sIIdIIIIdd").pack(
+        b"YMLB", 1, n, 2.0, group, kind, ncomp, algdim, 0.0, 0.0)
+    path = tmp_path / "h.ckpt"
+    path.write_bytes(header + bytes(8 * ncomp * algdim * n**3))
+    with pytest.raises(CheckpointError, match=field):
+        read_checkpoint(str(path))
+    path.write_bytes(header)                    # rejected before the payload
+    with pytest.raises(CheckpointError, match=field):
+        read_checkpoint(str(path))
+
+
 def test_make_data_families(grid16):
     for family, group in (("abelian-wave", "u1"), ("random", "su2"),
                           ("pulses", "su2"), ("mkg-random", "u1"),

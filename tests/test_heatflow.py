@@ -292,6 +292,48 @@ def test_sample_legs_schedule_and_validation(grid8, s2, rng):
         hf.run_flow(su2_state(grid8, s2, rng), [0.0, 1e-3], substeps=0)
 
 
+def test_nested_sample_grids_share_one_lattice():
+    n_s, span = 32, 1024.0
+    s0s = [1.0 / 4**2, 1.0 / 8**2]
+    grids = hf.nested_sample_grids(s0s, n_s, span)
+    # the largest s0, and a single s0, give sample_grid bit for bit
+    assert np.array_equal(grids[0], hf.sample_grid(s0s[0], n_s, span))
+    assert np.array_equal(hf.nested_sample_grids(s0s[1:], n_s, span)[0],
+                          hf.sample_grid(s0s[1], n_s, span))
+    log_r = np.log(span) / (n_s - 1)
+    for s0, g in zip(s0s, grids):
+        assert len(g) == n_s + 1 and g[0] == 0.0
+        assert g[1] == s0 / span and g[-1] == s0          # exact endpoints
+        gaps = np.diff(np.log(g[1:])) / log_r
+        assert gaps.min() >= 0.5 - 1e-12 and gaps.max() <= 1.5 + 1e-12
+    union = np.unique(np.concatenate(grids))
+    assert len(union) - 1 == 39                 # 63 positive points unnested
+    for k, s in enumerate(grids[1][2:-1]):      # the lattice is shared
+        assert s in grids[0] or s < s0s[0] / span, k
+
+
+def test_tension_profile_one_flow(grid8, s2, rng, monkeypatch):
+    """One stencil flow through [0, s0/4, s0] gives the w of separate flows."""
+    dt = 2e-3
+    stn = hf.make_stencil(su2_state(grid8, s2, rng), 5 * dt, dt)
+    samples = [0.0, 1 / 256.0, 1 / 64.0]
+    calls = [0]
+    step = hf._IFSystem.step
+
+    def counted(self, *args):
+        calls[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(hf._IFSystem, "step", counted)
+    ws = hf.tension_profile(stn, samples, substeps=4)
+    monkeypatch.undo()
+    assert calls[0] == 8 + 4                    # 16 with one flow per s
+    assert np.array_equal(ws[0], hf.tension_field(stn, 0.0))
+    for s, w in zip(samples[1:], ws[1:]):
+        ref = grid8.l2_norm(hf.tension_field(stn, s, substeps=4))
+        assert abs(grid8.l2_norm(w) - ref) <= 1e-8 * ref
+
+
 def test_w2_amplitude_sweep_slope(grid16, s2, rng):
     """||w - w2|| must scale cubically in the data amplitude."""
     dt = 2e-3
