@@ -1,6 +1,6 @@
 """Deterministic initial-data recipes.
 
-Every family is reproducible from its seed; non-abelian recipes pass through
+Random families are reproducible from a seed; non-abelian recipes pass through
 the Gauss-constraint repair, and the report records the achieved norms and
 the final constraint residual.
 """
@@ -65,12 +65,12 @@ def random_state(grid: Grid, spec: StructureSpec, amplitude: float, seed: int,
 
 
 def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float,
-                     seed: int, repair_tol: float = 1e-9):
+                     repair_tol: float = 1e-9):
     """Two smooth counter-propagating wave packets.
 
     Periodic Gaussian-like envelopes exp(kappa (cos(x - x0) - 1)) carrying
     opposite velocities; in su(2) the packets sit in different algebra
-    directions so the collision is genuinely non-abelian.
+    directions so the collision is genuinely non-abelian; `seed` is not used.
     """
     X, Y, Z = grid.x
     two_pi = 2.0 * np.pi
@@ -134,7 +134,7 @@ def make_data(cfg: ExperimentConfig, grid: Grid):
         return random_state(grid, spec, cfg.amplitude, cfg.seed,
                             cfg.mode_cut, cfg.decay, cfg.sigma)
     if cfg.family == "pulses":
-        st = colliding_pulses(grid, spec, cfg.amplitude, cfg.seed)
+        st = colliding_pulses(grid, spec, cfg.amplitude)
         return st, {"gauss_residual": gauss_residual(grid, st.A, st.E, spec)[1]}
     if cfg.family == "mkg-random":
         st = mkg_random(grid, cfg.amplitude, cfg.seed, cfg.mode_cut, cfg.decay)

@@ -12,7 +12,7 @@ from scipy.integrate import simpson
 
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
-from .dynamics import CauchyState, step_rk4
+from .dynamics import CauchyState, wave_legs
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
 from .grid import Grid
@@ -98,26 +98,24 @@ def energy_identity_check(state0: CauchyState, t_span: float, s: float,
     if abs(steps_per_node * dt - node_dt) > 1e-12:
         raise ValueError("node spacing must be an integer multiple of dt")
 
-    integrand = []
-    endpoint_energy = {}
-    st = state0
+    integrand, energies = [], []
     nu = spec.metric_normalization
-    for q in range(n_nodes):
-        if q > 0:
-            for _ in range(steps_per_node):
-                st = step_rk4(st, dt)
+
+    def node(st):
         stencil = hf.make_stencil(st, delta, dt)
         slices = hf.flow_stencil(stencil, [s], substeps=substeps)[-1]
         c = slices[2]
         w = hf.slice_tension(stencil, slices)
         dens = sum(inner(w[i], c.B[i], spec) for i in range(3))
         integrand.append(g.integrate(dens))
-        if q in (0, n_nodes - 1):
-            endpoint_energy[q] = 0.5 * nu * (
-                g.l2_norm(curvature(g, c.A, spec)) ** 2 + g.l2_norm(c.B) ** 2)
+        energies.append(0.5 * nu * (
+            g.l2_norm(curvature(g, c.A, spec)) ** 2 + g.l2_norm(c.B) ** 2))
+
+    node(state0)
+    wave_legs(state0, dt, [q * steps_per_node for q in range(1, n_nodes)], node)
     t_nodes = np.linspace(0.0, t_span, n_nodes)
     rhs = float(simpson(np.asarray(integrand), x=t_nodes))
-    lhs = endpoint_energy[n_nodes - 1] - endpoint_energy[0]
+    lhs = energies[-1] - energies[0]
     residual = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
     return residual, lhs, rhs
 
@@ -216,22 +214,21 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     t_samples = np.linspace(0.0, T, n_time_samples)
     ie = {N: [] for N in N_values}
 
-    st = state0
-    for m, t in enumerate(t_samples):
-        if m > 0:
-            nsteps = int(round((t - t_samples[m - 1]) / dt))
-            for _ in range(nsteps):
-                st = step_rk4(st, dt)
+    def measure(st):
         rec = []
         hf.run_flow(st, union, substeps=substeps, keep_states=False,
                     observer=lambda f: rec.append((f.s, energy_at(f))))
         log.info("sweep t = %.6g: %d flow samples, %d IF steps",
-                 t, len(union), if_steps)
+                 t_samples[len(ie[N_values[0]])], len(union), if_steps)
         s_all, e_all = np.array(rec).T
         for N in N_values:
             sel = np.isin(s_all, grids[N]) | (s_all == 0.0)
             val, _ = modified_energy(s_all[sel], e_all[sel], N, sigma)
             ie[N].append(val)
+
+    measure(state0)
+    steps = [int(round((b - a) / dt)) for a, b in zip(t_samples, t_samples[1:])]
+    wave_legs(state0, dt, np.cumsum(steps, dtype=int), measure)
 
     drifts = [max(abs(v - ie[N][0]) for v in ie[N]) for N in N_values]
     logs = np.log(np.asarray(N_values, float))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
-from .dynamics import CauchyState, covariant_curl_div, rk4_step
+from .dynamics import CauchyState, covariant_curl_div, rk4_step, wave_legs
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, duhamel, gradient,
@@ -66,14 +66,21 @@ def nested_sample_grids(s0_values, n_samples: int = 32,
     span^(1/(n_samples-1))), so the largest s0 gets `sample_grid` bit for
     bit.  Each other s0 keeps its exact endpoints s0 and s0/span and the
     n_samples - 2 lattice points below the one nearest s0: every end
-    interval lies within [0.5, 1.5] lattice steps in log s."""
+    interval lies within [0.5, 1.5] lattice steps in log s.  An endpoint
+    within 1e-12 relative of a lattice point takes its value: one sample."""
     if min(s0_values) <= 0 or n_samples < 2:
         raise ValueError("s0 must be positive and n_samples at least 2")
     top, m = max(s0_values), n_samples - 1
     first = [round(np.log(top / s0) * m / np.log(span)) for s0 in s0_values]
     lattice = np.concatenate([sample_grid(top / span**b, n_samples, span)[:1:-1]
-                              for b in range((max(first) + m - 1) // m + 1)])
-    return [np.concatenate([[0.0, s0 / span], lattice[k + 1:k + m][::-1], [s0]])
+                              for b in range(max(first) // m + 2)])
+
+    def snap(s):
+        near = lattice[np.argmin(np.abs(lattice - s))]
+        return near if abs(near - s) <= 1e-12 * s else s
+
+    return [np.concatenate([[0.0, snap(s0 / span)], lattice[k + 1:k + m][::-1],
+                            [snap(s0)]])
             for s0, k in zip(s0_values, first)]
 
 
@@ -362,23 +369,13 @@ def make_stencil(state: CauchyState, delta: float, dt: float) -> "TimeStencil":
     integrated backward from the center, so the central slice is the input
     state itself.
     """
-    from .dynamics import step_rk4
     m = int(round(delta / dt))
     if m < 1 or abs(m * dt - delta) > 1e-12 * max(1.0, delta):
         raise ValueError("stencil spacing must be an integer multiple of dt")
-    slices = [None] * 5
-    slices[2] = state.copy()
-    st = state
-    for node in (1, 0):
-        for _ in range(m):
-            st = step_rk4(st, -dt)
-        slices[node] = st.copy()
-    st = state
-    for node in (3, 4):
-        for _ in range(m):
-            st = step_rk4(st, dt)
-        slices[node] = st.copy()
-    return TimeStencil(slices, delta)
+    back, ahead = [], []
+    wave_legs(state, -dt, (m, 2 * m), back.append)
+    wave_legs(state, dt, (m, 2 * m), ahead.append)
+    return TimeStencil(back[::-1] + [state.copy()] + ahead, delta)
 
 
 @dataclass

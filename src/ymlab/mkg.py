@@ -20,8 +20,8 @@ from .algebra import u1
 from .dynamics import CauchyState, rk4_step
 from .gauge import curvature
 from .grid import Grid
-from .spectral import (cdealias, cgradient, claplacian, dealias, divergence,
-                       duhamel, gradient, laplacian, leray_df)
+from .spectral import (cdealias, cgradient, dealias, divergence, duhamel,
+                       gradient, leray_df)
 
 _U1 = u1()
 
@@ -46,9 +46,10 @@ class MkgState:
         return CauchyState(self.grid, _U1, self.t, self.A, self.E)
 
 
-def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """D_i phi = d_i phi + i A_i phi, product dealiased."""
-    dphi = cgradient(grid, phi)
+def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray,
+                   dphi: np.ndarray | None = None) -> np.ndarray:
+    """D_i phi = d_i phi + i A_i phi, product dealiased; dphi = grad phi if held."""
+    dphi = cgradient(grid, phi) if dphi is None else dphi
     return np.stack([dphi[i] + 1j * cdealias(grid, A[i, 0] * phi)
                      for i in range(3)])
 
@@ -62,20 +63,19 @@ def scalar_current(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
-    """2i A.grad phi and |A|^2 phi, products dealiased; dphi = grad phi."""
+    """A.grad phi and |A|^2 phi (|A|^2 dealiased) for the caller to dealias."""
     a = A[:, 0]
     a2 = dealias(grid, a[0]**2 + a[1]**2 + a[2]**2)
-    adg = cdealias(grid, a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2])
-    return 2j * adg, cdealias(grid, a2 * phi)
+    return a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2], a2 * phi
 
 
 def covariant_laplacian(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """D_j D_j phi = Lap phi + 2i A.grad phi + i (div A) phi - |A|^2 phi."""
     phih = grid.cfft(phi)
-    drift, mass = _drift_terms(grid, A, phi, cgradient(grid, fh=phih))
+    adg, mass = _drift_terms(grid, A, phi, cgradient(grid, fh=phih))
     div_a = divergence(grid, A)[0]
-    return grid.cifft(-grid.k2_full * phih) + drift \
-        + 1j * cdealias(grid, div_a * phi) - mass
+    return grid.cifft(-grid.k2_full * phih) + 2j * cdealias(grid, adg) \
+        + 1j * cdealias(grid, div_a * phi) - cdealias(grid, mass)
 
 
 def mkg_rhs(state: MkgState):
@@ -180,14 +180,19 @@ def mkg_heatflow_rhs(grid: Grid, A: np.ndarray, phi: np.ndarray):
     dA_i/ds = Lap A_i + Im(phi conj(D_i phi)),
     dphi/ds = Lap phi + 2i A.grad phi - |A|^2 phi
     (the i div A terms cancel against the gauge drift)."""
-    NA, Nphi = _mkg_nonlinear(grid, A, phi)
-    return laplacian(grid, A) + NA, claplacian(grid, phi) + Nphi
+    Ah, phih = grid.fft(A), grid.cfft(phi)
+    NA, Nphi = _mkg_nonlinear(grid, A, phi, phih)
+    return grid.ifft(NA - grid.k2 * Ah), grid.cifft(Nphi - grid.k2_full * phih)
 
 
-def _mkg_nonlinear(grid, A, phi):
-    """Heat-subtracted parts of mkg_heatflow_rhs (for the IF stepper)."""
-    drift, mass = _drift_terms(grid, A, phi, cgradient(grid, phi))
-    return scalar_current(grid, A, phi), drift - mass
+def _mkg_nonlinear(grid, A, phi, phih):
+    """Heat-subtracted parts of mkg_heatflow_rhs as masked transforms, each
+    outer product transformed once; phih = cfft(phi)."""
+    dphi = cgradient(grid, fh=phih)
+    J = np.imag(phi * np.conj(covariant_grad(grid, A, phi, dphi)))
+    adg, mass = _drift_terms(grid, A, phi, dphi)
+    return (grid.dealias_mask * grid.fft(J))[:, None], \
+        grid.dealias_mask_full * grid.cfft(2j * adg - mass)
 
 
 @dataclass
@@ -243,13 +248,13 @@ def flow_mkg_stencil(stencil: MkgStencil, s_samples, substeps: int = 4):
 
     def nonlin(y):
         Am, phim, A0m = sys.physical(y)
-        NA = np.empty_like(Am)
-        Nphi = np.empty_like(phim)
+        NA = np.empty_like(y[0])
+        Nphi = np.empty_like(y[1])
         for m in range(5):
-            NA[m], Nphi[m] = _mkg_nonlinear(g, Am[m], phim[m])
+            NA[m], Nphi[m] = _mkg_nonlinear(g, Am[m], phim[m], y[1][m])
         dt_phi = np.tensordot(wrows, phim, axes=(1, 0))
         NA0 = np.imag(phim * np.conj(dt_phi)) - A0m * np.abs(phim) ** 2
-        return g.fft(NA), g.cfft(Nphi), g.dealias_mask * g.fft(NA0)
+        return NA, Nphi, g.dealias_mask * g.fft(NA0)
 
     out = []
     sys.sample_legs((A, phi, A0), s_samples, substeps,
@@ -281,15 +286,15 @@ def mkg_energy_at(grid, sample, stencil) -> float:
     return 0.5 * float(quad)
 
 
-def mkg_tension(stencil: MkgStencil, s: float, substeps: int = 4):
+def mkg_tension(stencil: MkgStencil, s: float, substeps: int = 4, sample=None):
     """Tension fields (v, w) at level s on the central slice.
 
-    v = box_A phi;  w_j = d^a F_{aj} + Im(phi conj(D_j phi)).
+    v = box_A phi;  w_j = d^a F_{aj} + Im(phi conj(D_j phi)).  Pass the
+    `flow_mkg_stencil` sample at level s as `sample` when the caller holds it.
     """
     g = stencil.grid
     delta = stencil.delta
-    samples = flow_mkg_stencil(stencil, [s], substeps=substeps)
-    smp = samples[-1]
+    smp = sample if sample is not None else flow_mkg_stencil(stencil, [s], substeps)[-1]
     A5, phi5, A05 = smp["A"], smp["phi"], smp["A0"]
     A_c, B, phi_c, Dtphi, A0_c = _slice_fields(g, smp, stencil)
 
@@ -371,7 +376,7 @@ def mkg_hamiltonian_identity_check(state0: MkgState, t_span: float, s: float,
         stencil = make_mkg_stencil(st, delta, dt)
         smp = flow_mkg_stencil(stencil, [s], substeps=substeps)[-1]
         A_c, B, phi_c, Dtphi, _ = _slice_fields(g, smp, stencil)
-        v, w = mkg_tension(stencil, s, substeps=substeps)
+        v, w = mkg_tension(stencil, s, sample=smp)
         # F_{j0} = -B_j pairs with w_j; the real part applies to the scalar term
         dens = -np.real(Dtphi * np.conj(v)) - sum(B[j, 0] * w[j, 0] for j in range(3))
         integrand.append(g.integrate(dens))

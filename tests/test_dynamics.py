@@ -54,6 +54,52 @@ def test_rk4_self_convergence(grid16, s2, rng):
     assert 16 * 0.8 < e1 / e2 < 16 / 0.8 * 1.1
 
 
+def test_wave_legs_matches_physical_loop(grid16, s2, rng):
+    """The spectral-state driver against RK4 with physical-space stages,
+    written out here: 10 steps forward (sampled at 4 and 10) and one back."""
+    st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
+    dt = 4e-3
+
+    def physical_loop(nsteps, h):
+        y, t = (st.A, st.E), st.t
+        for _ in range(nsteps):
+            y = dyn.rk4_step(y, h, lambda z: (
+                z[1], dyn.covariant_curl_div(grid16, s2, z[0])))
+            t += h
+        return t, y
+
+    got = []
+    final = dyn.wave_legs(st, dt, [4, 10], got.append)
+    assert final is got[-1]
+    back = []
+    dyn.wave_legs(st, -dt, [1], back.append)
+    for (nsteps, h), state in zip([(4, dt), (10, dt), (1, -dt)], got + back):
+        t, (A, E) = physical_loop(nsteps, h)
+        assert state.t == t
+        for ref, val in ((A, state.A), (E, state.E)):
+            assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_transform_count(s2, rng):
+    """An evolve step makes 4 x 144 scalar 3-D transforms (4 x 180 with
+    physical-space stages): the count at 8 steps less that at 4."""
+    from ymlab.grid import Grid
+    g = Grid(16)
+    st = su2_state(g, s2, rng)
+    count = [0]
+    for name in ("fft", "ifft"):
+        def counted(f, _fn=getattr(g, name)):
+            count[0] += int(np.prod(f.shape[:-3]))
+            return _fn(f)
+        setattr(g, name, counted)
+    totals = []
+    for nsteps in (4, 8):
+        count[0] = 0
+        dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=nsteps * 1e-3))
+        totals.append(count[0])
+    assert totals[1] - totals[0] == 4 * 144
+
+
 def test_energy_zero_and_plane_wave(grid16, s2, ab):
     z = dyn.CauchyState(grid16, s2, 0.0,
                         np.zeros((3, 3, 16, 16, 16)), np.zeros((3, 3, 16, 16, 16)))
@@ -97,6 +143,8 @@ def test_blowup_detection(grid16, s2):
     st = dyn.CauchyState(grid16, s2, 0.0, huge, huge)
     with pytest.raises(dyn.BlowUpError):
         dyn.step_rk4(st, 1e-3)
+    with pytest.raises(dyn.BlowUpError):
+        dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=1e-3))
 
 
 def test_flow_gauge_covariance(grid16, s2, rng):

@@ -190,6 +190,9 @@ def test_make_data_deterministic(grid16):
     st1, _ = make_data(cfg, grid16)
     st2, _ = make_data(cfg, grid16)
     assert np.array_equal(st1.A, st2.A) and np.array_equal(st1.E, st2.E)
+    p1, p2 = (make_data(ExperimentConfig(family="pulses", amplitude=0.1, seed=seed),
+                        grid16)[0] for seed in (1, 2))
+    assert np.array_equal(p1.A, p2.A) and np.array_equal(p1.E, p2.E)  # seed-free
 
 
 def test_runner_invariants_all_pass(tmp_path):

@@ -312,6 +312,20 @@ def test_nested_sample_grids_share_one_lattice():
         assert s in grids[0] or s < s0s[0] / span, k
 
 
+@pytest.mark.parametrize("s0s, n_s, union", [
+    ([1 / 16, 1 / 64], 16, 19),                 # 20 with an ulp duplicate
+    ([1 / 16, 1 / 64], 11, 13),
+    ([1 / 16, 1 / 64, 1 / 256, 1 / 1024], 16, 25)])
+def test_nested_sample_grids_one_sample_per_lattice_point(s0s, n_s, union):
+    grids = hf.nested_sample_grids(s0s, n_s, 1024.0)
+    assert np.array_equal(grids[0], hf.sample_grid(s0s[0], n_s, 1024.0))
+    for s0, g in zip(s0s, grids):
+        assert abs(g[-1] - s0) <= 1e-12 * s0 and len(g) == n_s + 1
+    positive = np.unique(np.concatenate(grids))[1:]
+    assert len(positive) == union
+    assert np.diff(np.log(positive)).min() > 0.4
+
+
 def test_tension_profile_one_flow(grid8, s2, rng, monkeypatch):
     """One stencil flow through [0, s0/4, s0] gives the w of separate flows."""
     dt = 2e-3

@@ -218,6 +218,49 @@ def test_hamiltonian_identity(grid16):
     assert res2 < 0.5 * res1
 
 
+def test_hamiltonian_identity_flows_each_node_once(grid8, monkeypatch):
+    st = mkg_random(grid8, 0.2, seed=12, mode_cut=1.5, decay=1e6)
+    calls = [0]
+    flow = mkg.flow_mkg_stencil
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(mkg, "flow_mkg_stencil", counted)
+    mkg.mkg_hamiltonian_identity_check(st, 0.01, 1 / 256.0, n_nodes=3,
+                                       dt=2.5e-3, substeps=1)
+    assert calls[0] == 3                        # 6 when the tension re-flows
+
+
+def test_stencil_if_step_transform_count(monkeypatch):
+    """One IF step of the five-slice MKG flow makes 4 x 5 x 21 scalar 3-D
+    transforms (720 when the dealiased products were transformed again)."""
+    from ymlab import heatflow as hf
+    from ymlab.grid import Grid
+    g = Grid(8)
+    st = mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
+    stn = mkg.make_mkg_stencil(st, 5e-3, 1e-3)
+    count = [0]
+    for name in ("fft", "ifft", "cfft", "cifft"):
+        def counted(f, _fn=getattr(g, name)):
+            count[0] += int(np.prod(f.shape[:-3]))
+            return _fn(f)
+        setattr(g, name, counted)
+    per_step = []
+    step = hf._IFSystem.step
+
+    def counted_step(self, *args):
+        before = count[0]
+        out = step(self, *args)
+        per_step.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(hf._IFSystem, "step", counted_step)
+    mkg.flow_mkg_stencil(stn, [1 / 256.0], substeps=1)
+    assert per_step == [420] * 4
+
+
 def test_repair_requires_neutral_charge(grid16, ab, rng):
     phi = (gt.random_alg_field(grid16, ab, rng, 0.3, mode_cut=2.0)[0]
            + 1j * gt.random_alg_field(grid16, ab, rng, 0.3, mode_cut=2.0)[0])
