@@ -5,7 +5,7 @@ basis, so brackets reduce to structure-constant contractions.  SU(2) group
 elements are unit quaternions (w, x, y, z); U(1) elements are phase angles.
 All operations are vectorized: an "element" is any array whose *leading*
 axis is the algebra (or quaternion) dimension, with arbitrary trailing
-axes (e.g. lattice sites).
+axes (e.g. lattice sites).  `bracket(..., out=)` fills a caller's buffer.
 """
 
 from __future__ import annotations
@@ -65,19 +65,25 @@ def _check_dim(spec: StructureSpec, *xs: np.ndarray):
             )
 
 
-def bracket(x: np.ndarray, y: np.ndarray, spec: StructureSpec) -> np.ndarray:
-    """Lie bracket [x, y] via structure constants."""
+def bracket(x: np.ndarray, y: np.ndarray, spec: StructureSpec,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Lie bracket [x, y] via structure constants, written into `out` when
+    given (it must not share memory with x or y)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     _check_dim(spec, x, y)
-    if spec.name == "su2":
-        # [x, y]_c = eps_abc x_a y_b: the coefficient cross product
+    if out is None:
         out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-        out[0] = x[1] * y[2] - x[2] * y[1]
-        out[1] = x[2] * y[0] - x[0] * y[2]
-        out[2] = x[0] * y[1] - x[1] * y[0]
+    elif np.shares_memory(out, x) or np.shares_memory(out, y):
+        raise ValueError("bracket output must not share memory with its inputs")
+    if spec.name == "su2":
+        # [x, y]_c = eps_abc x_a y_b; out[c, ...] is a view even for 1-D x, y
+        for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            oc = out[c, ...]
+            np.multiply(x[a], y[b], out=oc)
+            oc -= x[b] * y[a]
         return out
-    return np.einsum("abc,a...,b...->c...", spec.structure_constants, x, y)
+    return np.einsum("abc,a...,b...->c...", spec.structure_constants, x, y, out=out)
 
 
 def inner(x: np.ndarray, y: np.ndarray, spec: StructureSpec) -> np.ndarray:

@@ -14,11 +14,13 @@ Layout (all little-endian):
   s       f64      parabolic time (0 for Cauchy/MKG states)
 payload: ncomp * algdim arrays of n^3 f64, component-major, x varying
 fastest within each array.  The reader checks kind, group, ncomp (6, 6, 10
-by kind) and algdim (by group) before it reads the payload.
+by kind), algdim (by group), n (a power of two >= 8), L (finite, positive),
+t and s (finite) and the payload size before it reads the payload.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -95,12 +97,16 @@ def read_checkpoint(path: str):
             raise CheckpointError(f"ncomp {ncomp} does not fit kind {kind}")
         if algdim != spec.dim:
             raise CheckpointError(f"algdim {algdim} does not fit group {spec.name}")
+        if n < 8 or n & (n - 1):
+            raise CheckpointError(f"n {n} is not a power of two >= 8")
+        if not (np.isfinite([L, t, s]).all() and L > 0):
+            raise CheckpointError(f"L {L} must be finite and positive, t {t} and s {s} finite")
         count = ncomp * algdim * n**3
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != count * 8:
+            raise CheckpointError("truncated payload" if size < count * 8
+                                  else "trailing bytes after payload")
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise CheckpointError("truncated payload")
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after payload")
     # payload is x-fastest within each n^3 array: undo the Fortran raveling
     arr = np.empty((ncomp, algdim, n, n, n))
     flat = data.reshape(ncomp, algdim, -1)

@@ -7,12 +7,14 @@ sigma would invalidate an experiment), warnings otherwise.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 KINDS = ("evolve", "heatflow", "tension", "acl-sweep", "mkg", "invariants")
 FAMILIES = ("abelian-wave", "random", "pulses", "mkg-random", "mkg-wave")
 GROUPS = ("su2", "u1")
+_REALS = ("L", "N", "sigma", "s0", "dt", "T", "cfl", "amplitude", "mode_cut", "decay")
 
 
 class ConfigError(ValueError):
@@ -64,16 +66,20 @@ class ExperimentConfig:
             problems.append("n must be a power of two >= 8")
         if not 0.5 < self.sigma < 1.0:
             problems.append(f"sigma must lie in (1/2, 1), got {self.sigma}")
-        if self.N <= 0 or self.L <= 0 or self.dt <= 0 or self.T < 0:
-            problems.append("N, L, dt must be positive and T nonnegative")
-        if self.cfl > 1.0:
-            problems.append("cfl must not exceed 1")
-        if self.dt > 0 and abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+        infinite = [name for name in _REALS if not math.isfinite(getattr(self, name) or 0)]
+        if infinite:
+            problems.append(f"{', '.join(infinite)} must be finite")
+        if min(self.N, self.L, self.dt, 1 if self.s0 is None else self.s0) <= 0 or self.T < 0:
+            problems.append("N, L, dt, s0 must be positive and T nonnegative")
+        if not 0.0 < self.cfl <= 1.0:
+            problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
+        steps = self.T / self.dt if self.dt > 0 and not infinite else 0.0
+        if not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T:
             problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
         for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 1)):
             if getattr(self, name) < low:
                 problems.append(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not self.N_list or min(self.N_list) <= 0:
+        if not self.N_list or not all(0 < x < math.inf for x in self.N_list):
             problems.append(f"N_list must hold positive thresholds, got {self.N_list}")
         if problems:
             raise ConfigError("; ".join(problems))

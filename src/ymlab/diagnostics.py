@@ -101,7 +101,7 @@ def energy_identity_check(state0: CauchyState, t_span: float, s: float,
     integrand, energies = [], []
     nu = spec.metric_normalization
 
-    def node(st):
+    def node(st, _hat):
         stencil = hf.make_stencil(st, delta, dt)
         slices = hf.flow_stencil(stencil, [s], substeps=substeps)[-1]
         c = slices[2]
@@ -111,8 +111,7 @@ def energy_identity_check(state0: CauchyState, t_span: float, s: float,
         energies.append(0.5 * nu * (
             g.l2_norm(curvature(g, c.A, spec)) ** 2 + g.l2_norm(c.B) ** 2))
 
-    node(state0)
-    wave_legs(state0, dt, [q * steps_per_node for q in range(1, n_nodes)], node)
+    wave_legs(state0, dt, [q * steps_per_node for q in range(n_nodes)], node)
     t_nodes = np.linspace(0.0, t_span, n_nodes)
     rhs = float(simpson(np.asarray(integrand), x=t_nodes))
     lhs = energies[-1] - energies[0]
@@ -214,7 +213,7 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     t_samples = np.linspace(0.0, T, n_time_samples)
     ie = {N: [] for N in N_values}
 
-    def measure(st):
+    def measure(st, _hat):
         rec = []
         hf.run_flow(st, union, substeps=substeps, keep_states=False,
                     observer=lambda f: rec.append((f.s, energy_at(f))))
@@ -226,9 +225,8 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
             val, _ = modified_energy(s_all[sel], e_all[sel], N, sigma)
             ie[N].append(val)
 
-    measure(state0)
     steps = [int(round((b - a) / dt)) for a, b in zip(t_samples, t_samples[1:])]
-    wave_legs(state0, dt, np.cumsum(steps, dtype=int), measure)
+    wave_legs(state0, dt, np.cumsum([0] + steps, dtype=int), measure)
 
     drifts = [max(abs(v - ie[N][0]) for v in ie[N]) for N in N_values]
     logs = np.log(np.asarray(N_values, float))

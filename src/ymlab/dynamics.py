@@ -4,7 +4,8 @@ State is the pair (A_i, E_i) with E_i = dA_i/dt; the update for E is the
 covariant curl divergence sum_j D_j F_{ji}, all quadratic and cubic products
 dealiased by the two-thirds rule.  Time stepping is classical RK4 under a
 CFL guard dt * k_max <= cfl; a trajectory (`wave_legs`) keeps (A, E) in rfft
-layout across stages and steps and inverts only the states a caller asks for.
+layout across stages and steps and inverts only the states a caller asks for,
+handing it the pair too: `evolve` samples from it by Parseval.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import StructureSpec, bracket
-from .gauge import PAIRS, curvature, gauss_residual
+from .gauge import PAIRS
 from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, gradient,
                        laplacian, leray_cf, leray_df, inverse_laplacian,
@@ -60,23 +61,37 @@ def active_kmax(grid: Grid) -> float:
     return float(2.0 * np.pi / grid.L * cut * np.sqrt(3.0))
 
 
+def _curvature_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
+                   Ah: np.ndarray) -> np.ndarray:
+    """rfft of the pair-stored magnetic curvature from A and its rfft Ah:
+    masked pair brackets plus the curl of Ah (9 transforms, 3 brackets)."""
+    brk = np.empty((3,) + A.shape[1:])
+    for c, (i, j) in enumerate(PAIRS):
+        bracket(A[i], A[j], spec, out=brk[c])
+    Fh = grid.fft(brk)
+    Fh *= grid.dealias_mask
+    for c, (i, j) in enumerate(PAIRS):
+        Fh[c] += derivative_hat(grid, Ah[j], i) - derivative_hat(grid, Ah[i], j)
+    return Fh
+
+
 def _curl_div_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
                   Ah: np.ndarray) -> np.ndarray:
     """rfft of sum_j D_j F_{ji} from A and its transform Ah, products
     dealiased: 18 + 9 transforms and 9 brackets."""
-    Fh = grid.fft(np.stack([bracket(A[i], A[j], spec) for i, j in PAIRS]))
-    Fh *= grid.dealias_mask
-    for c, (i, j) in enumerate(PAIRS):
-        Fh[c] += derivative_hat(grid, Ah[j], i) - derivative_hat(grid, Ah[i], j)
+    Fh = _curvature_hat(grid, spec, A, Ah)
     F = grid.ifft(Fh)
     out = np.zeros_like(Ah)
     brk = np.zeros_like(A)
+    tmp = np.empty_like(A[0])
     for c, (i, j) in enumerate(PAIRS):          # D_i F_ij into j, D_j F_ji into i
         out[j] += derivative_hat(grid, Fh[c], i)
         out[i] -= derivative_hat(grid, Fh[c], j)
-        brk[j] += bracket(A[i], F[c], spec)
-        brk[i] -= bracket(A[j], F[c], spec)
-    out += grid.dealias_mask * grid.fft(brk)
+        brk[j] += bracket(A[i], F[c], spec, out=tmp)
+        brk[i] -= bracket(A[j], F[c], spec, out=tmp)
+    bh = grid.fft(brk)
+    bh *= grid.dealias_mask
+    out += bh
     return out
 
 
@@ -90,14 +105,40 @@ def ym_rhs(state: CauchyState):
     return state.E, covariant_curl_div(state.grid, state.spec, state.A)
 
 
-def rk4_step(y: tuple, dt: float, f):
-    """One classical RK4 step on a tuple of arrays."""
+def _axpy(a, c, b, e=None):
+    """e (a + c b) as one fresh array built in place (e None: no factor)."""
+    u = np.multiply(b, c, dtype=np.result_type(a, b))
+    u += a
+    return u if e is None else np.multiply(u, e, out=u)
+
+
+def rk4_step(y: tuple, dt: float, f, half=None, full=None):
+    """One classical RK4 step on a tuple of arrays; given per-field factors
+    half = e^{dt L/2} and full = e^{dt L} (None: no linear part L), the
+    integrating-factor RK4 step of y' = L y + f(y) (Kassam & Trefethen 2005).
+    Each stage is one fresh array per field, built in place in the textbook
+    operand order up to exact IEEE commutation; f may return its input."""
+    half, full = half or (None,) * len(y), full or (None,) * len(y)
+
+    def times(e, u):
+        return u if e is None else e * u
+
+    # stages eh (a + dt/2 k1), eh a + dt/2 k2 and ef a + dt (eh k3)
     k1 = f(y)
-    k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    k2 = f(tuple(_axpy(a, 0.5 * dt, k, e) for a, k, e in zip(y, k1, half)))
+    k3 = f(tuple(_axpy(times(e, a), 0.5 * dt, k) for a, k, e in zip(y, k2, half)))
+    k4 = f(tuple(_axpy(times(ef, a), dt, times(eh, k))
+                 for a, k, eh, ef in zip(y, k3, half, full)))
+    out = []
+    for a, b1, b2, b3, b4, eh, ef in zip(y, k1, k2, k3, k4, half, full):
+        # ef a + dt/6 (ef b1 + 2 (eh (b2 + b3)) + b4), in place on b2 + b3
+        u = np.add(b2, b3, dtype=np.result_type(a, b2))
+        for op, x in ((np.multiply, eh), (np.multiply, 2.0), (np.add, times(ef, b1)),
+                      (np.add, b4), (np.multiply, dt / 6.0), (np.add, times(ef, a))):
+            if x is not None:
+                op(u, x, out=u)
+        out.append(u)
+    return tuple(out)
 
 
 def step_rk4(state: CauchyState, dt: float) -> CauchyState:
@@ -115,10 +156,10 @@ def step_rk4(state: CauchyState, dt: float) -> CauchyState:
 
 def wave_legs(state: CauchyState, dt: float, marks, emit) -> CauchyState:
     """RK4 steps of size dt (negative: backward) on the rfft pair (Ah, Eh);
-    emit gets the physical state after each of the nondecreasing step counts
-    in `marks`, and the state at the last mark is returned.  A stage inverts
-    Ah for `_curl_div_hat` (144 transforms per step); no emitted state stays
-    referenced here through the next leg."""
+    after each nondecreasing step count in `marks` (0: the input) emit(st,
+    (Ah, Eh)) gets the physical state and its pair, read only; returns the
+    state at the last mark.  A stage inverts Ah for `_curl_div_hat` (144
+    transforms per step); no emitted state stays referenced through a leg."""
     g, spec = state.grid, state.spec
     y, t, done, st = (g.fft(state.A), g.fft(state.E)), state.t, 0, state
     for mark in marks:
@@ -134,15 +175,17 @@ def wave_legs(state: CauchyState, dt: float, marks, emit) -> CauchyState:
                         f"{np.max(np.abs(g.ifft(y[0]))):.3e})")
                 y = y_next
             st, done = CauchyState(g, spec, t, g.ifft(y[0]), g.ifft(y[1])), mark
-        emit(st)
+        emit(st, y)
     return st
 
 
-def energy(state: CauchyState) -> float:
-    """Total curvature energy: 1/2 sum_{a<b} ||F_ab||_L2^2."""
-    F = curvature(state.grid, state.A, state.spec)
+def energy(state: CauchyState, Ah: np.ndarray | None = None) -> float:
+    """Total curvature energy: 1/2 sum_{a<b} ||F_ab||_L2^2, the magnetic part
+    by Parseval; pass the rfft of A as Ah when the caller holds it."""
+    g = state.grid
+    Fh = _curvature_hat(g, state.spec, state.A, g.fft(state.A) if Ah is None else Ah)
     nu = state.spec.metric_normalization
-    return 0.5 * nu * (state.grid.l2_norm(F) ** 2 + state.grid.l2_norm(state.E) ** 2)
+    return 0.5 * nu * (g.spectral_l2(Fh) ** 2 + g.l2_norm(state.E) ** 2)
 
 
 @dataclass
@@ -166,19 +209,21 @@ def evolve(state: CauchyState, config: EvolutionConfig,
     nsteps = int(round(config.T / config.dt))
     traj = Trajectory()
 
-    def sample(st):
+    def sample(st, hat):                         # hat = (Ah, Eh)
         traj.times.append(st.t)
-        traj.energies.append(energy(st))
-        traj.gauss.append(gauss_residual(g, st.A, st.E, st.spec)[1])
-        traj.hsig.append(sobolev_norm(g, st.A, sigma))
+        traj.energies.append(energy(st, hat[0]))
+        rh = g.fft(sum(bracket(st.A[l], st.E[l], st.spec) for l in range(3)))
+        rh *= g.dealias_mask                     # Gauss residual D^l E_l
+        traj.gauss.append(g.spectral_l2(rh + sum(derivative_hat(g, hat[1][l], l)
+                                                 for l in range(3))))
+        traj.hsig.append(sobolev_norm(g, None, sigma, fh=hat[0]))
         if config.keep_states:
             traj.states.append(st.copy())
 
-    sample(state)
     every = config.sample_every
     traj.final = wave_legs(state, config.dt, [
-        m for m in range(1, nsteps + 1) if (every and m % every == 0) or m == nsteps],
-        sample)
+        m for m in range(nsteps + 1)
+        if m == 0 or (every and m % every == 0) or m == nsteps], sample)
     return traj
 
 

@@ -15,18 +15,12 @@ import numpy as np
 from scipy import fft as _fft
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("YMLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class Grid:
     """n^3 periodic lattice of period L.
 
     Wavenumbers are k = 2*pi*m/L for integer modes m in (-n/2, n/2]
-    (the Nyquist mode is assigned +n/2).
+    (the Nyquist mode is assigned +n/2).  The transforms use YMLAB_THREADS
+    workers (default 1), read once when the grid is made.
     """
 
     def __init__(self, n: int, L: float = 2.0 * np.pi):
@@ -37,6 +31,10 @@ class Grid:
         self.n = int(n)
         self.L = float(L)
         self.dx = self.L / self.n
+        try:
+            self.workers = max(1, int(os.environ.get("YMLAB_THREADS", "1")))
+        except ValueError:
+            self.workers = 1
         m_full = np.fft.fftfreq(n, d=1.0 / n)
         m_full[n // 2] = n // 2  # mode convention m in (-n/2, n/2]
         self.modes = m_full.astype(np.int64)
@@ -56,15 +54,20 @@ class Grid:
     def fft(self, f: np.ndarray) -> np.ndarray:
         if f.shape[-3:] != (self.n,) * 3:
             raise ValueError(f"field shape {f.shape} does not match grid n={self.n}")
-        return _fft.rfftn(f, axes=(-3, -2, -1), workers=_workers())
+        return _fft.rfftn(f, axes=(-3, -2, -1), workers=self.workers)
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
         if fh.shape[-3:] != (self.n, self.n, self.n // 2 + 1):
             raise ValueError(f"spectral shape {fh.shape} does not match grid n={self.n}")
-        return _fft.irfftn(fh, s=(self.n,) * 3, axes=(-3, -2, -1), workers=_workers())
+        return _fft.irfftn(fh, s=(self.n,) * 3, axes=(-3, -2, -1), workers=self.workers)
 
     def k(self, axis: int) -> np.ndarray:
         return (self.kx, self.ky, self.kz)[axis]
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Stacked derivative symbols, ik[l] = 1j * k(l) on the rfft layout."""
+        return np.stack(np.broadcast_arrays(*(1j * self.k(l) for l in range(3))))
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -95,10 +98,10 @@ class Grid:
     def cfft(self, f: np.ndarray) -> np.ndarray:
         if f.shape[-3:] != (self.n,) * 3:
             raise ValueError(f"field shape {f.shape} does not match grid n={self.n}")
-        return _fft.fftn(f, axes=(-3, -2, -1), workers=_workers())
+        return _fft.fftn(f, axes=(-3, -2, -1), workers=self.workers)
 
     def cifft(self, fh: np.ndarray) -> np.ndarray:
-        return _fft.ifftn(fh, axes=(-3, -2, -1), workers=_workers())
+        return _fft.ifftn(fh, axes=(-3, -2, -1), workers=self.workers)
 
     def kfull(self, axis: int) -> np.ndarray:
         kx = self.kx.reshape(-1)

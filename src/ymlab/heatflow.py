@@ -104,29 +104,40 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
     mask = grid.dealias_mask
     Ah = grid.fft(A) if Ah is None else Ah
     G = gradient(grid, fh=Ah)                    # G[l, i] = d_l A_i
-    pair_br = dealias(grid, np.stack([bracket(A[i], A[j], spec) for i, j in PAIRS]))
-    Fmag = np.stack([G[i][j] - G[j][i] for i, j in PAIRS]) + pair_br
+    brk = np.empty((3, 3) + A.shape[1:])         # bracket buffer
+    for c, (i, j) in enumerate(PAIRS):
+        bracket(A[i], A[j], spec, out=brk[0, c])
+    Fmag = dealias(grid, brk[0])
     for c, (i, j) in enumerate(PAIRS):          # G[l, i] = d_l A_i + F_li
+        Fmag[c] += G[i][j] - G[j][i]
         G[i, j] += Fmag[c]
         G[j, i] -= Fmag[c]
-    NA = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
-                   for i in range(3)])
-    if B is None:
-        return mask * grid.fft(NA), None, Fmag, None
+    N = np.empty((1 if B is None else 2,) + A.shape)   # N_A, N_B
 
-    Bh = grid.fft(B) if Bh is None else Bh
-    Gh = mask * grid.fft(np.stack([[bracket(A[l], B[i], spec) for i in range(3)]
-                                   for l in range(3)]))
-    for l in range(3):
-        Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
-    DB = sum(Gh[l, l] - derivative_hat(grid, Bh[l], l) for l in range(3))
-    G = grid.ifft(Gh)                            # G[l, i] = 2 d_l B_i + [A_l, B_i]
-    NB = np.stack([sum(bracket(A[l], G[l, i], spec) for l in range(3))
-                   for i in range(3)])
-    for c, (i, j) in enumerate(PAIRS):          # 2[B^l, F_li], F_ji = -F_ij
-        NB[j] += 2.0 * bracket(B[i], Fmag[c], spec)
-        NB[i] -= 2.0 * bracket(B[j], Fmag[c], spec)
-    return mask * grid.fft(NA), mask * grid.fft(NB), Fmag, DB
+    def contract(G, out):                        # out[i] = sum_l [A^l, G[l, i]]
+        for l, i in np.ndindex(3, 3):
+            bracket(A[l], G[l, i], spec, out=brk[l, i])
+        np.add(brk[0], brk[1], out=out)
+        out += brk[2]
+
+    contract(G, N[0])
+    DB = None
+    if B is not None:
+        Bh = grid.fft(B) if Bh is None else Bh
+        for l, i in np.ndindex(3, 3):
+            bracket(A[l], B[i], spec, out=brk[l, i])
+        Gh = grid.fft(brk)
+        Gh *= mask
+        for l in range(3):
+            Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
+        DB = sum(Gh[l, l] - derivative_hat(grid, Bh[l], l) for l in range(3))
+        contract(grid.ifft(Gh), N[1])            # G[l, i] = 2 d_l B_i + [A_l, B_i]
+        for c, (i, j) in enumerate(PAIRS):      # 2[B^l, F_li], F_ji = -F_ij
+            N[1, j] += 2.0 * bracket(B[i], Fmag[c], spec, out=brk[1, 0])
+            N[1, i] -= 2.0 * bracket(B[j], Fmag[c], spec, out=brk[1, 0])
+    Nh = grid.fft(N)
+    Nh *= mask
+    return Nh[0], None if B is None else Nh[1], Fmag, DB
 
 
 def _deturck_hat(grid: Grid, spec: StructureSpec, Ah, Bh):
@@ -151,9 +162,10 @@ class _IFSystem:
     Each field kind is "heat" (real field, rfft layout), "cheat" (complex
     scalar, full cfft layout) or "ode" (physical, no linear part; stepped
     inside the same stage structure).  The heat factor e^{s Lap} is then a
-    multiply, and the step is exact IF-RK4 on the spectral state (Kassam &
-    Trefethen 2005).  `spectral` and `physical` convert a state; the
-    nonlinearity given to `step` maps a spectral state to its derivatives.
+    multiply, and the step is `rk4_step` with these factors: exact IF-RK4 on
+    the spectral state (Kassam & Trefethen 2005).  `spectral` and `physical`
+    convert a state; the nonlinearity given to `step` maps a spectral state
+    to its derivatives.
     """
 
     def __init__(self, grid: Grid, kinds: tuple):
@@ -182,19 +194,10 @@ class _IFSystem:
 
     def _factors(self, h):
         k2 = {"heat": self.grid.k2, "cheat": self.grid.k2_full}
-        return [np.exp(-h * k2[kd]) if kd in k2 else 1.0 for kd in self.kinds]
+        return [np.exp(-h * k2[kd]) if kd in k2 else None for kd in self.kinds]
 
     def step(self, y: tuple, h: float, nonlin) -> tuple:
-        half, full = self._factors(0.5 * h), self._factors(h)
-        k1 = nonlin(y)
-        ya = tuple(e * (u0 + 0.5 * h * k) for u0, k, e in zip(y, k1, half))
-        k2 = nonlin(ya)
-        yb = tuple(e * u0 + 0.5 * h * k for u0, k, e in zip(y, k2, half))
-        k3 = nonlin(yb)
-        yc = tuple(f * u0 + h * (e * k) for u0, k, e, f in zip(y, k3, half, full))
-        k4 = nonlin(yc)
-        return tuple(f * u0 + (h / 6.0) * (f * a1 + 2.0 * (e * (a2 + a3)) + a4)
-                     for u0, a1, a2, a3, a4, e, f in zip(y, k1, k2, k3, k4, half, full))
+        return rk4_step(y, h, nonlin, self._factors(0.5 * h), self._factors(h))
 
 
 def leg_steps(n_legs: int, substeps: int) -> list[int]:
@@ -373,8 +376,8 @@ def make_stencil(state: CauchyState, delta: float, dt: float) -> "TimeStencil":
     if m < 1 or abs(m * dt - delta) > 1e-12 * max(1.0, delta):
         raise ValueError("stencil spacing must be an integer multiple of dt")
     back, ahead = [], []
-    wave_legs(state, -dt, (m, 2 * m), back.append)
-    wave_legs(state, dt, (m, 2 * m), ahead.append)
+    wave_legs(state, -dt, (m, 2 * m), lambda st, _hat: back.append(st))
+    wave_legs(state, dt, (m, 2 * m), lambda st, _hat: ahead.append(st))
     return TimeStencil(back[::-1] + [state.copy()] + ahead, delta)
 
 

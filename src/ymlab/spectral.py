@@ -39,7 +39,8 @@ def gradient(grid: Grid, f: np.ndarray | None = None, *,
     Pass the transform as fh instead of f when the caller already holds it.
     """
     fh = grid.fft(f) if fh is None else fh
-    return np.stack([grid.ifft(derivative_hat(grid, fh, i)) for i in range(3)])
+    ik = grid.ik.reshape((3,) + (1,) * (fh.ndim - 3) + fh.shape[-3:])
+    return grid.ifft(ik * fh)
 
 
 def divergence(grid: Grid, v: np.ndarray | None = None, *,
@@ -84,7 +85,10 @@ def cgradient(grid: Grid, f: np.ndarray | None = None, *,
               fh: np.ndarray | None = None) -> np.ndarray:
     """Gradient of a complex scalar; fh is its full-layout transform, if held."""
     fh = grid.cfft(f) if fh is None else fh
-    return np.stack([grid.cifft(1j * grid.kfull(i) * fh) for i in range(3)])
+    dfh = np.empty((3,) + fh.shape, complex)
+    for i in range(3):
+        np.multiply(1j * grid.kfull(i), fh, out=dfh[i])
+    return grid.cifft(dfh)
 
 
 def claplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -190,9 +194,11 @@ def leray_cf(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 # --- norms ----------------------------------------------------------------
 
-def sobolev_norm(grid: Grid, f: np.ndarray, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous Hdot^s) norm; leading axes are summed in l2."""
-    fh = grid.fft(f)
+def sobolev_norm(grid: Grid, f: np.ndarray | None, s: float, homogeneous: bool = False,
+                 *, fh: np.ndarray | None = None) -> float:
+    """H^s (or homogeneous Hdot^s) norm; leading axes are summed in l2.
+    Pass the transform as fh (and f as None) when the caller holds it."""
+    fh = grid.fft(f) if fh is None else fh
     if homogeneous:
         w = grid.k2 ** s if s >= 0 else grid.inv_k2 ** (-s)
         w = w.copy()

@@ -154,3 +154,34 @@ def test_abelian_exp_is_phase(ab):
     u = alg.exp_map(x, ab)
     assert np.allclose(u, x)
     assert np.allclose(alg.adjoint(u, x, ab), x)
+
+
+@pytest.mark.parametrize("group", ["su2", "u1"])
+@pytest.mark.parametrize("xshape, yshape", [
+    ((), ()),                      # 1-D basis vectors: out[c] would be a scalar copy
+    ((5, 4), (5, 4)),
+    ((5, 4), (1, 4)),              # broadcast
+    ((1, 1), (2, 3)),
+])
+def test_bracket_out_matches_allocating_form(group, xshape, yshape, rng):
+    spec = alg.su2() if group == "su2" else alg.u1()
+    x = rng.standard_normal((spec.dim,) + xshape)
+    y = rng.standard_normal((spec.dim,) + yshape)
+    want = alg.bracket(x, y, spec)
+    out = np.full(want.shape, np.nan)
+    got = alg.bracket(x, y, spec, out=out)
+    assert got is out
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if group == "su2" and not xshape:
+        e = np.eye(3)
+        assert np.array_equal(alg.bracket(e[0], e[1], spec, out=np.empty(3)), e[2])
+
+
+def test_bracket_out_rejects_shared_memory(s2, rng):
+    buf = rng.standard_normal((3, 3, 8))
+    x, y = buf[0], buf[1]
+    for out in (x, y, buf[:, 0]):               # buf[:, 0] overlaps x and y
+        with pytest.raises(ValueError):
+            alg.bracket(x, y, s2, out=out)
+    want = alg.bracket(x, y, s2)
+    assert alg.bracket(x, y, s2, out=buf[2]).tobytes() == want.tobytes()

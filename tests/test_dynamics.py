@@ -69,10 +69,10 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
         return t, y
 
     got = []
-    final = dyn.wave_legs(st, dt, [4, 10], got.append)
+    final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat: got.append(state))
     assert final is got[-1]
     back = []
-    dyn.wave_legs(st, -dt, [1], back.append)
+    dyn.wave_legs(st, -dt, [1], lambda state, _hat: back.append(state))
     for (nsteps, h), state in zip([(4, dt), (10, dt), (1, -dt)], got + back):
         t, (A, E) = physical_loop(nsteps, h)
         assert state.t == t
@@ -202,3 +202,79 @@ def test_random_state_norms(grid16, s2):
                               decay=1e6, sigma=5.0 / 6.0)
     assert abs(report["A_hsigma"] - 0.1) / 0.1 < 0.02
     assert report["gauss_residual"] < 1e-8
+
+
+def _recorded(f, seen):
+    """f that records copies of each input and output, with the outputs."""
+    def wrapped(z):
+        k = f(z)
+        seen.append((z, [u.copy() for u in z], k, [u.copy() for u in k]))
+        return k
+    return wrapped
+
+
+def test_rk4_step_writes_no_input_and_matches_textbook(rng):
+    """f returns arrays of its input (as `wave_legs` returns Eh as dA/dt):
+    rk4_step leaves y and every k as they were, and gives the allocating
+    textbook expression bit for bit."""
+    y = (rng.standard_normal((3, 8)), rng.standard_normal((3, 8)) + 1j,
+         rng.standard_normal((3, 8)))
+
+    def f(z):
+        return z[1], z[0] * z[2], z[2]
+
+    def textbook(y, dt):
+        k1 = f(y)
+        k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
+        k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
+        k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
+        return tuple(a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+    y0 = [u.copy() for u in y]
+    seen = []
+    got = dyn.rk4_step(y, 0.3, _recorded(f, seen))
+    assert len(seen) == 4
+    for u, u0 in zip(y, y0):
+        assert u.tobytes() == u0.tobytes()
+    for z, z0, k, k0 in seen:
+        for u, u0 in zip(z + k, z0 + k0):
+            assert u.tobytes() == u0.tobytes()
+    for u, want in zip(got, textbook(y, 0.3)):
+        assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
+
+
+def test_evolve_sample_transform_count(s2, rng):
+    """An evolve sample makes 12 forward transforms besides the driver's 18
+    inverses (93 when energy, Gauss residual and H^sigma transformed A and E
+    again): 4 steps sampled at every step less sampled at the last only."""
+    from ymlab.grid import Grid
+    g = Grid(16)
+    st = su2_state(g, s2, rng)
+    count = [0]
+    for name in ("fft", "ifft"):
+        def counted(f, _fn=getattr(g, name)):
+            count[0] += int(np.prod(f.shape[:-3]))
+            return _fn(f)
+        setattr(g, name, counted)
+    totals = []
+    for every in (1, 4):
+        count[0] = 0
+        dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=4e-3, sample_every=every))
+        totals.append(count[0])
+    assert totals[0] - totals[1] == 3 * 30
+
+
+def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):
+    """The spectral samples against the physical-space diagnostics."""
+    st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
+    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.02, sample_every=5,
+                                            keep_states=True))
+    assert tr.states[0].A is not st.A and np.array_equal(tr.states[0].A, st.A)
+    for s, e, gauss, hs in zip(tr.states, tr.energies, tr.gauss, tr.hsig):
+        F = gt.curvature(grid16, s.A, s2)
+        e_ref = 0.5 * (grid16.l2_norm(F) ** 2 + grid16.l2_norm(s.E) ** 2)
+        assert abs(e - e_ref) <= 1e-14 * e_ref
+        assert abs(hs - sp.sobolev_norm(grid16, s.A, 5.0 / 6.0)) <= 1e-14 * hs
+        g_ref = gt.gauss_residual(grid16, s.A, s.E, s2)[1]
+        assert abs(gauss - g_ref) <= 1e-15 * grid16.l2_norm(s.E)

@@ -226,3 +226,37 @@ def test_dealias_idempotent_and_fine_grid_oracle(grid16, rng):
         & (np.abs(g2.modes_half)[None, None, :] <= 16 / 3)
     fine_trunc = g2.ifft(fh * keep)
     assert np.max(np.abs(fine_trunc[::2, ::2, ::2] - prod)) < 1e-12
+
+
+def test_grid_reads_thread_count_once(monkeypatch, rng):
+    """YMLAB_THREADS is read when the grid is made, not on every transform."""
+    monkeypatch.setenv("YMLAB_THREADS", "2")
+    g = Grid(8)
+    monkeypatch.setenv("YMLAB_THREADS", "not a number")
+    assert g.workers == 2
+    f = rng.standard_normal((8, 8, 8))
+    assert np.allclose(g.ifft(g.fft(f)), f)
+    assert Grid(8).workers == 1                 # unparsable: one worker
+    monkeypatch.delenv("YMLAB_THREADS")
+    assert Grid(8).workers == 1
+
+
+def test_gradient_batches_one_inverse(grid16, rng):
+    """gradient and cgradient make one batched inverse call; the stacked
+    derivatives equal the per-axis ones bit for bit."""
+    f = rng.standard_normal((2, 16, 16, 16))
+    c = rng.standard_normal((16,) * 3) + 1j * rng.standard_normal((16,) * 3)
+    calls = []
+    g = Grid(16)
+    for name in ("ifft", "cifft"):
+        def counted(fh, _fn=getattr(g, name), _name=name):
+            calls.append((_name, fh.shape[:-3]))
+            return _fn(fh)
+        setattr(g, name, counted)
+    d = sp.gradient(g, f)
+    dc = sp.cgradient(g, c)
+    assert calls == [("ifft", (3, 2)), ("cifft", (3,))]
+    for i in range(3):
+        assert np.array_equal(d[i], grid16.ifft(sp.derivative_hat(grid16, grid16.fft(f), i)))
+        assert np.array_equal(dc[i], grid16.cifft(1j * grid16.kfull(i) * grid16.cfft(c)))
+    assert np.array_equal(g.ik[1], np.broadcast_to(1j * g.k(1), g.ik.shape[1:]))

@@ -480,3 +480,47 @@ def test_flow_step_transform_count(s2, rng):
         setattr(g, name, counted)
     hf.flow_step(hf.FlowState(g, s2, 0.0, st.A, st.E), 1e-3)
     assert 0 < count[0] <= 648
+
+
+def test_if_step_writes_no_input_and_matches_textbook(grid8, rng):
+    """The nonlinearity returns arrays of its input: _IFSystem.step leaves y
+    and every k as they were, and gives the allocating textbook IF-RK4
+    expression bit for bit, for heat, cheat and ode fields."""
+    sys = hf._IFSystem(grid8, ("heat", "cheat", "ode"))
+    y = sys.spectral((rng.standard_normal((2, 8, 8, 8)),
+                      rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8)),
+                      rng.standard_normal((8, 8, 8))))
+
+    def nonlin(z):
+        return z[0], z[1] * z[2], z[2]
+
+    def textbook(y, h):
+        half, full = ([1.0 if e is None else e for e in sys._factors(c)]
+                      for c in (0.5 * h, h))
+        k1 = nonlin(y)
+        ya = tuple(e * (u0 + 0.5 * h * k) for u0, k, e in zip(y, k1, half))
+        k2 = nonlin(ya)
+        yb = tuple(e * u0 + 0.5 * h * k for u0, k, e in zip(y, k2, half))
+        k3 = nonlin(yb)
+        yc = tuple(f * u0 + h * (e * k) for u0, k, e, f in zip(y, k3, half, full))
+        k4 = nonlin(yc)
+        return tuple(f * u0 + (h / 6.0) * (f * a1 + 2.0 * (e * (a2 + a3)) + a4)
+                     for u0, a1, a2, a3, a4, e, f in zip(y, k1, k2, k3, k4, half, full))
+
+    y0 = [u.copy() for u in y]
+    seen = []
+
+    def recorded(z):
+        k = nonlin(z)
+        seen.append((z, [u.copy() for u in z], k, [u.copy() for u in k]))
+        return k
+
+    got = sys.step(y, 0.05, recorded)
+    assert len(seen) == 4
+    for u, u0 in zip(y, y0):
+        assert u.tobytes() == u0.tobytes()
+    for z, z0, k, k0 in seen:
+        for u, u0 in zip(z + k, z0 + k0):
+            assert u.tobytes() == u0.tobytes()
+    for u, want in zip(got, textbook(y, 0.05)):
+        assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
