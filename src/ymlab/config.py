@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KINDS = ("evolve", "heatflow", "tension", "acl-sweep", "mkg", "invariants")
 FAMILIES = ("abelian-wave", "random", "pulses", "mkg-random", "mkg-wave")
@@ -81,6 +81,10 @@ class ExperimentConfig:
                 problems.append(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.N_list or not all(0 < x < math.inf for x in self.N_list):
             problems.append(f"N_list must hold positive thresholds, got {self.N_list}")
+        if ("#" in self.out_dir or self.out_dir != self.out_dir.strip()
+                or len(self.out_dir.splitlines()) > 1):
+            problems.append(f"out_dir must hold no '#' or line break and no surrounding "
+                            f"whitespace, got {self.out_dir!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 

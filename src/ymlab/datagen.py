@@ -15,7 +15,7 @@ from .config import ExperimentConfig
 from .dynamics import CauchyState
 from .gauge import constraint_repair, gauss_residual, random_alg_field
 from .grid import Grid
-from .spectral import leray_df, sobolev_norm
+from .spectral import sobolev_norm
 
 
 def spec_of(name: str) -> StructureSpec:

@@ -12,7 +12,7 @@ from scipy.integrate import simpson
 
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
-from .dynamics import CauchyState, wave_legs
+from .dynamics import CauchyState, energy, wave_legs
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
 from .grid import Grid
@@ -23,11 +23,9 @@ log = logging.getLogger(__name__)
 
 
 def energy_at(flow: hf.FlowState) -> float:
-    """Smoothed energy at level s: half the L2 square of all six curvature
-    components (magnetic from A(s), electric from B(s))."""
-    g = flow.grid
-    nu = flow.spec.metric_normalization
-    return 0.5 * nu * (g.l2_norm(flow.magnetic()) ** 2 + g.l2_norm(flow.B) ** 2)
+    """Smoothed energy at level s: `dynamics.energy` of (A(s), B(s)), half the
+    L2 square of all six curvature components (18 forward transforms)."""
+    return energy(CauchyState(flow.grid, flow.spec, flow.s, flow.A, flow.B))
 
 
 def weight(s, N: float, sigma: float):
@@ -80,43 +78,51 @@ def modified_energy_of_state(state: CauchyState, N: float, sigma: float,
 
 # --- the differentiated-energy identity --------------------------------------
 
+def simpson_identity(state0, t_span: float, n_nodes: int, dt: float, node):
+    """Residual of an energy identity E(t1) - E(t0) = int_t0^t1 I(t) dt, the
+    integral composite Simpson over n_nodes (odd) equally spaced nodes.
+
+    The nodes are `wave_legs` marks from state0 in steps of dt, which must
+    divide the node spacing; node(state) returns (I, E) at one node.
+    Returns (residual_relative, lhs, rhs).
+    """
+    if n_nodes < 3 or n_nodes % 2 == 0:
+        raise ValueError("Simpson rule needs an odd node count >= 3")
+    node_dt = t_span / (n_nodes - 1)
+    steps_per_node = int(round(node_dt / dt))
+    if abs(steps_per_node * dt - node_dt) > 1e-12:
+        raise ValueError("node spacing must be an integer multiple of dt")
+    values = []
+    wave_legs(state0, dt, [q * steps_per_node for q in range(n_nodes)],
+              lambda st, _hat: values.append(node(st)))
+    integrand, energies = np.array(values).T
+    rhs = float(simpson(integrand, x=np.linspace(0.0, t_span, n_nodes)))
+    lhs = energies[-1] - energies[0]
+    residual = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
+    return residual, lhs, rhs
+
+
 def energy_identity_check(state0: CauchyState, t_span: float, s: float,
                           n_nodes: int = 11, dt: float = 2e-3,
                           delta: float | None = None, substeps: int = 4):
     """Residual of  E(t1,s) - E(t0,s) = int_t int_x (w_l(s), F_0l(s)).
 
-    The time integral is composite Simpson over n_nodes (odd); w and the
-    smoothed curvature at each node come from a five-slice stencil flowed to
-    level s.  Returns (residual_relative, lhs, rhs).
+    The time integral is `simpson_identity`'s; w and the smoothed curvature
+    at each node come from a five-slice stencil flowed to level s.  Returns
+    (residual_relative, lhs, rhs).
     """
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
     g, spec = state0.grid, state0.spec
     delta = 5.0 * dt if delta is None else delta
-    node_dt = t_span / (n_nodes - 1)
-    steps_per_node = int(round(node_dt / dt))
-    if abs(steps_per_node * dt - node_dt) > 1e-12:
-        raise ValueError("node spacing must be an integer multiple of dt")
 
-    integrand, energies = [], []
-    nu = spec.metric_normalization
-
-    def node(st, _hat):
+    def node(st):
         stencil = hf.make_stencil(st, delta, dt)
         slices = hf.flow_stencil(stencil, [s], substeps=substeps)[-1]
         c = slices[2]
         w = hf.slice_tension(stencil, slices)
         dens = sum(inner(w[i], c.B[i], spec) for i in range(3))
-        integrand.append(g.integrate(dens))
-        energies.append(0.5 * nu * (
-            g.l2_norm(curvature(g, c.A, spec)) ** 2 + g.l2_norm(c.B) ** 2))
+        return g.integrate(dens), energy_at(c)
 
-    wave_legs(state0, dt, [q * steps_per_node for q in range(n_nodes)], node)
-    t_nodes = np.linspace(0.0, t_span, n_nodes)
-    rhs = float(simpson(np.asarray(integrand), x=t_nodes))
-    lhs = energies[-1] - energies[0]
-    residual = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
-    return residual, lhs, rhs
+    return simpson_identity(state0, t_span, n_nodes, dt, node)
 
 
 # --- audits -------------------------------------------------------------------

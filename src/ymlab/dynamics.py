@@ -3,14 +3,17 @@
 State is the pair (A_i, E_i) with E_i = dA_i/dt; the update for E is the
 covariant curl divergence sum_j D_j F_{ji}, all quadratic and cubic products
 dealiased by the two-thirds rule.  Time stepping is classical RK4 under a
-CFL guard dt * k_max <= cfl; a trajectory (`wave_legs`) keeps (A, E) in rfft
-layout across stages and steps and inverts only the states a caller asks for,
-handing it the pair too: `evolve` samples from it by Parseval.
+CFL guard dt * k_max <= cfl, always through `wave_legs`: it keeps the state
+in Fourier space across stages and steps and inverts only the states a
+caller asks for, handing it the spectral fields too (`evolve` samples from
+them by Parseval).  A state type supplies its spectral fields, their right-
+hand side and its rebuild (`spectral`, `spectral_rhs`, `from_spectral`), so
+the same driver steps Maxwell-Klein-Gordon; `step_rk4` is one driver step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +42,19 @@ class CauchyState:
     def copy(self) -> "CauchyState":
         return CauchyState(self.grid, self.spec, self.t, self.A.copy(), self.E.copy())
 
+    def spectral(self) -> tuple:
+        """(rfft A, rfft E), the fields `wave_legs` steps."""
+        return self.grid.fft(self.A), self.grid.fft(self.E)
+
+    def spectral_rhs(self, y: tuple) -> tuple:
+        """d/dt of the spectral fields y: (Eh, `_curl_div_hat`), 18 + 18 transforms."""
+        g = self.grid
+        return y[1], _curl_div_hat(g, self.spec, g.ifft(y[0]), y[0])
+
+    def from_spectral(self, t: float, y: tuple) -> "CauchyState":
+        g = self.grid
+        return CauchyState(g, self.spec, t, g.ifft(y[0]), g.ifft(y[1]))
+
 
 @dataclass
 class EvolutionConfig:
@@ -59,6 +75,18 @@ def active_kmax(grid: Grid) -> float:
     """Largest |k| surviving the two-thirds truncation."""
     cut = np.floor(grid.n / 3.0)
     return float(2.0 * np.pi / grid.L * cut * np.sqrt(3.0))
+
+
+def sample_marks(grid: Grid, dt: float, T: float, cfl: float, every: int) -> list:
+    """Step counts at which an integration to T samples for `wave_legs`: 0,
+    each multiple of `every` (0: none) and the last.  Raises on dt * kmax
+    above the CFL bound."""
+    if dt * active_kmax(grid) > cfl + 1e-12:
+        raise ValueError(f"CFL violation: dt*kmax = {dt * active_kmax(grid):.3f} "
+                         f"> cfl = {cfl}")
+    nsteps = int(round(T / dt))
+    return [m for m in range(nsteps + 1)
+            if m == 0 or (every and m % every == 0) or m == nsteps]
 
 
 def _curvature_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
@@ -141,41 +169,33 @@ def rk4_step(y: tuple, dt: float, f, half=None, full=None):
     return tuple(out)
 
 
-def step_rk4(state: CauchyState, dt: float) -> CauchyState:
-    """One RK4 step with physical-space stages; `wave_legs` for trajectories."""
-    def f(y):
-        return ym_rhs(replace(state, A=y[0], E=y[1]))
-
-    A, E = rk4_step((state.A, state.E), dt, f)
-    if not (np.isfinite(A).all() and np.isfinite(E).all()):
-        raise BlowUpError(
-            f"non-finite state at t={state.t + dt:.6g} "
-            f"(|A|max before step {np.max(np.abs(state.A)):.3e})")
-    return CauchyState(state.grid, state.spec, state.t + dt, A, E)
+def step_rk4(state, dt: float):
+    """One RK4 step of a wave state: `wave_legs` to the mark 1."""
+    return wave_legs(state, dt, [1])
 
 
-def wave_legs(state: CauchyState, dt: float, marks, emit) -> CauchyState:
-    """RK4 steps of size dt (negative: backward) on the rfft pair (Ah, Eh);
-    after each nondecreasing step count in `marks` (0: the input) emit(st,
-    (Ah, Eh)) gets the physical state and its pair, read only; returns the
-    state at the last mark.  A stage inverts Ah for `_curl_div_hat` (144
-    transforms per step); no emitted state stays referenced through a leg."""
-    g, spec = state.grid, state.spec
-    y, t, done, st = (g.fft(state.A), g.fft(state.E)), state.t, 0, state
+def wave_legs(state, dt: float, marks, emit=None):
+    """RK4 steps of size dt (negative: backward) on `state.spectral()`; after
+    each nondecreasing step count in `marks` (0: the input) emit(st, y)
+    gets the physical state and its spectral fields, read only; returns the
+    state at the last mark.  A Yang-Mills step makes 144 transforms; no
+    emitted state stays referenced through a leg."""
+    g = state.grid
+    y, t, done, st = state.spectral(), state.t, 0, state
     for mark in marks:
         if mark > done:
             del st
             for _ in range(mark - done):
-                y_next = rk4_step(y, dt, lambda z: (
-                    z[1], _curl_div_hat(g, spec, g.ifft(z[0]), z[0])))
+                y_next = rk4_step(y, dt, state.spectral_rhs)
                 t += dt
-                if not (np.isfinite(y_next[0]).all() and np.isfinite(y_next[1]).all()):
+                if not all(np.isfinite(u).all() for u in y_next):
                     raise BlowUpError(
                         f"non-finite state at t={t:.6g} (|A|max before step "
                         f"{np.max(np.abs(g.ifft(y[0]))):.3e})")
                 y = y_next
-            st, done = CauchyState(g, spec, t, g.ifft(y[0]), g.ifft(y[1])), mark
-        emit(st, y)
+            st, done = state.from_spectral(t, y), mark
+        if emit is not None:
+            emit(st, y)
     return st
 
 
@@ -202,11 +222,6 @@ def evolve(state: CauchyState, config: EvolutionConfig,
            sigma: float = 5.0 / 6.0) -> Trajectory:
     """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms."""
     g = state.grid
-    if config.dt * active_kmax(g) > config.cfl + 1e-12:
-        raise ValueError(
-            f"CFL violation: dt*kmax = {config.dt * active_kmax(g):.3f} "
-            f"> cfl = {config.cfl}")
-    nsteps = int(round(config.T / config.dt))
     traj = Trajectory()
 
     def sample(st, hat):                         # hat = (Ah, Eh)
@@ -220,10 +235,8 @@ def evolve(state: CauchyState, config: EvolutionConfig,
         if config.keep_states:
             traj.states.append(st.copy())
 
-    every = config.sample_every
-    traj.final = wave_legs(state, config.dt, [
-        m for m in range(nsteps + 1)
-        if m == 0 or (every and m % every == 0) or m == nsteps], sample)
+    traj.final = wave_legs(state, config.dt, sample_marks(
+        g, config.dt, config.T, config.cfl, config.sample_every), sample)
     return traj
 
 

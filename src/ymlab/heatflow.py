@@ -365,8 +365,9 @@ def fornberg_weights(x_nodes, x0: float, order: int) -> np.ndarray:
     return c[:, order]
 
 
-def make_stencil(state: CauchyState, delta: float, dt: float) -> "TimeStencil":
-    """Five slices centered on `state`, from one RK4 trajectory.
+def make_stencil(state, delta: float, dt: float) -> "TimeStencil":
+    """Five slices centered on the wave state `state` (a `CauchyState` or an
+    `mkg.MkgState`), from `wave_legs` trajectories.
 
     delta must be an integer multiple of dt.  The two earlier slices are
     integrated backward from the center, so the central slice is the input
@@ -383,7 +384,8 @@ def make_stencil(state: CauchyState, delta: float, dt: float) -> "TimeStencil":
 
 @dataclass
 class TimeStencil:
-    """Five Cauchy slices at t0 + m*delta, m = -2..2, from one evolution."""
+    """Five wave-state slices at t0 + m*delta, m = -2..2, from one evolution;
+    `spec` and `center` serve the Yang-Mills slices."""
 
     states: list
     delta: float

@@ -2,9 +2,12 @@
 tension fields, and the modified Hamiltonian.
 
 The Maxwell sector reuses the non-abelian stack with the abelian structure
-group (same code path, so a vanishing scalar reproduces those trajectories
-bit for bit).  The complex scalar is carried through the full-layout
-transforms; covariant derivatives are D_a = d_a + i A_a with A real.
+group.  `MkgState` is a wave state of `dynamics.wave_legs`: it steps (A, E)
+in rfft layout with the Yang-Mills `_curl_div_hat` plus the scalar current,
+and (phi, phi_t) in the full cfft layout, so a vanishing scalar reproduces
+the Yang-Mills trajectories bit for bit.  The five-slice stencils are
+`heatflow.make_stencil`'s.  Covariant derivatives are D_a = d_a + i A_a
+with A real.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import dynamics as dyn
 from . import heatflow as hf
 from .algebra import u1
-from .dynamics import CauchyState, rk4_step
+from .diagnostics import modified_energy, simpson_identity
 from .gauge import curvature
 from .grid import Grid
 from .spectral import (cdealias, cgradient, dealias, divergence, duhamel,
@@ -42,8 +44,26 @@ class MkgState:
         return MkgState(self.grid, self.t, self.A.copy(), self.E.copy(),
                         self.phi.copy(), self.phit.copy())
 
-    def maxwell_state(self) -> CauchyState:
-        return CauchyState(self.grid, _U1, self.t, self.A, self.E)
+    def spectral(self) -> tuple:
+        """(rfft A, rfft E, cfft phi, cfft phit), the fields `wave_legs` steps."""
+        g = self.grid
+        return g.fft(self.A), g.fft(self.E), g.cfft(self.phi), g.cfft(self.phit)
+
+    def spectral_rhs(self, y: tuple) -> tuple:
+        """d/dt of the spectral fields y: the Maxwell `_curl_div_hat` plus the
+        masked current, and -|k|^2 phih plus the masked covariant terms."""
+        g = self.grid
+        Ah, _, phih, _ = y
+        A = g.ifft(Ah)
+        NA, Nphi = _mkg_nonlinear(g, A, g.cifft(phih), phih, divergence(g, vh=Ah)[0])
+        Edot = dyn._curl_div_hat(g, _U1, A, Ah)
+        Edot += NA
+        Nphi -= g.k2_full * phih
+        return y[1], Edot, y[3], Nphi
+
+    def from_spectral(self, t: float, y: tuple) -> "MkgState":
+        g = self.grid
+        return MkgState(g, t, g.ifft(y[0]), g.ifft(y[1]), g.cifft(y[2]), g.cifft(y[3]))
 
 
 def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray,
@@ -69,36 +89,25 @@ def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
     return a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2], a2 * phi
 
 
+def mkg_rhs(state: MkgState):
+    """(dA, dE, dphi, dphit) in the temporal gauge: `MkgState.spectral_rhs`
+    in physical space.  dE adds the scalar current to the Yang-Mills curl
+    divergence; the scalar wave is phi_tt = D_j D_j phi."""
+    g = state.grid
+    _, Edot, _, phitt = state.spectral_rhs(state.spectral())
+    return state.E, g.ifft(Edot), state.phit, g.cifft(phitt)
+
+
 def covariant_laplacian(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """D_j D_j phi = Lap phi + 2i A.grad phi + i (div A) phi - |A|^2 phi."""
     phih = grid.cfft(phi)
-    adg, mass = _drift_terms(grid, A, phi, cgradient(grid, fh=phih))
-    div_a = divergence(grid, A)[0]
-    return grid.cifft(-grid.k2_full * phih) + 2j * cdealias(grid, adg) \
-        + 1j * cdealias(grid, div_a * phi) - cdealias(grid, mass)
-
-
-def mkg_rhs(state: MkgState):
-    """(dA, dE, dphi, dphit) in the temporal gauge.
-
-    The Maxwell part goes through the Yang-Mills right-hand side with the
-    abelian structure spec plus the scalar current; the scalar wave is
-    phi_tt = D_j D_j phi.
-    """
-    g = state.grid
-    _, Edot = dyn.ym_rhs(state.maxwell_state())
-    Edot = Edot + scalar_current(g, state.A, state.phi)
-    return state.E, Edot, state.phit, covariant_laplacian(g, state.A, state.phi)
+    _, Nphi = _mkg_nonlinear(grid, A, phi, phih, divergence(grid, A)[0])
+    return grid.cifft(Nphi - grid.k2_full * phih)
 
 
 def step(state: MkgState, dt: float) -> MkgState:
-    def f(y):
-        return mkg_rhs(MkgState(state.grid, state.t, y[0], y[1], y[2], y[3]))
-
-    A, E, phi, phit = rk4_step((state.A, state.E, state.phi, state.phit), dt, f)
-    if not (np.isfinite(A).all() and np.isfinite(phi).all()):
-        raise dyn.BlowUpError(f"non-finite MKG state at t={state.t + dt:.6g}")
-    return MkgState(state.grid, state.t + dt, A, E, phi, phit)
+    """One RK4 step: `dynamics.wave_legs` to the mark 1."""
+    return dyn.wave_legs(state, dt, [1])
 
 
 def mkg_energy(state: MkgState) -> float:
@@ -152,25 +161,18 @@ def repair_constraint(state: MkgState) -> MkgState:
 def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
            cfl: float = 0.5):
     """Integrate, recording energy / charge / constraint residual."""
-    if dt * dyn.active_kmax(state.grid) > cfl + 1e-12:
-        raise ValueError("CFL violation for the MKG step")
-    nsteps = int(round(T / dt))
     times, energies, charges, constraint = [], [], [], []
 
-    def sample(st):
+    def sample(st, _hat):
         times.append(st.t)
         energies.append(mkg_energy(st))
         charges.append(charge(st))
         constraint.append(constraint_residual(st)[1])
 
-    sample(state)
-    st = state
-    for m in range(1, nsteps + 1):
-        st = step(st, dt)
-        if (sample_every and m % sample_every == 0) or m == nsteps:
-            sample(st)
+    final = dyn.wave_legs(state, dt, dyn.sample_marks(state.grid, dt, T, cfl,
+                                                      sample_every), sample)
     return {"times": times, "energies": energies, "charges": charges,
-            "constraint": constraint, "final": st}
+            "constraint": constraint, "final": final}
 
 
 # --- MKG heat flow ------------------------------------------------------------
@@ -185,52 +187,22 @@ def mkg_heatflow_rhs(grid: Grid, A: np.ndarray, phi: np.ndarray):
     return grid.ifft(NA - grid.k2 * Ah), grid.cifft(Nphi - grid.k2_full * phih)
 
 
-def _mkg_nonlinear(grid, A, phi, phih):
-    """Heat-subtracted parts of mkg_heatflow_rhs as masked transforms, each
-    outer product transformed once; phih = cfft(phi)."""
+def _mkg_nonlinear(grid, A, phi, phih, div_a=None):
+    """Masked transforms of the current Im(phi conj(D_i phi)) (u(1) layout)
+    and of 2i A.grad phi - |A|^2 phi, plus i (div A) phi when div_a is given
+    (the wave form; the heat flow's gauge drift cancels it), each outer
+    product transformed once; phih = cfft(phi)."""
     dphi = cgradient(grid, fh=phih)
     J = np.imag(phi * np.conj(covariant_grad(grid, A, phi, dphi)))
     adg, mass = _drift_terms(grid, A, phi, dphi)
+    src = 2j * adg - mass
+    if div_a is not None:
+        src += 1j * div_a * phi
     return (grid.dealias_mask * grid.fft(J))[:, None], \
-        grid.dealias_mask_full * grid.cfft(2j * adg - mass)
+        grid.dealias_mask_full * grid.cfft(src)
 
 
-@dataclass
-class MkgStencil:
-    """Five MKG slices at uniform spacing delta (central slice = index 2)."""
-
-    states: list
-    delta: float
-
-    def __post_init__(self):
-        if len(self.states) != 5:
-            raise ValueError("time stencil needs exactly 5 slices")
-
-    @property
-    def grid(self):
-        return self.states[0].grid
-
-
-def make_mkg_stencil(state: MkgState, delta: float, dt: float) -> MkgStencil:
-    m = int(round(delta / dt))
-    if m < 1 or abs(m * dt - delta) > 1e-12 * max(1.0, delta):
-        raise ValueError("stencil spacing must be an integer multiple of dt")
-    slices = [None] * 5
-    slices[2] = state.copy()
-    st = state
-    for node in (1, 0):
-        for _ in range(m):
-            st = step(st, -dt)
-        slices[node] = st.copy()
-    st = state
-    for node in (3, 4):
-        for _ in range(m):
-            st = step(st, dt)
-        slices[node] = st.copy()
-    return MkgStencil(slices, delta)
-
-
-def flow_mkg_stencil(stencil: MkgStencil, s_samples, substeps: int = 4):
+def flow_mkg_stencil(stencil: hf.TimeStencil, s_samples, substeps: int = 4):
     """Lockstep parabolic flow of the five slices with A_0 per slice.
 
     A_0 obeys dA_0/ds = Lap A_0 + Im(phi conj(d_t phi)) - A_0 |phi|^2 with
@@ -286,7 +258,7 @@ def mkg_energy_at(grid, sample, stencil) -> float:
     return 0.5 * float(quad)
 
 
-def mkg_tension(stencil: MkgStencil, s: float, substeps: int = 4, sample=None):
+def mkg_tension(stencil: hf.TimeStencil, s: float, substeps: int = 4, sample=None):
     """Tension fields (v, w) at level s on the central slice.
 
     v = box_A phi;  w_j = d^a F_{aj} + Im(phi conj(D_j phi)).  Pass the
@@ -340,11 +312,10 @@ def mkg_w2_leading(state: MkgState, s: float, n_quad: int = 32) -> np.ndarray:
     return w2[:, None]
 
 
-def mkg_modified_energy(stencil: MkgStencil, N: float, sigma: float,
+def mkg_modified_energy(stencil: hf.TimeStencil, N: float, sigma: float,
                         n_samples: int = 24, span: float = 1024.0,
                         substeps: int = 4):
     """Modified Hamiltonian: sup + ds/s integral of (N^2 s)^{1-sigma} H(t,s)."""
-    from .diagnostics import modified_energy
     g = stencil.grid
     sgrid = hf.sample_grid(1.0 / N**2, n_samples, span)
     samples = flow_mkg_stencil(stencil, sgrid, substeps=substeps)
@@ -357,33 +328,18 @@ def mkg_hamiltonian_identity_check(state0: MkgState, t_span: float, s: float,
                                    n_nodes: int = 9, dt: float = 1e-3,
                                    delta: float | None = None,
                                    substeps: int = 4):
-    """Residual of H(t1,s) - H(t0,s) = -Re int int D_t phi conj(v) + F_{j0} w_j."""
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
+    """Residual of H(t1,s) - H(t0,s) = -Re int int D_t phi conj(v) + F_{j0} w_j,
+    by `diagnostics.simpson_identity`; returns (residual, lhs, rhs)."""
     g = state0.grid
     delta = 5.0 * dt if delta is None else delta
-    node_dt = t_span / (n_nodes - 1)
-    m = int(round(node_dt / dt))
-    if abs(m * dt - node_dt) > 1e-12:
-        raise ValueError("node spacing must be an integer multiple of dt")
-    integrand = []
-    endpoint = {}
-    st = state0
-    for q in range(n_nodes):
-        if q > 0:
-            for _ in range(m):
-                st = step(st, dt)
-        stencil = make_mkg_stencil(st, delta, dt)
+
+    def node(st):
+        stencil = hf.make_stencil(st, delta, dt)
         smp = flow_mkg_stencil(stencil, [s], substeps=substeps)[-1]
-        A_c, B, phi_c, Dtphi, _ = _slice_fields(g, smp, stencil)
+        _, B, _, Dtphi, _ = _slice_fields(g, smp, stencil)
         v, w = mkg_tension(stencil, s, sample=smp)
         # F_{j0} = -B_j pairs with w_j; the real part applies to the scalar term
         dens = -np.real(Dtphi * np.conj(v)) - sum(B[j, 0] * w[j, 0] for j in range(3))
-        integrand.append(g.integrate(dens))
-        if q in (0, n_nodes - 1):
-            endpoint[q] = mkg_energy_at(g, smp, stencil)
-    t_nodes = np.linspace(0.0, t_span, n_nodes)
-    rhs = float(simpson(np.asarray(integrand), x=t_nodes))
-    lhs = endpoint[n_nodes - 1] - endpoint[0]
-    residual = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
-    return residual, lhs, rhs
+        return g.integrate(dens), mkg_energy_at(g, smp, stencil)
+
+    return simpson_identity(state0, t_span, n_nodes, dt, node)

@@ -2,20 +2,24 @@
 n = 16, counted the way the benchmark's traced run counts them: every module
 binding of `algebra.bracket` is replaced, and the grid transforms are wrapped
 on the class, one count per scalar 3-D transform of the batched leading axes.
-A kernel that bypasses `bracket` or the `Grid` transforms shows up here."""
+A kernel that bypasses `bracket` or the `Grid` transforms shows up here.
+The names the benchmark's tracer wraps are guarded here too."""
 
+import inspect
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from ymlab import algebra, config, datagen, dynamics, grid, heatflow
+from ymlab import (algebra, ckpt, config, datagen, diagnostics, dynamics, gauge,
+                   grid, heatflow, mkg, runner, spectral)
 
 # (forward, inverse) transforms and brackets per call
 EXPECTED = {
     "covariant_curl_div": (27, 18, 9),
     "deturck_nonlinear": (72, 63, 36),
-    "step_rk4": (108, 72, 36),
+    "step_rk4": (90, 90, 36),
     "flow_step": (234, 342, 144),
 }
 
@@ -63,3 +67,58 @@ def test_baseline_per_call_counts(counter):
     # a step makes four right-hand-side calls, and only they take brackets
     assert got["step_rk4"][2] == 4 * got["covariant_curl_div"][2]
     assert got["flow_step"][2] == 4 * got["deturck_nonlinear"][2]
+
+
+def test_energy_at_transforms(counter):
+    """A flow sample's energy: 18 forward transforms by Parseval (36 when the
+    curvature went through `gauge.curvature`)."""
+    cfg = config.ExperimentConfig(n=16)
+    g = grid.Grid(cfg.n, cfg.L)
+    state, _ = datagen.make_data(cfg, g)
+    before = dict(counter)
+    diagnostics.energy_at(heatflow.FlowState(g, state.spec, 0.0, state.A, state.E))
+    assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (18, 0)
+
+
+def test_mkg_step_transforms(counter):
+    """An MKG wave step makes 4 x (14 + 15) transforms on the spectral state
+    (192 with physical-space stages): the count at 8 steps less that at 4."""
+    g = grid.Grid(8)
+    st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
+    totals = []
+    for nsteps in (4, 8):
+        before = dict(counter)
+        mkg.evolve(st, 1e-3, nsteps * 1e-3)
+        totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
+    assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 56, 4 * 60)
+
+
+# Names the benchmark's tracer and worker reach by attribute.  The tracer
+# wraps module-level functions whose __module__ is their module and skips a
+# name that has gone, leaving its metrics out of the report.
+TRACED = {
+    algebra: ("bracket",),
+    spectral: ("dealias", "heat_propagate"),
+    gauge: ("curvature", "constraint_repair"),
+    dynamics: ("covariant_curl_div", "step_rk4"),
+    heatflow: ("deturck_nonlinear", "flow_stencil", "w2_leading", "flow_step",
+               "run_flow"),
+    diagnostics: ("energy_at",),
+    datagen: ("make_data",),
+    ckpt: ("write_checkpoint",),
+}
+
+
+def test_traced_names_are_module_functions():
+    for owner, names in [*TRACED.items(), (grid.Grid, ("fft", "ifft", "cfft", "cifft")),
+                         (heatflow._IFSystem, ("step",))]:
+        module = owner.__name__ if isinstance(owner, types.ModuleType) else owner.__module__
+        for name in names:
+            fn = vars(owner).get(name)
+            assert isinstance(fn, types.FunctionType), f"{owner.__name__}.{name}"
+            assert fn.__module__ == module, f"{owner.__name__}.{name}"
+    assert isinstance(heatflow.FlowState, type)
+    assert heatflow.FlowState.__module__ == heatflow.__name__
+    assert runner.make_data is datagen.make_data
+    assert list(inspect.signature(heatflow.run_flow).parameters)[1] == "s_samples"
+    assert list(inspect.signature(ckpt.write_checkpoint).parameters)[0] == "path"

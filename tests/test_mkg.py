@@ -3,6 +3,7 @@ import pytest
 
 from ymlab import dynamics as dyn
 from ymlab import gauge as gt
+from ymlab import heatflow as hf
 from ymlab import mkg
 from ymlab import spectral as sp
 from ymlab.datagen import mkg_random, mkg_wave
@@ -148,7 +149,7 @@ def test_mkg_tension_linear_zero(grid16):
     st = mkg_wave(grid16, 0.1)
     dt = 2e-3
     out = mkg.evolve(st, dt, 0.05)
-    stn = mkg.make_mkg_stencil(out["final"], 5 * dt, dt)
+    stn = hf.make_stencil(out["final"], 5 * dt, dt)
     v, w = mkg.mkg_tension(stn, 1 / 256.0, substeps=4)
     scale = max(grid16.l2_norm(np.abs(st.phi)), 1e-30)
     assert grid16.l2_norm(np.abs(v)) < 1e-6 * scale
@@ -159,7 +160,7 @@ def test_mkg_tension_onshell_small(grid16):
     st = mkg_random(grid16, 0.2, seed=8, mode_cut=1.5, decay=1e6)
     dt = 2e-3
     out = mkg.evolve(st, dt, 0.05)
-    stn = mkg.make_mkg_stencil(out["final"], 5 * dt, dt)
+    stn = hf.make_stencil(out["final"], 5 * dt, dt)
     v, w = mkg.mkg_tension(stn, 0.0, substeps=4)
     h = mkg.mkg_energy(out["final"])
     assert grid16.l2_norm(np.abs(v)) < 1e-5 * np.sqrt(h)
@@ -173,7 +174,7 @@ def test_mkg_w2_amplitude_sweep(grid16):
     gaps, leads = [], []
     for a in (0.1, 0.2):
         st = mkg_random(grid16, a, seed=11, mode_cut=1.5, decay=1e6)
-        stn = mkg.make_mkg_stencil(st, 5 * dt, dt)
+        stn = hf.make_stencil(st, 5 * dt, dt)
         _, w = mkg.mkg_tension(stn, s_test, substeps=4)
         w2 = mkg.mkg_w2_leading(st, s_test)
         Pw = sp.leray_df(grid16, w[:, 0])[:, None]
@@ -193,7 +194,7 @@ def test_mkg_modified_energy_oracle(grid16):
     st = mkg.MkgState(grid16, 0.0, wave.A, wave.E,
                       np.zeros((16,) * 3, complex), np.zeros((16,) * 3, complex))
     dt = 2e-3
-    stn = mkg.make_mkg_stencil(st, 5 * dt, dt)
+    stn = hf.make_stencil(st, 5 * dt, dt)
     N, sigma = 8.0, 5.0 / 6.0
     val, _ = mkg.mkg_modified_energy(stn, N, sigma, n_samples=32)
     E0 = mkg.mkg_energy(st)
@@ -240,7 +241,7 @@ def test_stencil_if_step_transform_count(monkeypatch):
     from ymlab.grid import Grid
     g = Grid(8)
     st = mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
-    stn = mkg.make_mkg_stencil(st, 5e-3, 1e-3)
+    stn = hf.make_stencil(st, 5e-3, 1e-3)
     count = [0]
     for name in ("fft", "ifft", "cfft", "cifft"):
         def counted(f, _fn=getattr(g, name)):

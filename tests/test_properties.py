@@ -2,6 +2,7 @@
 checkpoint header.  Hypothesis runs derandomized and without an example
 database, so every run draws the same examples."""
 
+import dataclasses
 import math
 import struct
 
@@ -58,6 +59,20 @@ def valid_configs(draw):
 @given(valid_configs())
 def test_config_emit_parse_round_trip(cfg):
     assert parse_config(emit_config(cfg)) == cfg
+
+
+@PROPERTY
+@given(valid_configs(), st.text(max_size=8),
+       st.sampled_from(["#", "\n", "\r", "\u2028", " ", "\t"]))
+def test_config_rejects_out_dir_that_cannot_round_trip(cfg, text, bad):
+    """A '#' or a line break anywhere, or whitespace at either end, would not
+    survive emit_config and parse_config."""
+    out_dirs = [bad + text, text + bad]
+    if bad not in " \t":
+        out_dirs.append("x" + bad + "x" + text)
+    for out_dir in out_dirs:
+        with pytest.raises(ConfigError, match="out_dir"):
+            dataclasses.replace(cfg, out_dir=out_dir)
 
 
 # One field of a valid config's text replaced by a value outside the domain;
