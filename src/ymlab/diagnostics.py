@@ -22,10 +22,11 @@ SIGMA_DEFAULT = 5.0 / 6.0
 log = logging.getLogger(__name__)
 
 
-def energy_at(flow: hf.FlowState) -> float:
+def energy_at(flow: hf.FlowState, Ah: np.ndarray | None = None) -> float:
     """Smoothed energy at level s: `dynamics.energy` of (A(s), B(s)), half the
-    L2 square of all six curvature components (18 forward transforms)."""
-    return energy(CauchyState(flow.grid, flow.spec, flow.s, flow.A, flow.B))
+    L2 square of all six curvature components (18 forward transforms, 9 when
+    the caller passes the rfft of A(s) as Ah)."""
+    return energy(CauchyState(flow.grid, flow.spec, flow.s, flow.A, flow.B), Ah)
 
 
 def weight(s, N: float, sigma: float):

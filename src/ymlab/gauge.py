@@ -115,18 +115,6 @@ def gauss_residual(grid: Grid, A: np.ndarray, E: np.ndarray,
     return r, grid.l2_norm(r)
 
 
-def _repair_source_terms(grid, A, phi, spec):
-    """d^l [A_l, phi] + [A^l, d_l phi] + [A^l, [A_l, phi]], products dealiased."""
-    dphi = gradient(grid, phi)
-    out = np.zeros_like(phi)
-    div_arg = np.stack([dealias(grid, bracket(A[l], phi, spec)) for l in range(3)])
-    out = out + divergence(grid, div_arg)
-    for l in range(3):
-        out = out + dealias(grid, bracket(A[l], dphi[l], spec))
-        out = out + dealias(grid, bracket(A[l], dealias(grid, bracket(A[l], phi, spec)), spec))
-    return out
-
-
 def _mean_bracket_matrix(grid, A, spec):
     """Mean of sum_l ad_{A_l}^2 as a (d, d) matrix (zero-mode solvability)."""
     d = spec.dim
@@ -141,42 +129,89 @@ def _mean_bracket_matrix(grid, A, spec):
     return M
 
 
+def _gauss_operator(grid: Grid, A: np.ndarray, spec: StructureSpec,
+                    psih: np.ndarray):
+    """The dealiased covariant Laplacian L psi = D^l D_l psi, with
+    D_l psi = d_l psi + P[A_l, psi] and P the two-thirds mask, from the rfft
+    psih of psi: returns the rfft of L psi and of D psi (12 + 12 transforms
+    and 6 brackets at su(2)).  On the range of P, L is symmetric and negative
+    definite in the bi-invariant L2 product, up to its covariantly constant
+    kernel."""
+    ik = grid.ik[:, None]
+    psi = grid.ifft(psih)
+    Dh = grid.fft(np.stack([bracket(A[ell], psi, spec) for ell in range(3)]))
+    Dh *= grid.dealias_mask
+    Dh += ik * psih
+    D = grid.ifft(Dh)
+    Lh = grid.fft(sum(bracket(A[ell], D[ell], spec) for ell in range(3)))
+    Lh *= grid.dealias_mask
+    Lh += np.sum(ik * Dh, axis=0)
+    return Lh, Dh
+
+
+def _spectral_dot(grid: Grid, xh: np.ndarray, yh: np.ndarray) -> float:
+    """L2 product of two real fields from their rfft, up to a constant factor."""
+    return float(np.sum(grid.parseval_weight * (xh.real * yh.real + xh.imag * yh.imag)))
+
+
 def constraint_repair(grid: Grid, A: np.ndarray, E_raw: np.ndarray,
                       spec: StructureSpec, tol: float = 1e-10,
                       max_iter: int = 40) -> np.ndarray:
     """Project E_raw onto the Gauss constraint surface: E = E_raw + D_A phi.
 
-    phi solves the covariant Poisson equation Delta_A phi = -D^l E_raw_l by
-    Picard iteration on the flat Laplacian.  On the torus the flat inverse
-    annihilates the spatial mean, so a constant algebra component is solved
-    separately through the mean of ad_{A}^2 (absent in the abelian case,
-    where the compatibility mean vanishes identically).
+    Data whose residual is already at most tol comes back as it is.  Off
+    the two-thirds band the residual is the flat divergence, so phi is the
+    flat inverse Laplacian there.  On the band phi solves L phi = -G with the
+    dealiased covariant Laplacian L of `_gauss_operator`, by preconditioned
+    conjugate gradients (Hestenes & Stiefel 1952) with the flat inverse
+    Laplacian off the mean and the inverse of the mean of sum_l ad_{A_l}^2
+    on it (zero in the abelian case, where one iteration is exact).  The
+    loop ends when the physical `gauss_residual` is at most tol; a stall or
+    max_iter iterations raise ConvergenceError with one residual per
+    iteration.
     """
-    h, _ = gauss_residual(grid, A, E_raw, spec)
-    h = -h
-    phi = np.zeros_like(h)
-    c = np.zeros(spec.dim)
-    M = _mean_bracket_matrix(grid, A, spec)
-    history = []
-    for _ in range(max_iter):
-        cfield = c.reshape(-1, 1, 1, 1) * np.ones((grid.n,) * 3)
-        psi = phi + cfield
-        src = h - _repair_source_terms(grid, A, psi, spec)
-        phi = inverse_laplacian(grid, src)
-        rhs_mean = (h - _repair_source_terms(grid, A, phi, spec)).mean(axis=(1, 2, 3))
-        if np.linalg.norm(M) > 1e-14:
-            c = np.linalg.lstsq(M, rhs_mean, rcond=None)[0]
-        psi = phi + c.reshape(-1, 1, 1, 1)
-        E = E_raw + np.stack(
-            [covariant_derivative(grid, A, psi, l, spec) for l in range(3)])
-        _, res = gauss_residual(grid, A, E, spec)
-        history.append(res)
-        if res <= tol:
-            return E
-        if len(history) > 3 and history[-1] > 0.9 * history[-4]:
+    res, norm = gauss_residual(grid, A, E_raw, spec)
+    if norm <= tol:
+        return E_raw
+    mask = grid.dealias_mask
+    rh = grid.fft(res)
+    dchi = grid.ifft(grid.ik[:, None] * np.where(mask, 0.0, grid.inv_k2 * rh))
+    E = E_raw + dchi
+    brk = sum(bracket(A[ell], dchi[ell], spec) for ell in range(3))
+    rh += grid.fft(brk)
+    rh *= mask                               # the residual of E, on the band
+    mean_inv = np.linalg.pinv(-_mean_bracket_matrix(grid, A, spec))
+
+    def precondition(rh):
+        zh = grid.inv_k2 * rh
+        zh[:, 0, 0, 0] = mean_inv @ rh[:, 0, 0, 0].real
+        return zh
+
+    Dxh = np.zeros(E.shape[:2] + rh.shape[1:], complex)
+    norm, history, ph, rz = grid.spectral_l2(rh), [], None, 0.0
+    while True:
+        if norm <= tol:
+            E_out = E + grid.ifft(Dxh)
+            res, norm = gauss_residual(grid, A, E_out, spec)
+            if history:
+                history[-1] = norm
+            if norm <= tol:
+                return E_out
+            rh, ph = mask * grid.fft(res), None      # restart on the true residual
+        if len(history) == max_iter or (
+                len(history) > 3 and history[-1] > 0.9 * history[-4]):
             break
+        zh = precondition(rh)
+        rz_old, rz = rz, _spectral_dot(grid, rh, zh)
+        ph = zh if ph is None else zh + (rz / rz_old) * ph
+        Lph, Dph = _gauss_operator(grid, A, spec, ph)
+        alpha = -rz / _spectral_dot(grid, ph, Lph)
+        Dxh += alpha * Dph
+        rh += alpha * Lph
+        norm = grid.spectral_l2(rh)
+        history.append(norm)
     raise ConvergenceError(
-        f"constraint repair stalled at residual {history[-1]:.3e} "
+        f"constraint repair stalled at residual {norm:.3e} "
         f"after {len(history)} iterations (tol {tol:.1e})", history)
 
 

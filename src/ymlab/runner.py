@@ -108,10 +108,14 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     s0 = cfg.s0_value
     samples = hf.sample_grid(s0, cfg.s_samples)
     rec = []
+
+    def observe(f):                              # the magnetic part by Parseval
+        Ah = grid.fft(f.A)
+        Fh = dyn._curvature_hat(grid, f.spec, f.A, Ah)
+        rec.append((f.s, dg.energy_at(f, Ah), 0.5 * grid.spectral_l2(Fh) ** 2))
+
     hf.run_flow(state, samples, substeps=cfg.substeps, keep_states=False,
-                observer=lambda f: rec.append(
-                    (f.s, dg.energy_at(f),
-                     0.5 * grid.l2_norm(f.magnetic()) ** 2)))
+                observer=observe)
     s_vals, e_vals, m_vals = np.array(rec).T
     ie, parts = dg.modified_energy(s_vals, e_vals, cfg.N, cfg.sigma)
     _write_csv(os.path.join(out_dir, "results.csv"),

@@ -93,6 +93,30 @@ def test_mkg_step_transforms(counter):
     assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 56, 4 * 60)
 
 
+def test_make_data_transforms(counter):
+    """One `make_data` at the default config: 402 transforms with the CG
+    constraint repair (4884 with the Picard repair it replaced)."""
+    cfg = config.ExperimentConfig(n=16)
+    datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
+    total = counter["fwd"] + counter["inv"]
+    assert total <= 4884 // 3
+    assert (counter["fwd"], counter["inv"]) == (222, 180)
+
+
+def test_gauss_operator_counts(counter):
+    """One application of the repair's operator: 12 + 12 transforms and 6
+    brackets at su(2)."""
+    g = grid.Grid(16)
+    spec = algebra.su2()
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((3, 3, 16, 16, 16))
+    psih = g.dealias_mask * g.fft(rng.standard_normal((3, 16, 16, 16)))
+    before = dict(counter)
+    gauge._gauss_operator(g, A, spec, psih)
+    got = tuple(counter[k] - before[k] for k in ("fwd", "inv", "brackets"))
+    assert got == (12, 12, 6)
+
+
 # Names the benchmark's tracer and worker reach by attribute.  The tracer
 # wraps module-level functions whose __module__ is their module and skips a
 # name that has gone, leaving its metrics out of the report.

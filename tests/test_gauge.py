@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ymlab import algebra as alg
+from ymlab import config, datagen
 from ymlab import gauge as gt
 from ymlab import spectral as sp
 
@@ -145,6 +148,74 @@ def test_constraint_repair_converges_small_h_half(grid16, s2, rng):
     E = gt.random_alg_field(grid16, s2, rng, 0.05, mode_cut=2.0, components=3)
     E2 = gt.constraint_repair(grid16, A, E, s2, tol=1e-9, max_iter=20)
     assert gt.gauss_residual(grid16, A, E2, s2)[1] <= 1e-9
+
+
+def _band_field(grid, spec, rng, lead=()):
+    """White noise restricted to the two-thirds band, as an rfft."""
+    f = rng.standard_normal(lead + (spec.dim,) + (grid.n,) * 3)
+    return grid.dealias_mask * grid.fft(f)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 2.0),
+       smooth=st.booleans())
+def test_gauss_operator_symmetric_negative(grid16, s2, seed, amplitude, smooth):
+    """The repair's CG assumption: on the range of the mask, the dealiased
+    covariant Laplacian is symmetric and negative definite in the
+    bi-invariant L2 product, for smooth or rough su(2) connections."""
+    rng = np.random.default_rng(seed)
+    if smooth:
+        A = gt.random_alg_field(grid16, s2, rng, amplitude, components=3)
+    else:
+        A = amplitude * rng.standard_normal((3, 3) + (16,) * 3)
+    xh, yh = _band_field(grid16, s2, rng), _band_field(grid16, s2, rng)
+    x, y = grid16.ifft(xh), grid16.ifft(yh)
+    Lx = grid16.ifft(gt._gauss_operator(grid16, A, s2, xh)[0])
+    Ly = grid16.ifft(gt._gauss_operator(grid16, A, s2, yh)[0])
+
+    def dot(u, v):
+        return grid16.integrate(alg.inner(u, v, s2))
+
+    xLy, yLx = dot(x, Ly), dot(y, Lx)
+    assert abs(xLy - yLx) <= 1e-12 * np.sqrt(dot(x, x) * dot(Ly, Ly))
+    assert dot(x, Lx) < 0.0
+    assert dot(y, Ly) < 0.0
+
+
+def test_constraint_repair_keeps_satisfying_pulses(grid16, s2):
+    """Pulses data has a Gauss residual of exactly 0 and a third of its
+    spectrum off the band; it comes back as it went in, with no 0/0."""
+    cfg = config.ExperimentConfig(n=16, family="pulses")
+    st_p = datagen.colliding_pulses(grid16, s2, cfg.amplitude)
+    assert gt.gauss_residual(grid16, st_p.A, st_p.E, s2)[1] == 0.0
+    E = gt.constraint_repair(grid16, st_p.A, st_p.E, s2, tol=1e-12)
+    assert np.all(np.isfinite(E))
+    assert np.array_equal(E, st_p.E)
+
+
+def test_constraint_repair_rough_data(grid16, s2, rng):
+    """Connection and field with most of their spectrum off the band: the
+    flat solve off the band, then CG on it, reach tol."""
+    A = 0.1 * rng.standard_normal((3, 3) + (16,) * 3)
+    E_raw = 0.1 * rng.standard_normal((3, 3) + (16,) * 3)
+    Eh = grid16.fft(E_raw)
+    off = grid16.spectral_l2(np.where(grid16.dealias_mask, 0.0, Eh))
+    assert off > 0.5 * grid16.spectral_l2(Eh)
+    for tol in (1e-9, 1e-12):
+        E = gt.constraint_repair(grid16, A, E_raw, s2, tol=tol)
+        assert gt.gauss_residual(grid16, A, E, s2)[1] <= tol
+
+
+def test_constraint_repair_history_per_iteration(grid16, s2, rng):
+    """Too few iterations for tol raise ConvergenceError with one residual
+    per iteration."""
+    A = gt.random_alg_field(grid16, s2, rng, 0.3, mode_cut=2.0, components=3)
+    E = gt.random_alg_field(grid16, s2, rng, 0.3, mode_cut=2.0, components=3)
+    with pytest.raises(sp.ConvergenceError) as err:
+        gt.constraint_repair(grid16, A, E, s2, tol=1e-12, max_iter=3)
+    hist = err.value.history
+    assert len(hist) == 3
+    assert all(np.isfinite(hist)) and hist[-1] < hist[0]
 
 
 def test_coulomb_projection(grid16, s2, ab, rng):
