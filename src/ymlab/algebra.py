@@ -6,6 +6,9 @@ elements are unit quaternions (w, x, y, z); U(1) elements are phase angles.
 All operations are vectorized: an "element" is any array whose *leading*
 axis is the algebra (or quaternion) dimension, with arbitrary trailing
 axes (e.g. lattice sites).  `bracket(..., out=)` fills a caller's buffer.
+`tangent(spec)` is the tangent algebra g x| g of dual numbers x0 + eps x1,
+eps^2 = 0: a polynomial in brackets evaluated there carries its exact
+directional derivative in the second block (forward-mode differentiation).
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ class StructureSpec:
     dim: algebra dimension (3 for su(2), 1 for u(1)).
     structure_constants: f[a, b, c] with [e_a, e_b] = sum_c f[a,b,c] e_c.
     metric_normalization: scale of the bi-invariant inner product.
+    base: the algebra g of a tangent algebra g x| g (see `tangent`), else None.
     """
 
     name: str
     dim: int
     structure_constants: np.ndarray = field(repr=False)
     metric_normalization: float = 1.0
+    base: StructureSpec | None = field(default=None, repr=False)
 
     def __post_init__(self):
         f = np.asarray(self.structure_constants, dtype=float)
@@ -57,6 +62,18 @@ def u1() -> StructureSpec:
     return StructureSpec("u1", 1, np.zeros((1, 1, 1)))
 
 
+def tangent(spec: StructureSpec) -> StructureSpec:
+    """The tangent algebra g x|_ad g of dimension 2d: elements (x0, x1)
+    stacked on the leading axis, [(x0, x1), (y0, y1)] = ([x0, y0],
+    [x0, y1] + [x1, y0]).  Its structure constants are f in the blocks
+    [:d, :d, :d], [:d, d:, d:] and [d:, :d, d:]."""
+    d, f = spec.dim, spec.structure_constants
+    ft = np.zeros((2 * d,) * 3)
+    ft[:d, :d, :d] = ft[:d, d:, d:] = ft[d:, :d, d:] = f
+    return StructureSpec(f"{spec.name}-tangent", 2 * d, ft,
+                         spec.metric_normalization, base=spec)
+
+
 def _check_dim(spec: StructureSpec, *xs: np.ndarray):
     for x in xs:
         if x.shape[0] != spec.dim:
@@ -76,6 +93,12 @@ def bracket(x: np.ndarray, y: np.ndarray, spec: StructureSpec,
         out = np.empty(np.broadcast_shapes(x.shape, y.shape))
     elif np.shares_memory(out, x) or np.shares_memory(out, y):
         raise ValueError("bracket output must not share memory with its inputs")
+    if spec.base is not None:                    # three base brackets
+        d, base = spec.base.dim, spec.base
+        bracket(x[:d], y[:d], base, out=out[:d])
+        bracket(x[:d], y[d:], base, out=out[d:])
+        out[d:] += bracket(x[d:], y[:d], base)
+        return out
     if spec.name == "su2":
         # [x, y]_c = eps_abc x_a y_b; out[c, ...] is a view even for 1-D x, y
         for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

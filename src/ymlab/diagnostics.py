@@ -104,24 +104,22 @@ def simpson_identity(state0, t_span: float, n_nodes: int, dt: float, node):
 
 
 def energy_identity_check(state0: CauchyState, t_span: float, s: float,
-                          n_nodes: int = 11, dt: float = 2e-3,
-                          delta: float | None = None, substeps: int = 4):
+                          n_nodes: int = 11, dt: float = 2e-3, substeps: int = 4):
     """Residual of  E(t1,s) - E(t0,s) = int_t int_x (w_l(s), F_0l(s)).
 
     The time integral is `simpson_identity`'s; w and the smoothed curvature
-    at each node come from a five-slice stencil flowed to level s.  Returns
-    (residual_relative, lhs, rhs).
+    at each node come from one tangent flow (`heatflow.flow_tangent`) to
+    level s.  Returns (residual_relative, lhs, rhs).
     """
     g, spec = state0.grid, state0.spec
-    delta = 5.0 * dt if delta is None else delta
+    d = spec.dim
 
     def node(st):
-        stencil = hf.make_stencil(st, delta, dt)
-        slices = hf.flow_stencil(stencil, [s], substeps=substeps)[-1]
-        c = slices[2]
-        w = hf.slice_tension(stencil, slices)
-        dens = sum(inner(w[i], c.B[i], spec) for i in range(3))
-        return g.integrate(dens), energy_at(c)
+        f = hf.flow_tangent(st, [s], substeps=substeps)[-1]
+        w = hf.tangent_tension(f)
+        B = f.B[:, :d]
+        dens = sum(inner(w[i], B[i], spec) for i in range(3))
+        return g.integrate(dens), energy_at(hf.FlowState(g, spec, s, f.A[:, :d], B))
 
     return simpson_identity(state0, t_span, n_nodes, dt, node)
 

@@ -11,9 +11,13 @@ The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
 dU/ds = U A_s.
 
 The tension field w_i(s) = D_0 F_{0i} - D^j F_{ji} needs time derivatives at
-level s; these come from five Cauchy slices flowed in lockstep, with A_0(s)
-reconstructed along the flow from its own ODE (A_0 = 0 at s = 0 in the
-temporal gauge).
+level s.  They come from one flow in the tangent algebra (`flow_tangent`):
+the Cauchy data carry their exact t-derivative (E, `ym_rhs`) as the second
+block of dual numbers, so the IF-RK4 map, a polynomial in brackets, carries
+d/dt of the flowed fields exactly.  A_0(s) is reconstructed along the flow
+from its own ODE (A_0 = 0 at s = 0 in the temporal gauge).  Five Cauchy
+slices flowed in lockstep (`flow_stencil`) and differenced in t serve MKG,
+whose tension needs a second t-derivative, and the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -481,46 +485,83 @@ def slice_tension(stencil: TimeStencil, slices, coarse_warn: float = 1e-3):
     if gap > coarse_warn * 500.0:
         warnings.warn(f"time stencil may be too coarse: 3/5-point gap {gap:.2e}")
     c = slices[2]
-    w = np.empty_like(c.B)
-    curl_div = covariant_curl_div(g, spec, c.A)
+    return _tension(g, spec, c.A, c.B, dtB, c.A0)
+
+
+def _tension(g: Grid, spec: StructureSpec, A, B, dtB, A0) -> np.ndarray:
+    """w_i = d_t B_i + [A_0, B_i] - D^j F_ji, products dealiased."""
+    w = dtB - covariant_curl_div(g, spec, A)
     for i in range(3):
-        w[i] = dtB[i] + dealias(g, bracket(c.A0, c.B[i], spec)) - curl_div[i]
+        w[i] += dealias(g, bracket(A0, B[i], spec))
     return w
 
 
-def tension_profile(stencil: TimeStencil, s_samples, substeps: int = 4,
-                    coarse_warn: float = 1e-3) -> list[np.ndarray]:
-    """Tension fields w(s) at the sorted s_samples from one stencil flow, each
-    assembled as its sample is emitted, so no sample's slices stay alive
-    through the next leg."""
+def flow_tangent(state: CauchyState, s_samples, substeps: int = 4, observer=None):
+    """Flow the Cauchy data and their t-derivative as one state in the
+    tangent algebra `algebra.tangent(spec)`, integrating A_0 alongside.
+
+    A|E and B|`ym_rhs(A)` start the DeTurck flow, and its tangent block is
+    then the exact d/dt of the flowed A(s) and B(s).  A_0 (base algebra)
+    obeys dA_0/ds = d_t(div A) - [div A, A_0] - D^l B_l with A_0(0) = 0,
+    d_t(div A) being the tangent block of div A.  Returns one FlowState per
+    sample, with the tangent spec, A|d_t A, B|d_t B and A0; with an observer,
+    each is passed to it instead and none is kept.
+    """
+    g, spec = state.grid, state.spec
+    tspec, d = alg.tangent(spec), spec.dim
+    A = np.concatenate((state.A, state.E), axis=1)       # (3, 2d, n, n, n)
+    B = np.concatenate((state.E, covariant_curl_div(g, spec, state.A)), axis=1)
+    sys = _IFSystem(g, ("heat", "heat", "ode"))
+
+    def nonlin(y):
+        Ah, Bh, A0 = y
+        NA, NB, _, DBh = deturck_nonlinear(g, tspec, g.ifft(Ah), g.ifft(Bh), Ah, Bh)
+        div_a = divergence(g, vh=Ah)
+        NA0 = div_a[d:] - dealias(g, bracket(div_a[:d], A0, spec)) - g.ifft(DBh[:d])
+        return NA, NB, NA0
+
     out = []
-    flow_stencil(stencil, s_samples, substeps, observer=lambda slices: out.append(
-        slice_tension(stencil, slices, coarse_warn)))
+    emit = out.append if observer is None else observer
+    sys.sample_legs((A, B, np.zeros((d,) + (g.n,) * 3)), s_samples, substeps,
+                    lambda y, h: sys.step(y, h, nonlin),
+                    lambda s, y: emit(FlowState(g, tspec, s, y[0], y[1], A0=y[2])))
     return out
 
 
-def tension_field(stencil: TimeStencil, s: float, substeps: int = 4,
-                  coarse_warn: float = 1e-3):
-    """Yang-Mills tension w_i(s) = D_0 F_{0i} - D^j F_{ji} at the central slice,
-    D_0 with the reconstructed A_0(s); at s = 0 the residual of the
-    temporal-gauge equation.  One sample of `tension_profile`."""
-    return tension_profile(stencil, [s], substeps, coarse_warn)[0]
+def tangent_tension(flow: FlowState) -> np.ndarray:
+    """Tension w_i = d_t B_i + [A_0, B_i] - D^j F_ji of a `flow_tangent`
+    sample, d_t B its tangent block; exactly 0 at s = 0."""
+    spec = flow.spec.base
+    d = spec.dim
+    return _tension(flow.grid, spec, flow.A[:, :d], flow.B[:, :d], flow.B[:, d:], flow.A0)
 
 
-def b_compatibility_residual(stencil: TimeStencil, s: float,
-                             substeps: int = 4) -> float:
-    """Relative gap between the evolved B(s) and the curvature assembled
-    from the stencil: d_t A - grad A_0 + [A_0, A] at the central slice."""
-    g, spec = stencil.grid, stencil.spec
-    slices = flow_stencil(stencil, [s], substeps=substeps)[-1]
-    A_all = np.stack([f.A for f in slices])
-    dtA = stencil.d_dt(A_all)
-    c = slices[2]
-    gradA0 = gradient(g, c.A0)
-    B_rec = np.empty_like(c.B)
+def tension_profile(state: CauchyState, s_samples, substeps: int = 4) -> list[np.ndarray]:
+    """Tension fields w(s) at the sorted s_samples from one tangent flow of
+    the Cauchy data, each assembled as its sample is emitted."""
+    out = []
+    flow_tangent(state, s_samples, substeps,
+                 observer=lambda f: out.append(tangent_tension(f)))
+    return out
+
+
+def tension_field(state: CauchyState, s: float, substeps: int = 4):
+    """Yang-Mills tension w_i(s) = D_0 F_{0i} - D^j F_{ji} of the Cauchy data,
+    D_0 with the reconstructed A_0(s); 0 exactly at s = 0, where d_t B is
+    `ym_rhs`.  One sample of `tension_profile`."""
+    return tension_profile(state, [s], substeps)[0]
+
+
+def b_compatibility_residual(state: CauchyState, s: float, substeps: int = 4) -> float:
+    """Relative gap between the evolved B(s) and the curvature assembled from
+    the tangent flow: d_t A - grad A_0 + [A_0, A]."""
+    g, spec, d = state.grid, state.spec, state.spec.dim
+    f = flow_tangent(state, [s], substeps=substeps)[-1]
+    B_rec = f.A[:, d:] - gradient(g, f.A0)
     for i in range(3):
-        B_rec[i] = dtA[i] - gradA0[i] + dealias(g, bracket(c.A0, c.A[i], spec))
-    return g.l2_norm(B_rec - c.B) / max(g.l2_norm(c.B), 1e-30)
+        B_rec[i] += dealias(g, bracket(f.A0, f.A[i, :d], spec))
+    B = f.B[:, :d]
+    return g.l2_norm(B_rec - B) / max(g.l2_norm(B), 1e-30)
 
 
 def f_bilinear_part(origin: CauchyState, s: float, substeps: int = 6,

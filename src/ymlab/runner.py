@@ -135,12 +135,10 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
 
 def _run_tension(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     state, report = make_data(cfg, grid)
-    delta = 5.0 * cfg.dt
-    stencil = hf.make_stencil(state, delta, cfg.dt)
     s0 = cfg.s0_value
     rows = {"s": [], "w_norm": [], "w2_norm": [], "w_minus_w2": []}
     samples = (0.0, s0 / 4.0, s0)
-    for s, w in zip(samples, hf.tension_profile(stencil, samples, cfg.substeps)):
+    for s, w in zip(samples, hf.tension_profile(state, samples, cfg.substeps)):
         rows["s"].append(s)
         rows["w_norm"].append(grid.l2_norm(w))
         if s > 0:

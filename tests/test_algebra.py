@@ -185,3 +185,23 @@ def test_bracket_out_rejects_shared_memory(s2, rng):
             alg.bracket(x, y, s2, out=out)
     want = alg.bracket(x, y, s2)
     assert alg.bracket(x, y, s2, out=buf[2]).tobytes() == want.tobytes()
+
+
+def test_tangent_bracket_block_structure_and_jacobi(s2, ab, rng):
+    """The tangent bracket's three base brackets equal the einsum with the
+    block structure constants, and the tangent algebra satisfies Jacobi."""
+    for spec in (s2, ab):
+        t = alg.tangent(spec)
+        assert t.dim == 2 * spec.dim and t.base is spec
+        # the same constants without `base` take the einsum branch
+        plain = alg.StructureSpec("plain", t.dim, t.structure_constants)
+        x, y, z = rng.standard_normal((3, t.dim, 4, 5))
+        ref = np.einsum("abc,a...,b...->c...", t.structure_constants, x, y)
+        assert np.max(np.abs(alg.bracket(x, y, t) - ref)) < 1e-14
+        assert np.max(np.abs(alg.bracket(x, y, plain) - ref)) < 1e-14
+        d = spec.dim
+        assert np.array_equal(alg.bracket(x, y, t)[:d], alg.bracket(x[:d], y[:d], spec))
+        j = (alg.bracket(x, alg.bracket(y, z, t), t)
+             + alg.bracket(y, alg.bracket(z, x, t), t)
+             + alg.bracket(z, alg.bracket(x, y, t), t))
+        assert np.max(np.abs(j)) < 1e-13

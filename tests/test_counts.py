@@ -117,6 +117,49 @@ def test_gauss_operator_counts(counter):
     assert got == (12, 12, 6)
 
 
+def test_tangent_if_step_counts(counter, monkeypatch):
+    """One IF step of the tangent flow: 4 x (2 x 54 + 3, 2 x 81 + 12)
+    transforms, deturck_nonlinear on the doubled state plus the A_0 ODE.
+    A tangent bracket counts as itself and its three base brackets, so
+    the 36 brackets of a right-hand side count 4 x 36, plus one for A_0."""
+    cfg = config.ExperimentConfig(n=16)
+    g = grid.Grid(cfg.n, cfg.L)
+    state, _ = datagen.make_data(cfg, g)
+    per_step = []
+    step = heatflow._IFSystem.step
+
+    def counted(self, *args):
+        before = dict(counter)
+        out = step(self, *args)
+        per_step.append(tuple(counter[k] - before[k] for k in ("fwd", "inv", "brackets")))
+        return out
+
+    monkeypatch.setattr(heatflow._IFSystem, "step", counted)
+    heatflow.flow_tangent(state, [1e-4], substeps=1)
+    assert per_step == [(4 * 111, 4 * 174, 4 * 145)] * 4
+
+
+def test_tension_run_flows_once_without_wave_steps(counter, monkeypatch, tmp_path):
+    """The tension experiment at the default config: 12 IF steps of one
+    tangent flow and no wave RK4 step (the five-slice stencil took 20 wave
+    steps to build)."""
+    calls = {"if": 0, "wave_rhs": 0}
+    step, rhs = heatflow._IFSystem.step, dynamics.CauchyState.spectral_rhs
+
+    def counted_step(self, *args):
+        calls["if"] += 1
+        return step(self, *args)
+
+    def counted_rhs(self, *args):
+        calls["wave_rhs"] += 1
+        return rhs(self, *args)
+
+    monkeypatch.setattr(heatflow._IFSystem, "step", counted_step)
+    monkeypatch.setattr(dynamics.CauchyState, "spectral_rhs", counted_rhs)
+    runner.run(config.ExperimentConfig(kind="tension"), str(tmp_path))
+    assert calls == {"if": 12, "wave_rhs": 0}
+
+
 # Names the benchmark's tracer and worker reach by attribute.  The tracer
 # wraps module-level functions whose __module__ is their module and skips a
 # name that has gone, leaving its metrics out of the report.

@@ -199,24 +199,59 @@ def test_tension_on_shell_small_and_abelian_zero(grid16, s2, ab, rng):
     dt = 2e-3
     st = su2_state(grid16, s2, rng, amp=0.2)
     tr = dyn.evolve(st, dyn.EvolutionConfig(dt=dt, T=0.05))
-    stn = hf.make_stencil(tr.final, 5 * dt, dt)
-    w0 = hf.tension_field(stn, 0.0)
+    w0 = hf.tension_field(tr.final, 0.0)
     F = gt.curvature(grid16, tr.final.A, s2)
     assert grid16.l2_norm(w0) < 1e-6 * grid16.l2_norm(F)
     # abelian: w vanishes at every s
     stu = abelian_state(grid16, ab, rng)
     tru = dyn.evolve(stu, dyn.EvolutionConfig(dt=dt, T=0.05))
-    stnu = hf.make_stencil(tru.final, 5 * dt, dt)
     scale = grid16.l2_norm(stu.E)
-    assert grid16.l2_norm(hf.tension_field(stnu, 0.0)) < 1e-7 * scale
-    assert grid16.l2_norm(hf.tension_field(stnu, 1 / 64.0, substeps=4)) < 1e-7 * scale
+    assert grid16.l2_norm(hf.tension_field(tru.final, 0.0)) < 1e-7 * scale
+    assert grid16.l2_norm(hf.tension_field(tru.final, 1 / 64.0, substeps=4)) < 1e-7 * scale
 
 
 def test_b_compatibility(grid16, s2, rng):
-    dt = 2e-3
     st = su2_state(grid16, s2, rng, amp=0.2)
-    stn = hf.make_stencil(st, 5 * dt, dt)
-    assert hf.b_compatibility_residual(stn, 1 / 64.0, substeps=6) < 1e-7
+    assert hf.b_compatibility_residual(st, 1 / 64.0, substeps=6) < 1e-7
+
+
+def test_deturck_tangent_is_exact_derivative(grid8, s2, rng):
+    """deturck_nonlinear in the tangent algebra on (A|a, B|b) gives, in its
+    tangent block, the derivative of the primal output p(h) at (A + h a,
+    B + h b): the 4-point central difference is exact, p being cubic in h."""
+    from ymlab.algebra import tangent
+    g, h = grid8, 0.25
+    A, B, a, b = (gt.random_alg_field(g, s2, rng, 0.3, mode_cut=2.0, components=3)
+                  for _ in range(4))
+    tan = hf.deturck_nonlinear(g, tangent(s2), np.concatenate((A, a), axis=1),
+                               np.concatenate((B, b), axis=1))
+
+    p2, p1, p0, m1, m2 = (hf.deturck_nonlinear(g, s2, A + x * a, B + x * b)
+                          for x in (2 * h, h, 0.0, -h, -2 * h))
+
+    def blocks(u):            # (primal, tangent); DB has no spatial-index axis
+        return (u[:, :3], u[:, 3:]) if u.ndim == 5 else (u[:3], u[3:])
+
+    for k, out in enumerate(tan):
+        primal, deriv = blocks(out)
+        fd = (8.0 * (p1[k] - m1[k]) - (p2[k] - m2[k])) / (12.0 * h)
+        assert np.max(np.abs(primal - p0[k])) <= 1e-14 * np.max(np.abs(p0[k])), k
+        assert np.max(np.abs(deriv - fd)) <= 1e-12 * np.max(np.abs(fd)), k
+
+
+def test_tangent_tension_agrees_with_stencil_to_delta4(grid8, s2, rng):
+    """The stencil's w differs from the tangent flow's by O(delta^4): the gap
+    shrinks 16x when delta halves (dt fixed)."""
+    st = su2_state(grid8, s2, rng, amp=0.3)
+    s, dt = 1 / 64.0, 1e-3
+    w = hf.tension_field(st, s, substeps=4)
+    gaps = []
+    for m in (16, 8):
+        stn = hf.make_stencil(st, m * dt, dt)
+        slices = hf.flow_stencil(stn, [s], substeps=4)[-1]
+        gaps.append(grid8.l2_norm(hf.slice_tension(stn, slices) - w))
+    assert gaps[0] < 1e-4 * grid8.l2_norm(w)
+    assert 14.0 < gaps[0] / gaps[1] < 18.0
 
 
 def test_f_bilinear_routes(grid16, s2, ab, rng):
@@ -327,9 +362,8 @@ def test_nested_sample_grids_one_sample_per_lattice_point(s0s, n_s, union):
 
 
 def test_tension_profile_one_flow(grid8, s2, rng, monkeypatch):
-    """One stencil flow through [0, s0/4, s0] gives the w of separate flows."""
-    dt = 2e-3
-    stn = hf.make_stencil(su2_state(grid8, s2, rng), 5 * dt, dt)
+    """One tangent flow through [0, s0/4, s0] gives the w of separate flows."""
+    st = su2_state(grid8, s2, rng)
     samples = [0.0, 1 / 256.0, 1 / 64.0]
     calls = [0]
     step = hf._IFSystem.step
@@ -339,18 +373,17 @@ def test_tension_profile_one_flow(grid8, s2, rng, monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(hf._IFSystem, "step", counted)
-    ws = hf.tension_profile(stn, samples, substeps=4)
+    ws = hf.tension_profile(st, samples, substeps=4)
     monkeypatch.undo()
     assert calls[0] == 8 + 4                    # 16 with one flow per s
-    assert np.array_equal(ws[0], hf.tension_field(stn, 0.0))
+    assert np.array_equal(ws[0], hf.tension_field(st, 0.0))
     for s, w in zip(samples[1:], ws[1:]):
-        ref = grid8.l2_norm(hf.tension_field(stn, s, substeps=4))
+        ref = grid8.l2_norm(hf.tension_field(st, s, substeps=4))
         assert abs(grid8.l2_norm(w) - ref) <= 1e-8 * ref
 
 
 def test_w2_amplitude_sweep_slope(grid16, s2, rng):
     """||w - w2|| must scale cubically in the data amplitude."""
-    dt = 2e-3
     base = su2_state(grid16, s2, rng, amp=0.2)
     s_test = 1 / 256.0
     gaps = []
@@ -359,8 +392,7 @@ def test_w2_amplitude_sweep_slope(grid16, s2, rng):
         A = base.A * (a / 0.2)
         E = gt.constraint_repair(grid16, A, base.E * (a / 0.2), s2, tol=1e-12)
         st = dyn.CauchyState(grid16, s2, 0.0, A, E)
-        stn = hf.make_stencil(st, 5 * dt, dt)
-        w = hf.tension_field(stn, s_test, substeps=6)
+        w = hf.tension_field(st, s_test, substeps=6)
         w2 = hf.w2_leading(st, s_test)
         gaps.append(grid16.l2_norm(w - w2))
         assert grid16.l2_norm(w2) > 3 * gaps[-1]  # w2 really is the leading part
