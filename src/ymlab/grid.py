@@ -101,6 +101,8 @@ class Grid:
         return _fft.fftn(f, axes=(-3, -2, -1), workers=self.workers)
 
     def cifft(self, fh: np.ndarray) -> np.ndarray:
+        if fh.shape[-3:] != (self.n,) * 3:
+            raise ValueError(f"spectral shape {fh.shape} does not match grid n={self.n}")
         return _fft.ifftn(fh, axes=(-3, -2, -1), workers=self.workers)
 
     def kfull(self, axis: int) -> np.ndarray:

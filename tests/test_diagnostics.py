@@ -2,7 +2,8 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+import scipy
+from scipy.integrate import quad, simpson
 
 from ymlab import diagnostics as dg
 from ymlab import dynamics as dyn
@@ -22,6 +23,48 @@ def test_energy_at_reduces_to_state_energy(grid16, s2, rng):
 def test_weight_sanity():
     N = 16.0
     assert dg.weight(1.0 / N**2, N, 5.0 / 6.0) == 1.0
+
+
+SIMPSON_COUNTS = (2, 3, 4, 5, 6, 32, 33)
+
+
+def _simpson_abscissae():
+    """Uniform, log-s and nested-grid abscissae at every count in
+    SIMPSON_COUNTS (the nested grids with and without s = 0)."""
+    for n in SIMPSON_COUNTS:
+        yield np.linspace(0.0, 0.1, n)
+        yield np.log(hf.sample_grid(1 / 64.0, n_samples=n)[1:])
+    grids = [np.log(hf.sample_grid(1 / 64.0)[1:])]
+    for g in hf.nested_sample_grids([1 / 16.0, 1 / 64.0], 32, 1024.0):
+        grids += [g, np.log(g[1:])]
+    for x in grids:
+        for n in SIMPSON_COUNTS:
+            if n <= len(x):
+                yield x[:n]
+                yield x[-n:]
+
+
+@pytest.mark.skipif(tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 11),
+                    reason="scipy before 1.11 used another rule for even counts")
+def test_simpson_matches_scipy_bit_for_bit(rng):
+    """ymlab's rule repeats scipy's arithmetic: odd counts, the two-point
+    trapezoid and Cartwright's end correction for even counts >= 4."""
+    cases = 0
+    for x in _simpson_abscissae():
+        for y in (rng.standard_normal(len(x)), np.exp(-3.0 * np.arange(len(x)))):
+            assert dg._simpson(y, x) == simpson(y, x=x), len(x)
+            cases += 1
+    assert cases > 80
+
+
+def test_simpson_rejects_bad_abscissae():
+    for x in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0, 0.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="increasing"):
+            dg._simpson(np.ones(len(x)), x)
+    with pytest.raises(ValueError, match="at least 2"):
+        dg._simpson([1.0], [0.0])
+    with pytest.raises(ValueError, match="at least 2"):
+        dg._simpson([1.0, 2.0], [0.0, 1.0, 2.0])
 
 
 def test_modified_energy_validation(grid16):

@@ -31,6 +31,19 @@ def test_grid_validation():
         Grid(16, -1.0)
 
 
+def test_transforms_reject_wrong_shapes(grid16):
+    """Every transform names the shape it refuses; cifft takes the full
+    complex layout, not the rfft one."""
+    real = np.zeros((3, 8, 16, 16))
+    for fn in (grid16.fft, grid16.cfft):
+        with pytest.raises(ValueError, match=r"\(3, 8, 16, 16\)"):
+            fn(real)
+    with pytest.raises(ValueError, match=r"\(16, 16, 16\)"):
+        grid16.ifft(np.zeros((16, 16, 16), complex))
+    with pytest.raises(ValueError, match=r"\(2, 16, 16, 9\)"):
+        grid16.cifft(np.zeros((2, 16, 16, 9), complex))
+
+
 def test_round_trip_and_parseval(grid16, rng):
     f = rng.standard_normal((16,) * 3)
     assert np.max(np.abs(grid16.ifft(grid16.fft(f)) - f)) < 1e-13

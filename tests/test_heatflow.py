@@ -199,7 +199,10 @@ def test_tension_on_shell_small_and_abelian_zero(grid16, s2, ab, rng):
     dt = 2e-3
     st = su2_state(grid16, s2, rng, amp=0.2)
     tr = dyn.evolve(st, dyn.EvolutionConfig(dt=dt, T=0.05))
-    w0 = hf.tension_field(tr.final, 0.0)
+    assert np.all(hf.tension_field(tr.final, 0.0) == 0.0)     # exact by construction
+    # the five-slice oracle takes d_t B from the trajectory itself
+    stn = hf.make_stencil(tr.final, 5 * dt, dt)
+    w0 = hf.slice_tension(stn, hf.flow_stencil(stn, [0.0])[-1])
     F = gt.curvature(grid16, tr.final.A, s2)
     assert grid16.l2_norm(w0) < 1e-6 * grid16.l2_norm(F)
     # abelian: w vanishes at every s
