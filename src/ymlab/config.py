@@ -14,7 +14,7 @@ from dataclasses import dataclass
 KINDS = ("evolve", "heatflow", "tension", "acl-sweep", "mkg", "invariants")
 FAMILIES = ("abelian-wave", "random", "pulses", "mkg-random", "mkg-wave")
 GROUPS = ("su2", "u1")
-_REALS = ("L", "N", "sigma", "s0", "dt", "T", "cfl", "amplitude", "mode_cut", "decay")
+_STEPPED_KINDS = ("evolve", "acl-sweep", "mkg")     # the kinds that read T and dt
 
 
 class ConfigError(ValueError):
@@ -66,7 +66,8 @@ class ExperimentConfig:
             problems.append("n must be a power of two >= 8")
         if not 0.5 < self.sigma < 1.0:
             problems.append(f"sigma must lie in (1/2, 1), got {self.sigma}")
-        infinite = [name for name in _REALS if not math.isfinite(getattr(self, name) or 0)]
+        infinite = [name for _, _, name, typ in _KEYS
+                    if typ is float and not math.isfinite(getattr(self, name) or 0)]
         if infinite:
             problems.append(f"{', '.join(infinite)} must be finite")
         if min(self.N, self.L, self.dt, 1 if self.s0 is None else self.s0) <= 0 or self.T < 0:
@@ -74,7 +75,8 @@ class ExperimentConfig:
         if not 0.0 < self.cfl <= 1.0:
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
         steps = self.T / self.dt if self.dt > 0 and not infinite else 0.0
-        if not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T:
+        off_grid = not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T
+        if off_grid and self.kind in _STEPPED_KINDS:
             problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
         for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 1)):
             if getattr(self, name) < low:
@@ -93,31 +95,22 @@ class ExperimentConfig:
         return self.s0 if self.s0 is not None else 1.0 / (self.N * self.N)
 
 
-_SCHEMA = {
-    "experiment": {"kind": str},
-    "grid": {"n": int, "L": float},
-    "physics": {"group": str, "N": float, "sigma": float, "s0": float},
-    "integrator": {"dt": float, "T": float, "cfl": float, "substeps": int},
-    "data": {"family": str, "amplitude": float, "seed": int,
-             "mode_cut": float, "decay": float},
-    "sweep": {"N_list": tuple, "time_samples": int, "s_samples": int},
-    "output": {"dir": str, "checkpoints": bool},
-}
-
-_FIELD_OF = {
-    ("experiment", "kind"): "kind",
-    ("grid", "n"): "n", ("grid", "L"): "L",
-    ("physics", "group"): "group", ("physics", "N"): "N",
-    ("physics", "sigma"): "sigma", ("physics", "s0"): "s0",
-    ("integrator", "dt"): "dt", ("integrator", "T"): "T",
-    ("integrator", "cfl"): "cfl", ("integrator", "substeps"): "substeps",
-    ("data", "family"): "family", ("data", "amplitude"): "amplitude",
-    ("data", "seed"): "seed", ("data", "mode_cut"): "mode_cut",
-    ("data", "decay"): "decay",
-    ("sweep", "N_list"): "N_list", ("sweep", "time_samples"): "time_samples",
-    ("sweep", "s_samples"): "s_samples",
-    ("output", "dir"): "out_dir", ("output", "checkpoints"): "write_checkpoints",
-}
+# (section, key, field, type) of every config line, in `emit_config` order
+_KEYS = (
+    ("experiment", "kind", "kind", str),
+    ("grid", "n", "n", int), ("grid", "L", "L", float),
+    ("physics", "group", "group", str), ("physics", "N", "N", float),
+    ("physics", "sigma", "sigma", float), ("physics", "s0", "s0", float),
+    ("integrator", "dt", "dt", float), ("integrator", "T", "T", float),
+    ("integrator", "cfl", "cfl", float), ("integrator", "substeps", "substeps", int),
+    ("data", "family", "family", str), ("data", "amplitude", "amplitude", float),
+    ("data", "seed", "seed", int), ("data", "mode_cut", "mode_cut", float),
+    ("data", "decay", "decay", float),
+    ("sweep", "N_list", "N_list", tuple), ("sweep", "time_samples", "time_samples", int),
+    ("sweep", "s_samples", "s_samples", int),
+    ("output", "dir", "out_dir", str), ("output", "checkpoints", "write_checkpoints", bool),
+)
+_BY_KEY = {(section, key): (name, typ) for section, key, name, typ in _KEYS}
 
 
 def _convert(raw: str, typ, where: str):
@@ -136,6 +129,12 @@ def _convert(raw: str, typ, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from exc
 
 
+def _unknown(msg: str, strict: bool) -> None:
+    if strict:
+        raise ConfigError(msg)
+    warnings.warn(msg)
+
+
 def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
     values = {}
     section = None
@@ -145,30 +144,21 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
             continue
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip()
-            if section not in _SCHEMA:
-                msg = f"line {lineno}: unknown section [{section}]"
-                if strict:
-                    raise ConfigError(msg)
-                warnings.warn(msg)
+            if section not in {key[0] for key in _KEYS}:
+                _unknown(f"line {lineno}: unknown section [{section}]", strict)
                 section = None
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {body!r}")
         if section is None:
-            msg = f"line {lineno}: key outside any known section"
-            if strict:
-                raise ConfigError(msg)
-            warnings.warn(msg)
+            _unknown(f"line {lineno}: key outside any known section", strict)
             continue
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _SCHEMA[section]:
-            msg = f"line {lineno}: unknown key {key!r} in section [{section}]"
-            if strict:
-                raise ConfigError(msg)
-            warnings.warn(msg)
+        if (section, key) not in _BY_KEY:
+            _unknown(f"line {lineno}: unknown key {key!r} in section [{section}]", strict)
             continue
-        values[_FIELD_OF[(section, key)]] = _convert(
-            raw, _SCHEMA[section][key], f"line {lineno}")
+        name, typ = _BY_KEY[(section, key)]
+        values[name] = _convert(raw, typ, f"line {lineno}")
     return ExperimentConfig(**values)
 
 
@@ -177,26 +167,21 @@ def load_config(path: str, strict: bool = True) -> ExperimentConfig:
         return parse_config(fh.read(), strict=strict)
 
 
+def _text(value, typ) -> str:
+    if typ is tuple:
+        return " ".join(repr(x) for x in value)
+    if typ is bool:
+        return str(value).lower()
+    return repr(value) if typ is float else str(value)
+
+
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config so that parse(emit(c)) == c."""
-    lines = [
-        "[experiment]", f"kind = {cfg.kind}", "",
-        "[grid]", f"n = {cfg.n}", f"L = {cfg.L!r}", "",
-        "[physics]", f"group = {cfg.group}", f"N = {cfg.N!r}",
-        f"sigma = {cfg.sigma!r}",
-    ]
-    if cfg.s0 is not None:
-        lines.append(f"s0 = {cfg.s0!r}")
-    lines += [
-        "", "[integrator]", f"dt = {cfg.dt!r}", f"T = {cfg.T!r}",
-        f"cfl = {cfg.cfl!r}", f"substeps = {cfg.substeps}",
-        "", "[data]", f"family = {cfg.family}", f"amplitude = {cfg.amplitude!r}",
-        f"seed = {cfg.seed}", f"mode_cut = {cfg.mode_cut!r}",
-        f"decay = {cfg.decay!r}",
-        "", "[sweep]",
-        "N_list = " + " ".join(repr(x) for x in cfg.N_list),
-        f"time_samples = {cfg.time_samples}", f"s_samples = {cfg.s_samples}",
-        "", "[output]", f"dir = {cfg.out_dir}",
-        f"checkpoints = {str(cfg.write_checkpoints).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize a config so that parse(emit(c)) == c; s0 = None is left out."""
+    lines, current = [], None
+    for section, key, name, typ in _KEYS:
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        if getattr(cfg, name) is not None:
+            lines.append(f"{key} = {_text(getattr(cfg, name), typ)}")
+    return "\n".join(lines[1:]) + "\n"

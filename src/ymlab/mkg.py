@@ -5,9 +5,11 @@ The Maxwell sector reuses the non-abelian stack with the abelian structure
 group.  `MkgState` is a wave state of `dynamics.wave_legs`: it steps (A, E)
 in rfft layout with the Yang-Mills `_curl_div_hat` plus the scalar current,
 and (phi, phi_t) in the full cfft layout, so a vanishing scalar reproduces
-the Yang-Mills trajectories bit for bit.  The five-slice stencils are
-`heatflow.make_stencil`'s.  Covariant derivatives are D_a = d_a + i A_a
-with A real.
+the Yang-Mills trajectories bit for bit.  The Hamiltonian's Maxwell part
+is `dynamics.energy` at u(1); one nonlinearity (`_mkg_nonlinear`) gives the
+scalar current and D_j D_j phi to the wave step, the heat flow and the
+tension.  The five-slice stencils are `heatflow.make_stencil`'s.  Covariant
+derivatives are D_a = d_a + i A_a with A real.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import dynamics as dyn
 from . import heatflow as hf
 from .algebra import u1
 from .diagnostics import modified_energy, simpson_identity
-from .gauge import curvature
 from .grid import Grid
 from .spectral import (cdealias, cgradient, dealias, divergence, duhamel,
                        gradient, leray_df)
@@ -66,20 +67,28 @@ class MkgState:
         return MkgState(g, t, g.ifft(y[0]), g.ifft(y[1]), g.cifft(y[2]), g.cifft(y[3]))
 
 
+def _aphi_hat(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Masked cfft of A_i phi, the product term of D_i phi."""
+    return grid.dealias_mask_full * grid.cfft(A[:, 0] * phi)
+
+
 def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray,
                    dphi: np.ndarray | None = None) -> np.ndarray:
     """D_i phi = d_i phi + i A_i phi, product dealiased; dphi = grad phi if held."""
     dphi = cgradient(grid, phi) if dphi is None else dphi
-    return np.stack([dphi[i] + 1j * cdealias(grid, A[i, 0] * phi)
-                     for i in range(3)])
+    return dphi + 1j * grid.cifft(_aphi_hat(grid, A, phi))
+
+
+def _current(phi: np.ndarray, Dphi: np.ndarray) -> np.ndarray:
+    """Im(phi conj(D_a phi)), the scalar current J_a for the D_a phi given:
+    the charge density for D_0 phi = phi_t, J_i for D_i phi."""
+    return np.imag(phi * np.conj(Dphi))
 
 
 def scalar_current(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """J_i = Im(phi conj(D_i phi)), the Maxwell source, in u(1) layout."""
-    Dphi = covariant_grad(grid, A, phi)
-    J = np.stack([dealias(grid, np.imag(phi * np.conj(Dphi[i])))
-                  for i in range(3)])
-    return J[:, None]
+    """J_i = Im(phi conj(D_i phi)), the Maxwell source, in u(1) layout:
+    `_mkg_nonlinear`'s current in physical space."""
+    return grid.ifft(_mkg_nonlinear(grid, A, phi, grid.cfft(phi))[0])
 
 
 def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
@@ -98,45 +107,39 @@ def mkg_rhs(state: MkgState):
     return state.E, g.ifft(Edot), state.phit, g.cifft(phitt)
 
 
-def covariant_laplacian(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """D_j D_j phi = Lap phi + 2i A.grad phi + i (div A) phi - |A|^2 phi."""
-    phih = grid.cfft(phi)
-    _, Nphi = _mkg_nonlinear(grid, A, phi, phih, divergence(grid, A)[0])
-    return grid.cifft(Nphi - grid.k2_full * phih)
-
-
-def step(state: MkgState, dt: float) -> MkgState:
-    """One RK4 step: `dynamics.wave_legs` to the mark 1."""
-    return dyn.wave_legs(state, dt, [1])
+def _hamiltonian(grid: Grid, A, B, phi, Dtphi, Ah=None, phih=None) -> float:
+    """H = 1/2 int |F|^2 + |B|^2 + |D_t phi|^2 + sum_j |D_j phi|^2: the
+    Maxwell part is `dynamics.energy` at u(1), |D phi|^2 is by Parseval of
+    its masked transform.  Pass rfft A and cfft phi as Ah, phih when held."""
+    phih = grid.cfft(phi) if phih is None else phih
+    kphih = np.stack([grid.kfull(i) * phih for i in range(3)])
+    Dphih = 1j * (kphih + _aphi_hat(grid, A, phi))
+    quad = (np.sum(np.abs(Dtphi) ** 2) + np.sum(Dphih.real ** 2 + Dphih.imag ** 2)
+            / grid.n ** 3) * grid.site_measure
+    return dyn.energy(dyn.CauchyState(grid, _U1, 0.0, A, B), Ah) + 0.5 * float(quad)
 
 
 def mkg_energy(state: MkgState) -> float:
     """H = 1/2 int |F|^2 + sum_a |D_a phi|^2  (D_0 phi = phi_t here)."""
-    g = state.grid
-    F = curvature(g, state.A, _U1)
-    Dphi = covariant_grad(g, state.A, state.phi)
-    quad = (np.sum(F * F) + np.sum(state.E * state.E)) * g.site_measure
-    quad += (np.sum(np.abs(state.phit) ** 2)
-             + np.sum(np.abs(Dphi) ** 2)) * g.site_measure
-    return 0.5 * float(quad)
+    return _hamiltonian(state.grid, state.A, state.E, state.phi, state.phit)
 
 
 def charge(state: MkgState) -> float:
     """Noether charge int Im(phi conj(phi_t)); zero on admissible torus data."""
-    return state.grid.integrate(np.imag(state.phi * np.conj(state.phit)))
+    return state.grid.integrate(_current(state.phi, state.phit))
 
 
-def constraint_residual(state: MkgState):
-    """div E - Im(phi conj(phi_t)) and its L2 norm."""
+def constraint_residual(state: MkgState, Eh: np.ndarray | None = None):
+    """div E - Im(phi conj(phi_t)) and its L2 norm; pass rfft E as Eh when held."""
     g = state.grid
-    r = divergence(g, state.E)[0] - dealias(
-        g, np.imag(state.phi * np.conj(state.phit)))
+    rho = dealias(g, _current(state.phi, state.phit))
+    r = divergence(g, state.E, vh=Eh)[0] - rho
     return r, g.l2_norm(r)
 
 
 def neutralize_charge(phi: np.ndarray, phit: np.ndarray, grid: Grid):
     """Shift phit so the total charge vanishes (torus admissibility)."""
-    q = grid.integrate(np.imag(phi * np.conj(phit)))
+    q = grid.integrate(_current(phi, phit))
     m = grid.integrate(np.abs(phi) ** 2)
     if m < 1e-30:
         return phit
@@ -146,14 +149,13 @@ def neutralize_charge(phi: np.ndarray, phit: np.ndarray, grid: Grid):
 def repair_constraint(state: MkgState) -> MkgState:
     """Project E onto the MKG Gauss constraint (abelian: one exact step)."""
     g = state.grid
-    rho = dealias(g, np.imag(state.phi * np.conj(state.phit)))
-    src = rho - divergence(g, state.E)[0]
-    mean = abs(float(np.mean(src)))
-    if mean > 1e-10 * max(1.0, g.l2_norm(src)):
+    r, norm = constraint_residual(state)
+    mean = abs(float(np.mean(r)))
+    if mean > 1e-10 * max(1.0, norm):
         raise ValueError(
             f"constraint source has nonzero mean {mean:.2e}: "
             "charge-neutralize the scalar data first")
-    grad_psi = gradient(g, fh=-g.inv_k2 * g.fft(src))
+    grad_psi = gradient(g, fh=g.inv_k2 * g.fft(r))
     return MkgState(g, state.t, state.A, state.E + grad_psi[:, None],
                     state.phi, state.phit)
 
@@ -161,16 +163,17 @@ def repair_constraint(state: MkgState) -> MkgState:
 def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
            cfl: float = 0.5):
     """Integrate, recording energy / charge / constraint residual."""
+    g = state.grid
     times, energies, charges, constraint = [], [], [], []
 
-    def sample(st, _hat):
+    def sample(st, hat):                         # hat = (Ah, Eh, phih, phith)
         times.append(st.t)
-        energies.append(mkg_energy(st))
+        energies.append(_hamiltonian(g, st.A, st.E, st.phi, st.phit, hat[0], hat[2]))
         charges.append(charge(st))
-        constraint.append(constraint_residual(st)[1])
+        constraint.append(constraint_residual(st, hat[1])[1])
 
-    final = dyn.wave_legs(state, dt, dyn.sample_marks(state.grid, dt, T, cfl,
-                                                      sample_every), sample)
+    final = dyn.wave_legs(state, dt, dyn.sample_marks(g, dt, T, cfl, sample_every),
+                          sample)
     return {"times": times, "energies": energies, "charges": charges,
             "constraint": constraint, "final": final}
 
@@ -193,7 +196,7 @@ def _mkg_nonlinear(grid, A, phi, phih, div_a=None):
     (the wave form; the heat flow's gauge drift cancels it), each outer
     product transformed once; phih = cfft(phi)."""
     dphi = cgradient(grid, fh=phih)
-    J = np.imag(phi * np.conj(covariant_grad(grid, A, phi, dphi)))
+    J = _current(phi, covariant_grad(grid, A, phi, dphi))
     adg, mass = _drift_terms(grid, A, phi, dphi)
     src = 2j * adg - mass
     if div_a is not None:
@@ -225,7 +228,7 @@ def flow_mkg_stencil(stencil: hf.TimeStencil, s_samples, substeps: int = 4):
         for m in range(5):
             NA[m], Nphi[m] = _mkg_nonlinear(g, Am[m], phim[m], y[1][m])
         dt_phi = np.tensordot(wrows, phim, axes=(1, 0))
-        NA0 = np.imag(phim * np.conj(dt_phi)) - A0m * np.abs(phim) ** 2
+        NA0 = _current(phim, dt_phi) - A0m * np.abs(phim) ** 2
         return NA, Nphi, g.dealias_mask * g.fft(NA0)
 
     out = []
@@ -237,25 +240,16 @@ def flow_mkg_stencil(stencil: hf.TimeStencil, s_samples, substeps: int = 4):
 
 def _slice_fields(grid, sample, stencil):
     """Central-slice level-s fields: A, B, phi, D_t phi, A0."""
-    delta = stencil.delta
     A5, phi5, A05 = sample["A"], sample["phi"], sample["A0"]
-    w1 = hf.fornberg_weights(np.arange(5) * delta, 2 * delta, 1)
-    dtA = np.tensordot(w1, A5, axes=(0, 0))
-    dtphi = np.tensordot(w1, phi5, axes=(0, 0))
     A_c, phi_c, A0_c = A5[2], phi5[2], A05[2]
-    gradA0 = gradient(grid, A0_c)
-    B = dtA - gradA0[:, None]
-    Dtphi = dtphi + 1j * cdealias(grid, A0_c * phi_c)
+    B = stencil.d_dt(A5) - gradient(grid, A0_c)[:, None]
+    Dtphi = stencil.d_dt(phi5) + 1j * cdealias(grid, A0_c * phi_c)
     return A_c, B, phi_c, Dtphi, A0_c
 
 
 def mkg_energy_at(grid, sample, stencil) -> float:
     A_c, B, phi_c, Dtphi, _ = _slice_fields(grid, sample, stencil)
-    F = curvature(grid, A_c, _U1)
-    Dphi = covariant_grad(grid, A_c, phi_c)
-    quad = (np.sum(F * F) + np.sum(B * B)) * grid.site_measure
-    quad += (np.sum(np.abs(Dtphi) ** 2) + np.sum(np.abs(Dphi) ** 2)) * grid.site_measure
-    return 0.5 * float(quad)
+    return _hamiltonian(grid, A_c, B, phi_c, Dtphi)
 
 
 def mkg_tension(stencil: hf.TimeStencil, s: float, substeps: int = 4, sample=None):
@@ -265,36 +259,26 @@ def mkg_tension(stencil: hf.TimeStencil, s: float, substeps: int = 4, sample=Non
     `flow_mkg_stencil` sample at level s as `sample` when the caller holds it.
     """
     g = stencil.grid
-    delta = stencil.delta
     smp = sample if sample is not None else flow_mkg_stencil(stencil, [s], substeps)[-1]
     A5, phi5, A05 = smp["A"], smp["phi"], smp["A0"]
-    A_c, B, phi_c, Dtphi, A0_c = _slice_fields(g, smp, stencil)
-
-    w1 = hf.fornberg_weights(np.arange(5) * delta, 2 * delta, 1)
-    w2 = hf.fornberg_weights(np.arange(5) * delta, 2 * delta, 2)
+    A_c, _, phi_c, _, A0_c = _slice_fields(g, smp, stencil)
     # B per slice, for d_t B at the center
-    B5 = np.empty_like(A5)
-    for m in range(5):
-        wm = hf.fornberg_weights(np.arange(5) * delta, m * delta, 1)
-        B5[m] = np.tensordot(wm, A5, axes=(0, 0)) - gradient(g, A05[m])[:, None]
-    dtB = np.tensordot(w1, B5, axes=(0, 0))
+    dtB = stencil.d_dt(np.stack([stencil.d_dt(A5, m) - gradient(g, A05[m])[:, None]
+                                 for m in range(5)]))
 
-    Ah = g.fft(A_c)
+    # J and D_j D_j phi - Lap phi from one nonlinearity in the wave form
+    Ah, phih = g.fft(A_c), g.cfft(phi_c)
     div_a = divergence(g, vh=Ah)[0]
-    lapA = g.ifft(-g.k2 * Ah)
-    grad_div = gradient(g, div_a)
-    J = scalar_current(g, A_c, phi_c)
-    w = np.empty_like(A_c)
-    for j in range(3):
-        w[j] = -dtB[j] + lapA[j] - grad_div[j][None] + J[j]
+    NA, Nphi = _mkg_nonlinear(g, A_c, phi_c, phih, div_a)
+    w = -dtB + g.ifft(-g.k2 * Ah) - gradient(g, div_a)[:, None] + g.ifft(NA)
 
     # v = box_A phi = -D_t D_t phi + sum_j D_j D_j phi
+    w2 = hf.fornberg_weights(np.arange(5) * stencil.delta, 2 * stencil.delta, 2)
     dt2phi = np.tensordot(w2, phi5, axes=(0, 0))
-    dtphi = np.tensordot(w1, phi5, axes=(0, 0))
-    dtA0 = np.tensordot(w1, A05, axes=(0, 0))
+    dtphi, dtA0 = stencil.d_dt(phi5), stencil.d_dt(A05)
     DtDtphi = dt2phi + 1j * cdealias(g, dtA0 * phi_c) \
         + 2j * cdealias(g, A0_c * dtphi) - cdealias(g, A0_c**2 * phi_c)
-    v = -DtDtphi + covariant_laplacian(g, A_c, phi_c)
+    v = g.cifft(Nphi - g.k2_full * phih) - DtDtphi
     return v, w
 
 
@@ -306,7 +290,7 @@ def mkg_w2_leading(state: MkgState, s: float, n_quad: int = 32) -> np.ndarray:
     def sources(s_nodes):
         for s_node in s_nodes:
             fh = np.exp(-s_node * g.k2_full) * gh
-            yield g.fft(np.imag(g.cifft(fh) * np.conj(cgradient(g, fh=fh))))
+            yield g.fft(_current(g.cifft(fh), cgradient(g, fh=fh)))
 
     w2 = -2.0 * leray_df(g, duhamel(g, s, n_quad, sources))
     return w2[:, None]

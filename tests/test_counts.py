@@ -93,6 +93,24 @@ def test_mkg_step_transforms(counter):
     assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 56, 4 * 60)
 
 
+def test_mkg_sample_transforms(counter):
+    """An MKG evolve sample makes 7 + 2 transforms besides the driver's 8
+    inverses, reading the energy and the Gauss-law residual from the spectral
+    fields (28 when the energy and residual were physical): 4 steps sampled
+    at every step less sampled at the last only.  `mkg_energy` takes 10 (22)."""
+    g = grid.Grid(8)
+    st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
+    totals = []
+    for every in (1, 4):
+        before = dict(counter)
+        mkg.evolve(st, 1e-3, 4e-3, sample_every=every)
+        totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
+    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 7, 3 * (2 + 8))
+    before = dict(counter)
+    mkg.mkg_energy(st)
+    assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (10, 0)
+
+
 def test_make_data_transforms(counter):
     """One `make_data` at the default config: 402 transforms with the CG
     constraint repair (4884 with the Picard repair it replaced)."""

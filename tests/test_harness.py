@@ -64,6 +64,15 @@ def test_config_rejects_T_off_the_dt_grid():
     assert ExperimentConfig(T=0.3, dt=0.1).T == 0.3  # 3 * 0.1 is not 0.3 in binary
 
 
+def test_config_checks_the_dt_grid_only_for_kinds_that_step_in_time():
+    assert ExperimentConfig(kind="tension", T=0.0031, dt=0.002).T == 0.0031
+    for kind in ("heatflow", "invariants"):
+        assert ExperimentConfig(kind=kind, T=0.0031, dt=0.002).T == 0.0031
+    for kind in ("acl-sweep", "mkg"):
+        with pytest.raises(ConfigError, match="T must be an integer multiple of dt"):
+            ExperimentConfig(kind=kind, T=0.0031, dt=0.002)
+
+
 @pytest.mark.parametrize("kind, family", [("mkg", "random"),
                                           ("evolve", "mkg-random")])
 def test_runner_rejects_kind_family_mismatch(tmp_path, kind, family):

@@ -119,6 +119,8 @@ def _with_value(text, section, key, value):
 def test_config_rejects_values_outside_the_domain(cfg, where, data):
     section, key = where
     value = data.draw(st.sampled_from(_INVALID[where]))
+    if value == "0.0031":         # off the dt grid, which only the stepping kinds check
+        cfg = dataclasses.replace(cfg, kind="evolve")
     text = _with_value(emit_config(cfg), section, key, value)
     with pytest.raises(ConfigError) as info:
         parse_config(text)
