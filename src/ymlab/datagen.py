@@ -54,12 +54,13 @@ def random_state(grid: Grid, spec: StructureSpec, amplitude: float, seed: int,
     E = random_alg_field(grid, spec, rng, 1.0, mode_cut, decay, components=3)
     A *= amplitude / sobolev_norm(grid, A, sigma)
     E *= amplitude / sobolev_norm(grid, E, sigma - 1.0)
-    E = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6))
+    E, gauss = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6),
+                                 return_residual=True)
     st = CauchyState(grid, spec, 0.0, A, E)
     report = {
         "A_hsigma": sobolev_norm(grid, A, sigma),
         "E_hsigma1": sobolev_norm(grid, E, sigma - 1.0),
-        "gauss_residual": gauss_residual(grid, A, E, spec)[1],
+        "gauss_residual": gauss,
     }
     return st, report
 

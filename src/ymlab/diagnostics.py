@@ -238,23 +238,24 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     drawn from one lattice (`heatflow.nested_sample_grids`), so they share
     most of their points; their union is flowed once and each modified
     energy reads its own grid.  Each time sample logs one INFO record with
-    t, the union size and the IF steps taken.  The fitted log-log slope is
+    t, the union size, the IF steps taken and the largest leg error estimate
+    (`heatflow.sample_legs`).  The fitted log-log slope is
     exploratory output.
     """
     N_values = sorted(N_values)
     grids = dict(zip(N_values, hf.nested_sample_grids(
         [1.0 / N**2 for N in N_values], n_s, span)))
     union = np.unique(np.concatenate(list(grids.values())))
-    if_steps = sum(hf.leg_steps(len(union) - 1, substeps))
     t_samples = np.linspace(0.0, T, n_time_samples)
     ie = {N: [] for N in N_values}
 
     def measure(st, _hat):
-        rec = []
+        rec, legs = [], []
         hf.run_flow(st, union, substeps=substeps, keep_states=False,
-                    observer=lambda f: rec.append((f.s, energy_at(f))))
-        log.info("sweep t = %.6g: %d flow samples, %d IF steps",
-                 t_samples[len(ie[N_values[0]])], len(union), if_steps)
+                    observer=lambda f: rec.append((f.s, energy_at(f))), legs=legs)
+        log.info("sweep t = %.6g: %d flow samples, %d IF steps, leg error <= %.1e",
+                 t_samples[len(ie[N_values[0]])], len(union), legs[0].steps,
+                 legs[0].max_error)
         s_all, e_all = np.array(rec).T
         for N in N_values:
             sel = np.isin(s_all, grids[N]) | (s_all == 0.0)

@@ -140,19 +140,22 @@ def _axpy(a, c, b, e=None):
     return u if e is None else np.multiply(u, e, out=u)
 
 
-def rk4_step(y: tuple, dt: float, f, half=None, full=None):
+def rk4_step(y: tuple, dt: float, f, half=None, full=None, k1=None,
+             with_k4: bool = False):
     """One classical RK4 step on a tuple of arrays; given per-field factors
     half = e^{dt L/2} and full = e^{dt L} (None: no linear part L), the
     integrating-factor RK4 step of y' = L y + f(y) (Kassam & Trefethen 2005).
     Each stage is one fresh array per field, built in place in the textbook
-    operand order up to exact IEEE commutation; f may return its input."""
+    operand order up to exact IEEE commutation; f may return its input.
+    Pass k1 = f(y) when the caller holds it; with_k4 returns the last stage
+    too, as (y_next, k4)."""
     half, full = half or (None,) * len(y), full or (None,) * len(y)
 
     def times(e, u):
         return u if e is None else e * u
 
     # stages eh (a + dt/2 k1), eh a + dt/2 k2 and ef a + dt (eh k3)
-    k1 = f(y)
+    k1 = f(y) if k1 is None else k1
     k2 = f(tuple(_axpy(a, 0.5 * dt, k, e) for a, k, e in zip(y, k1, half)))
     k3 = f(tuple(_axpy(times(e, a), 0.5 * dt, k) for a, k, e in zip(y, k2, half)))
     k4 = f(tuple(_axpy(times(ef, a), dt, times(eh, k))
@@ -166,7 +169,7 @@ def rk4_step(y: tuple, dt: float, f, half=None, full=None):
             if x is not None:
                 op(u, x, out=u)
         out.append(u)
-    return tuple(out)
+    return (tuple(out), k4) if with_k4 else tuple(out)
 
 
 def step_rk4(state, dt: float):

@@ -156,7 +156,7 @@ def _spectral_dot(grid: Grid, xh: np.ndarray, yh: np.ndarray) -> float:
 
 def constraint_repair(grid: Grid, A: np.ndarray, E_raw: np.ndarray,
                       spec: StructureSpec, tol: float = 1e-10,
-                      max_iter: int = 40) -> np.ndarray:
+                      max_iter: int = 40, return_residual: bool = False):
     """Project E_raw onto the Gauss constraint surface: E = E_raw + D_A phi.
 
     Data whose residual is already at most tol comes back as it is.  Off
@@ -168,11 +168,11 @@ def constraint_repair(grid: Grid, A: np.ndarray, E_raw: np.ndarray,
     on it (zero in the abelian case, where one iteration is exact).  The
     loop ends when the physical `gauss_residual` is at most tol; a stall or
     max_iter iterations raise ConvergenceError with one residual per
-    iteration.
+    iteration.  return_residual also returns that final residual norm.
     """
     res, norm = gauss_residual(grid, A, E_raw, spec)
     if norm <= tol:
-        return E_raw
+        return (E_raw, norm) if return_residual else E_raw
     mask = grid.dealias_mask
     rh = grid.fft(res)
     dchi = grid.ifft(grid.ik[:, None] * np.where(mask, 0.0, grid.inv_k2 * rh))
@@ -196,7 +196,7 @@ def constraint_repair(grid: Grid, A: np.ndarray, E_raw: np.ndarray,
             if history:
                 history[-1] = norm
             if norm <= tol:
-                return E_out
+                return (E_out, norm) if return_residual else E_out
             rh, ph = mask * grid.fft(res), None      # restart on the true residual
         if len(history) == max_iter or (
                 len(history) > 3 and history[-1] > 0.9 * history[-4]):

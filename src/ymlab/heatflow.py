@@ -7,6 +7,8 @@ RK4: the heat factor is applied in Fourier space and only the bracket terms
 are stepped explicitly, so the abelian flow reproduces the heat semigroup to
 round-off.  The flow state lives in Fourier space between samples, so the
 heat factor is a multiply; only the samples go back to physical fields.
+Every flow runs through `sample_legs`, which takes each leg between samples
+in as few steps as an embedded error estimate allows.
 The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
 dU/ds = U A_s.
 
@@ -22,7 +24,7 @@ whose tension needs a second t-derivative, and the tests as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,33 +189,77 @@ class _IFSystem:
     def physical(self, y: tuple) -> tuple:
         return self._each(y, self.grid.ifft, self.grid.cifft)
 
-    def sample_legs(self, y: tuple, s_samples, substeps: int, step, emit) -> None:
-        """Module `sample_legs` on the spectral state of the physical y; emit
-        gets physical fields that no later step writes to (copies of y at
-        s = 0)."""
-        sample_legs(self.spectral(y), s_samples, substeps, step,
-                    lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
-                                      else self.physical(z)))
+    def norm(self, y: tuple) -> float:
+        """L2 norm of the spectral state y, all fields together (Parseval)."""
+        g = self.grid
+        full = g.volume / g.n**6
+        return float(np.sqrt(sum(
+            g.spectral_l2(u) ** 2 if kd == "heat" else
+            full * np.vdot(u, u).real if kd == "cheat" else g.l2_norm(u) ** 2
+            for u, kd in zip(y, self.kinds))))
+
+    def sample_legs(self, y: tuple, s_samples, substeps: int, nonlin, emit,
+                    project=None) -> "LegRecord":
+        """Module `sample_legs` on the spectral state of the physical y with
+        `step` and nonlin, each step followed by project(state) when given;
+        emit gets physical fields that no later step writes to (copies of y
+        at s = 0)."""
+        def step(z, h, k1):
+            z, k4 = self.step(z, h, nonlin, k1, True)
+            return z if project is None else project(z), k4
+
+        return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin,
+                           self.norm,
+                           lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
+                                             else self.physical(z)))
 
     def _factors(self, h):
         k2 = {"heat": self.grid.k2, "cheat": self.grid.k2_full}
         return [np.exp(-h * k2[kd]) if kd in k2 else None for kd in self.kinds]
 
-    def step(self, y: tuple, h: float, nonlin) -> tuple:
-        return rk4_step(y, h, nonlin, self._factors(0.5 * h), self._factors(h))
+    def step(self, y: tuple, h: float, nonlin, k1=None, with_k4: bool = False):
+        """One IF-RK4 step of size h, as `rk4_step`: k1 = nonlin(y) when the
+        caller holds it; with_k4 returns (y at s + h, the last stage k4)."""
+        return rk4_step(y, h, nonlin, self._factors(0.5 * h), self._factors(h),
+                        k1=k1, with_k4=with_k4)
 
 
-def leg_steps(n_legs: int, substeps: int) -> list[int]:
-    """Equal steps per leg of `sample_legs`: the leg from s = 0 takes
-    max(2 * substeps, 4) and every later leg `substeps`."""
-    return [max(2 * substeps, 4)] + [substeps] * (n_legs - 1) if n_legs else []
+# Tolerance of a leg's error estimate, relative to the L2 norm of the whole
+# flow state.  One-step legs estimate at most 5e-13 on default data, 20x
+# below it: the estimate under-reads a one-step leg's error against 32
+# substeps by up to 16x, depending on the data.
+LEG_TOL = 1e-11
 
 
-def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
+@dataclass
+class LegRecord:
+    """What `sample_legs` did: the steps of each accepted leg, the IF steps
+    taken in all (redone legs included), the number of legs redone, and the
+    largest error estimate of an accepted leg."""
+
+    counts: list = field(default_factory=list)
+    steps: int = 0
+    redone: int = 0
+    max_error: float = 0.0
+
+
+def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
+                emit) -> LegRecord:
     """Advance `state` through the sorted parabolic times, calling
-    emit(s, state) at each sample.
+    emit(s, state) at each sample; returns the `LegRecord`.
 
-    step(state, h) makes one step of size h, `leg_steps` of them per leg.
+    step(y, h, k1) makes one step of size h from y, k1 being rhs(y) or None,
+    and returns the new state and its last stage k4.  The leg's last step
+    gives the error estimate e = h/10 ||k4 - rhs(y_end)|| / ||y_end|| of the
+    embedded third-order pair with weights (1/6, 1/3, 1/3, 1/15, 1/10)
+    (Balac & Mahe 2013), norm being the L2 norm of a whole state, and
+    rhs(y_end) is the next leg's first k1 ("first same as last"): a flow
+    makes 4 x steps + 1 right-hand sides.  The leg from s = 0 takes
+    max(2 * substeps, 4) steps.  Each later leg takes the fewest steps, at
+    most substeps, for which the previous leg's estimate scaled by the h^4
+    law is at most LEG_TOL; a leg whose own estimate then exceeds LEG_TOL is
+    redone with substeps steps.
+
     A sample at s = 0 is emitted as given.  Non-finite values in any field
     raise ParabolicBlowUpError.  emit copies what it keeps; being a
     callback, not a generator, no sampled state stays referenced through
@@ -227,15 +273,38 @@ def sample_legs(state: tuple, s_samples, substeps: int, step, emit) -> None:
     if times and times[0] == 0.0:
         emit(0.0, state)
         times = times[1:]
-    s_prev = 0.0
-    for s_target, nsub in zip(times, leg_steps(len(times), substeps)):
-        h = (s_target - s_prev) / nsub
-        for _ in range(nsub):
-            state = step(state, h)
-        if not all(np.isfinite(u).all() for u in state):
-            raise ParabolicBlowUpError(f"non-finite flow state at s={s_target:.3e}")
+    record = LegRecord()
+    s_prev, k1, e, h = 0.0, None, 0.0, None
+    for s_target in times:
+        span = s_target - s_prev
+        if h is None:
+            m = max(2 * substeps, 4)
+        else:
+            m = next((j for j in range(1, substeps)
+                      if e * (span / (j * h)) ** 4 <= LEG_TOL), substeps)
+        start = (state, k1) if m < substeps else None    # kept for a redo
+        while True:
+            h = span / m
+            for _ in range(m - 1):
+                state, k1 = step(state, h, k1)[0], None
+            state, k4 = step(state, h, k1)
+            if not all(np.isfinite(u).all() for u in state):
+                raise ParabolicBlowUpError(f"non-finite flow state at s={s_target:.3e}")
+            k1 = rhs(state)
+            e = h / 10.0 * norm(tuple(a - b for a, b in zip(k4, k1))) \
+                / max(norm(state), 1e-300)
+            record.steps += m
+            k4 = None                       # not held through a redo or the sample
+            if e <= LEG_TOL or start is None:
+                break
+            (state, k1), start, m = start, None, substeps
+            record.redone += 1
+        start = None                        # not held through the sample
+        record.counts.append(m)
+        record.max_error = max(record.max_error, e)
         emit(s_target, state)
         s_prev = s_target
+    return record
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:
@@ -253,14 +322,16 @@ def flow_step(flow: FlowState, ds: float) -> FlowState:
 
 def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
              with_transport: bool = False, renorm_tol: float = 1e-6,
-             observer=None, keep_states: bool = True) -> list[FlowState]:
+             observer=None, keep_states: bool = True,
+             legs: list | None = None) -> list[FlowState]:
     """Flow the Cauchy data through the sample list of parabolic times.
 
     Returns one FlowState per requested s (including s = 0 if present).
     with_transport integrates the caloric transport U alongside, so the
     caloric connection can be recovered by `to_caloric`.  An observer is
     called with each sampled FlowState; pass keep_states=False to stream
-    large runs through the observer without retaining fields.
+    large runs through the observer without retaining fields.  A `legs`
+    list receives the flow's `LegRecord`.
     """
     g, spec = origin.grid, origin.spec
     state = (origin.A, origin.E)
@@ -274,10 +345,7 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
             return N
         return N + (_transport_rhs(y[2], divergence(g, vh=y[0]), spec),)
 
-    def step(y, h):
-        y = sys.step(y, h, nonlin)
-        if not with_transport:
-            return y
+    def project(y):
         U, corr = alg.renormalize(y[2], spec)
         if corr > renorm_tol:
             raise ParabolicBlowUpError(
@@ -293,7 +361,10 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
         if keep_states:
             out.append(fs)
 
-    sys.sample_legs(state, s_samples, substeps, step, emit)
+    record = sys.sample_legs(state, s_samples, substeps, nonlin, emit,
+                             project if with_transport else None)
+    if legs is not None:
+        legs.append(record)
     return out
 
 
@@ -462,8 +533,7 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4, observer=No
 
     out = []
     emit = out.append if observer is None else observer
-    sys.sample_legs((A, B, A0), s_samples, substeps,
-                    lambda y, h: sys.step(y, h, nonlin),
+    sys.sample_legs((A, B, A0), s_samples, substeps, nonlin,
                     lambda s, y: emit([FlowState(g, spec, s, y[0][m], y[1][m], A0=y[2][m])
                                        for m in range(5)]))
     return out
@@ -512,8 +582,7 @@ def flow_tangent(state: CauchyState, s_samples, substeps: int = 4, observer=None
 
     out = []
     emit = out.append if observer is None else observer
-    sys.sample_legs((A, B, np.zeros((d,) + (g.n,) * 3)), s_samples, substeps,
-                    lambda y, h: sys.step(y, h, nonlin),
+    sys.sample_legs((A, B, np.zeros((d,) + (g.n,) * 3)), s_samples, substeps, nonlin,
                     lambda s, y: emit(FlowState(g, tspec, s, y[0], y[1], A0=y[2])))
     return out
 

@@ -232,8 +232,7 @@ def flow_mkg_stencil(stencil: hf.TimeStencil, s_samples, substeps: int = 4):
         return NA, Nphi, g.dealias_mask * g.fft(NA0)
 
     out = []
-    sys.sample_legs((A, phi, A0), s_samples, substeps,
-                    lambda y, h: sys.step(y, h, nonlin),
+    sys.sample_legs((A, phi, A0), s_samples, substeps, nonlin,
                     lambda s, y: out.append({"s": s, "A": y[0], "phi": y[1], "A0": y[2]}))
     return out
 

@@ -112,13 +112,14 @@ def test_mkg_sample_transforms(counter):
 
 
 def test_make_data_transforms(counter):
-    """One `make_data` at the default config: 402 transforms with the CG
-    constraint repair (4884 with the Picard repair it replaced)."""
+    """One `make_data` at the default config: 372 transforms with the CG
+    constraint repair (4884 with the Picard repair it replaced; 402 when the
+    data report measured the Gauss residual again after the repair)."""
     cfg = config.ExperimentConfig(n=16)
     datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
     total = counter["fwd"] + counter["inv"]
     assert total <= 4884 // 3
-    assert (counter["fwd"], counter["inv"]) == (222, 180)
+    assert (counter["fwd"], counter["inv"]) == (204, 168)
 
 
 def test_gauss_operator_counts(counter):
@@ -158,9 +159,10 @@ def test_tangent_if_step_counts(counter, monkeypatch):
 
 
 def test_tension_run_flows_once_without_wave_steps(counter, monkeypatch, tmp_path):
-    """The tension experiment at the default config: 12 IF steps of one
-    tangent flow and no wave RK4 step (the five-slice stencil took 20 wave
-    steps to build)."""
+    """The tension experiment at the default config: 10 IF steps of one
+    tangent flow, 8 to s0/4 and the 2 the leg error estimate asks for to s0
+    (12 with a fixed 4 per later leg), and no wave RK4 step (the five-slice
+    stencil took 20 wave steps to build)."""
     calls = {"if": 0, "wave_rhs": 0}
     step, rhs = heatflow._IFSystem.step, dynamics.CauchyState.spectral_rhs
 
@@ -175,7 +177,37 @@ def test_tension_run_flows_once_without_wave_steps(counter, monkeypatch, tmp_pat
     monkeypatch.setattr(heatflow._IFSystem, "step", counted_step)
     monkeypatch.setattr(dynamics.CauchyState, "spectral_rhs", counted_rhs)
     runner.run(config.ExperimentConfig(kind="tension"), str(tmp_path))
-    assert calls == {"if": 12, "wave_rhs": 0}
+    assert calls == {"if": 10, "wave_rhs": 0}
+
+
+def test_controlled_flow_right_hand_sides(monkeypatch):
+    """A controlled flow makes 4 x steps + 1 right-hand sides: the last one
+    of each leg gives its error estimate and is the next leg's first stage.
+    Every IF step is one `_IFSystem.step` call, as the record counts them."""
+    cfg = config.ExperimentConfig(n=16)
+    g = grid.Grid(cfg.n, cfg.L)
+    state, _ = datagen.make_data(cfg, g)
+    calls = {"step": 0, "rhs": 0}
+    step, rhs = heatflow._IFSystem.step, heatflow.deturck_nonlinear
+
+    def counted_step(self, *args):
+        calls["step"] += 1
+        return step(self, *args)
+
+    def counted_rhs(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(heatflow._IFSystem, "step", counted_step)
+    monkeypatch.setattr(heatflow, "deturck_nonlinear", counted_rhs)
+    legs = []
+    heatflow.run_flow(state, heatflow.sample_grid(cfg.s0_value, 6), substeps=2,
+                      keep_states=False, legs=legs)
+    assert calls == {"step": legs[0].steps, "rhs": 4 * legs[0].steps + 1}
+    assert legs[0].counts == [4, 1, 1, 1, 1, 1] and legs[0].redone == 0
+    calls.update(step=0, rhs=0)
+    heatflow.flow_tangent(state, (0.0, cfg.s0_value / 4, cfg.s0_value), substeps=4)
+    assert calls == {"step": 10, "rhs": 4 * 10 + 1}
 
 
 # Names the benchmark's tracer and worker reach by attribute.  The tracer

@@ -187,9 +187,10 @@ def test_sweep_small(grid16, s2, rng):
 
 
 def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch):
-    """test_sweep_small's sweep: 17 nested samples and 34 IF steps per time
-    sample (25 and 50 with disjoint grids), one INFO record per time sample,
-    nothing on stdout."""
+    """test_sweep_small's sweep: 17 nested samples and 19 IF steps per time
+    sample, 4 on the first leg and 1 on each later one (34 with a fixed 2
+    per later leg, 50 with disjoint grids); one INFO record per time sample
+    with the largest leg error estimate, nothing on stdout."""
     st, _ = random_state(grid16, s2, 0.08, seed=9, mode_cut=2.0, decay=1e6)
     calls = [0]
     step = hf._IFSystem.step
@@ -204,10 +205,13 @@ def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch
         st, [4.0, 8.0], 5.0 / 6.0, T=0.05, dt=2.5e-3, n_time_samples=3,
         n_s=12, span=256.0, substeps=2)
     assert 0 < calls[0] <= 3 * 34
+    assert calls[0] == 3 * 19
     msgs = [r.getMessage() for r in caplog.records if r.name == "ymlab.diagnostics"]
     assert len(msgs) == 3
     for t, msg in zip(("0", "0.025", "0.05"), msgs):
-        assert msg == f"sweep t = {t}: 17 flow samples, 34 IF steps"
+        head, error = msg.split(", leg error <= ")
+        assert head == f"sweep t = {t}: 17 flow samples, 19 IF steps"
+        assert 0.0 < float(error) <= hf.LEG_TOL
     assert capsys.readouterr().out == ""
 
 

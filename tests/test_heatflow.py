@@ -308,26 +308,101 @@ def test_w2_leading_symbol_oracle(grid8, s2, rng):
     assert np.max(np.abs(w2 - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
+def _scalar_legs(rhs, times, substeps, state):
+    """`sample_legs` on small arrays with the classical RK4 step; returns the
+    record, the emitted samples and the step sizes taken."""
+    hs, out = [], []
+
+    def step(y, h, k1):
+        hs.append(h)
+        return dyn.rk4_step(y, h, rhs, k1=k1, with_k4=True)
+
+    def norm(y):
+        return float(np.sqrt(sum(np.sum(u * u) for u in y)))
+
+    record = hf.sample_legs(state, times, substeps, step, rhs, norm,
+                            lambda s, y: out.append((s, y[0][0])))
+    return record, out, hs
+
+
 def test_sample_legs_schedule_and_validation(grid8, s2, rng):
-    steps = []
-
-    def step(y, h):
-        steps.append(h)
-        return (y[0] + h,)
-
-    out = []
-    hf.sample_legs((np.zeros(1),), [0.3, 0.0, 0.1], 2, step,
-                   lambda s, y: out.append((s, y[0][0])))
-    assert [s for s, _ in out] == [0.0, 0.1, 0.3]
-    assert len(steps) == 4 + 2          # the leg from s = 0 is refined
+    record, out, hs = _scalar_legs(lambda y: (np.ones(1),), [0.3, 0.0, 0.1, 0.2], 2,
+                                   (np.zeros(1),))
+    assert [s for s, _ in out] == [0.0, 0.1, 0.2, 0.3]
+    # the leg from s = 0 is refined; a zero estimate gives one step per later leg
+    assert record.counts == [4, 1, 1] and record.steps == len(hs) == 6
+    assert record.redone == 0 and record.max_error == 0.0
     assert abs(out[-1][1] - 0.3) < 1e-15
     with pytest.raises(ValueError, match="substeps"):
-        hf.sample_legs((np.zeros(1),), [0.1], 0, step, print)
+        _scalar_legs(lambda y: (np.ones(1),), [0.1], 0, (np.zeros(1),))
     with pytest.raises(hf.ParabolicBlowUpError):   # any field, not only the first
-        hf.sample_legs((np.zeros(1), np.zeros(1)), [0.1], 1,
-                       lambda y, h: (y[0], y[1] + np.nan), print)
+        _scalar_legs(lambda y: (np.zeros(1), np.full(1, np.nan)), [0.1], 1,
+                     (np.zeros(1), np.zeros(1)))
     with pytest.raises(ValueError, match="substeps"):
         hf.run_flow(su2_state(grid8, s2, rng), [0.0, 1e-3], substeps=0)
+
+
+def test_sample_legs_redoes_a_leg_above_the_tolerance():
+    """y' = 5 max(s - 1, 0) y, with s as the second field: the estimate is 0
+    up to s = 1, so the leg to 1.1 is predicted at one step; its own
+    estimate exceeds LEG_TOL, and it is redone with substeps steps, which
+    meet it.  The flow makes 4 x steps + 1 right-hand sides, the redone leg
+    included."""
+    calls = [0]
+
+    def rhs(y):
+        calls[0] += 1
+        return 5.0 * np.maximum(y[1] - 1.0, 0.0) * y[0], np.ones(1)
+
+    record, out, hs = _scalar_legs(rhs, [0.5, 1.0, 1.1], 8, (np.ones(1), np.zeros(1)))
+    assert record.counts == [16, 1, 8] and record.redone == 1
+    assert record.steps == len(hs) == 16 + 1 + 1 + 8
+    assert hs[17] == pytest.approx(0.1) and hs[18:] == [pytest.approx(0.1 / 8)] * 8
+    assert 0.0 < record.max_error <= hf.LEG_TOL
+    assert calls[0] == 4 * record.steps + 1
+    assert abs(out[-1][1] - np.exp(2.5 * 0.1**2)) < 1e-11
+
+
+def _rel_gap(fields, ref):
+    num = sum(np.sum((u - v) ** 2) for u, v in zip(fields, ref))
+    return float(np.sqrt(num / sum(np.sum(v * v) for v in ref)))
+
+
+@pytest.mark.parametrize("amp", [0.1, 1.0])
+def test_controlled_flows_match_a_refined_fixed_step_flow(grid8, s2, amp, monkeypatch):
+    """Against a fixed-step flow of 32x the steps, the samples of a
+    controlled `run_flow` and `flow_tangent` are no further than 100 x
+    LEG_TOL of the state's L2 norm (the estimate under-reads a leg's error
+    by up to 16x) beyond the samples of today's fixed substeps per leg,
+    which a leg keeps where fewer steps do not meet LEG_TOL (at amplitude 1
+    the last leg does not meet it even so).  The first leg takes
+    max(2 substeps, 4) steps and no later leg more than substeps."""
+    rng = np.random.default_rng(3)
+    st = su2_state(grid8, s2, rng, amp=amp, cut=1.5)
+    samples, substeps = hf.sample_grid(1 / 32.0, 3, 16.0), 2
+    legs, counts = [], []
+    flow = hf.run_flow(st, samples, substeps, legs=legs)
+    sample_legs = hf.sample_legs
+
+    def recorded(*args):
+        counts.append(sample_legs(*args).counts)
+        return counts[-1]
+
+    monkeypatch.setattr(hf, "sample_legs", recorded)
+    tangent = hf.flow_tangent(st, samples, substeps)
+    monkeypatch.undo()
+    for c in (legs[0].counts, counts[0]):
+        assert c[0] == 4 and max(c[1:]) <= substeps and len(c) == 3
+        assert min(c[1:]) < substeps or amp == 1.0   # amplitude 0.1: a leg is cut
+    bound = 100 * hf.LEG_TOL
+    monkeypatch.setattr(hf, "LEG_TOL", -1.0)       # no estimate meets it: fixed steps
+    fixed = (hf.run_flow(st, samples, substeps), hf.flow_tangent(st, samples, substeps))
+    ref = (hf.run_flow(st, samples, 32 * substeps),
+           hf.flow_tangent(st, samples, 32 * substeps))
+    for got, today, want in zip((flow, tangent), fixed, ref):
+        for f, t, r in zip(got, today, want):
+            fields = [(u.A, u.B) if u.A0 is None else (u.A, u.B, u.A0) for u in (f, t, r)]
+            assert _rel_gap(fields[0], fields[2]) <= bound + _rel_gap(fields[1], fields[2])
 
 
 def test_nested_sample_grids_share_one_lattice():
@@ -378,7 +453,7 @@ def test_tension_profile_one_flow(grid8, s2, rng, monkeypatch):
     monkeypatch.setattr(hf._IFSystem, "step", counted)
     ws = hf.tension_profile(st, samples, substeps=4)
     monkeypatch.undo()
-    assert calls[0] == 8 + 4                    # 16 with one flow per s
+    assert calls[0] == 8 + 3                    # 8 + 4 at fixed steps, 16 with one flow per s
     assert np.array_equal(ws[0], hf.tension_field(st, 0.0))
     for s, w in zip(samples[1:], ws[1:]):
         ref = grid8.l2_norm(hf.tension_field(st, s, substeps=4))
