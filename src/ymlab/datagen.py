@@ -72,6 +72,7 @@ def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float,
     Periodic Gaussian-like envelopes exp(kappa (cos(x - x0) - 1)) carrying
     opposite velocities; in su(2) the packets sit in different algebra
     directions so the collision is genuinely non-abelian; `seed` is not used.
+    Returns the state and the repair's final Gauss residual.
     """
     X, Y, Z = grid.x
     two_pi = 2.0 * np.pi
@@ -90,8 +91,9 @@ def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float,
     from .spectral import derivative
     E[1, 0] = -derivative(grid, A[1, 0], 0)
     E[2, d2] = +derivative(grid, A[2, d2], 0)
-    E = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6))
-    return CauchyState(grid, spec, 0.0, A, E)
+    E, gauss = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6),
+                                 return_residual=True)
+    return CauchyState(grid, spec, 0.0, A, E), gauss
 
 
 def mkg_random(grid: Grid, amplitude: float, seed: int, mode_cut: float,
@@ -135,8 +137,8 @@ def make_data(cfg: ExperimentConfig, grid: Grid):
         return random_state(grid, spec, cfg.amplitude, cfg.seed,
                             cfg.mode_cut, cfg.decay, cfg.sigma)
     if cfg.family == "pulses":
-        st = colliding_pulses(grid, spec, cfg.amplitude)
-        return st, {"gauss_residual": gauss_residual(grid, st.A, st.E, spec)[1]}
+        st, gauss = colliding_pulses(grid, spec, cfg.amplitude)
+        return st, {"gauss_residual": gauss}
     if cfg.family == "mkg-random":
         st = mkg_random(grid, cfg.amplitude, cfg.seed, cfg.mode_cut, cfg.decay)
         return st, {"constraint": mkg_mod.constraint_residual(st)[1],

@@ -2,18 +2,22 @@
 
 State is the pair (A_i, E_i) with E_i = dA_i/dt; the update for E is the
 covariant curl divergence sum_j D_j F_{ji}, all quadratic and cubic products
-dealiased by the two-thirds rule.  Time stepping is classical RK4 under a
-CFL guard dt * k_max <= cfl, always through `wave_legs`: it keeps the state
-in Fourier space across stages and steps and inverts only the states a
-caller asks for, handing it the spectral fields too (`evolve` samples from
-them by Parseval).  A state type supplies its spectral fields, their right-
-hand side and its rebuild (`spectral`, `spectral_rhs`, `from_spectral`), so
-the same driver steps Maxwell-Klein-Gordon; `step_rk4` is one driver step.
+dealiased by the two-thirds rule.  Time stepping is Lawson's integrating-
+factor RK4: a state's `propagate` is the exact linear wave flow per Fourier
+mode and its `spectral_rhs` the bracket terms only.  Every evolution runs
+through `wave_legs`: the state stays in Fourier space, each leg between
+samples takes as few steps as `controlled_legs`' error estimate allows (at
+most its steps of dt, which the CFL guard checks), and only the states a
+caller asks for are inverted, with their spectral fields (`evolve` samples
+from them by Parseval).  `mkg.MkgState` has the same methods, so one driver
+steps Maxwell-Klein-Gordon; `step_rk4` is one IF step without control.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, gradient,
                        laplacian, leray_cf, leray_df, inverse_laplacian,
                        sobolev_norm)
+
+log = logging.getLogger(__name__)
 
 
 class BlowUpError(RuntimeError):
@@ -47,9 +53,15 @@ class CauchyState:
         return self.grid.fft(self.A), self.grid.fft(self.E)
 
     def spectral_rhs(self, y: tuple) -> tuple:
-        """d/dt of the spectral fields y: (Eh, `_curl_div_hat`), 18 + 18 transforms."""
+        """Nonlinear part of d/dt of the spectral fields y: (None, the bracket
+        terms of `_curl_div_hat`), None standing for a zero dA/dt; 18 + 18
+        transforms."""
         g = self.grid
-        return y[1], _curl_div_hat(g, self.spec, g.ifft(y[0]), y[0])
+        return None, _curl_div_hat(g, self.spec, g.ifft(y[0]), y[0], linear=False)
+
+    def propagate(self, tau: float, y: tuple) -> tuple:
+        """The linear wave flow over tau of the spectral fields y."""
+        return _wave_flow(self.grid, tau, *y)
 
     def from_spectral(self, t: float, y: tuple) -> "CauchyState":
         g = self.grid
@@ -58,6 +70,9 @@ class CauchyState:
 
 @dataclass
 class EvolutionConfig:
+    """dt: the step whose multiples are the sample times; a leg takes at most
+    its steps of dt.  cfl: the bound on dt * k_max, still checked on dt."""
+
     dt: float
     T: float
     cfl: float = 0.5
@@ -89,32 +104,40 @@ def sample_marks(grid: Grid, dt: float, T: float, cfl: float, every: int) -> lis
             if m == 0 or (every and m % every == 0) or m == nsteps]
 
 
-def _curvature_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
-                   Ah: np.ndarray) -> np.ndarray:
+def _curvature_hat(grid: Grid, spec: StructureSpec, A: np.ndarray, Ah: np.ndarray,
+                   curl: bool = True, Fh: np.ndarray | None = None) -> np.ndarray:
     """rfft of the pair-stored magnetic curvature from A and its rfft Ah:
-    masked pair brackets plus the curl of Ah (9 transforms, 3 brackets)."""
-    brk = np.empty((3,) + A.shape[1:])
-    for c, (i, j) in enumerate(PAIRS):
-        bracket(A[i], A[j], spec, out=brk[c])
-    Fh = grid.fft(brk)
-    Fh *= grid.dealias_mask
-    for c, (i, j) in enumerate(PAIRS):
+    masked pair brackets (9 transforms, 3 brackets; skipped, being 0, in an
+    abelian algebra; Fh when held, added to) plus, if curl, the curl of Ah."""
+    if Fh is None and spec.structure_constants.any():
+        brk = np.empty((3,) + A.shape[1:])
+        for c, (i, j) in enumerate(PAIRS):
+            bracket(A[i], A[j], spec, out=brk[c])
+        Fh = grid.fft(brk)
+        Fh *= grid.dealias_mask
+    elif Fh is None:
+        Fh = np.zeros((3,) + Ah.shape[1:], complex)
+    for c, (i, j) in enumerate(PAIRS if curl else ()):
         Fh[c] += derivative_hat(grid, Ah[j], i) - derivative_hat(grid, Ah[i], j)
     return Fh
 
 
 def _curl_div_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
-                  Ah: np.ndarray) -> np.ndarray:
+                  Ah: np.ndarray, linear: bool = True) -> np.ndarray:
     """rfft of sum_j D_j F_{ji} from A and its transform Ah, products
-    dealiased: 18 + 9 transforms and 9 brackets."""
-    Fh = _curvature_hat(grid, spec, A, Ah)
-    F = grid.ifft(Fh)
+    dealiased: 18 + 9 transforms and 9 brackets (none when abelian); linear
+    False leaves out -|k|^2 Ah + k (k . Ah), which `_wave_flow` takes."""
+    D = _curvature_hat(grid, spec, A, Ah, linear)       # F, or its brackets
     out = np.zeros_like(Ah)
+    for c, (i, j) in enumerate(PAIRS):          # D_i F_ij into j, D_j F_ji into i
+        out[j] += derivative_hat(grid, D[c], i)
+        out[i] -= derivative_hat(grid, D[c], j)
+    if not spec.structure_constants.any():
+        return out
+    F = grid.ifft(D if linear else _curvature_hat(grid, spec, A, Ah, Fh=D.copy()))
     brk = np.zeros_like(A)
     tmp = np.empty_like(A[0])
-    for c, (i, j) in enumerate(PAIRS):          # D_i F_ij into j, D_j F_ji into i
-        out[j] += derivative_hat(grid, Fh[c], i)
-        out[i] -= derivative_hat(grid, Fh[c], j)
+    for c, (i, j) in enumerate(PAIRS):
         brk[j] += bracket(A[i], F[c], spec, out=tmp)
         brk[i] -= bracket(A[j], F[c], spec, out=tmp)
     bh = grid.fft(brk)
@@ -133,73 +156,206 @@ def ym_rhs(state: CauchyState):
     return state.E, covariant_curl_div(state.grid, state.spec, state.A)
 
 
-def _axpy(a, c, b, e=None):
-    """e (a + c b) as one fresh array built in place (e None: no factor)."""
+@lru_cache(maxsize=2)
+def _wave_symbols(grid: Grid, tau: float, full: bool = False):
+    """cos(|k| tau), sin(|k| tau) / |k| (tau at k = 0), -|k| sin(|k| tau) and,
+    on the rfft layout, (1 - cos, tau - sin / |k|, |k| sin) / |k|^2."""
+    k = np.sqrt(grid.k2_full if full else grid.k2)
+    c, s = np.cos(k * tau), np.sin(k * tau)
+    sk = np.divide(s, k, out=np.full_like(k, tau), where=k > 0)
+    lon = None if full else tuple(w * grid.inv_k2 for w in (1.0 - c, tau - sk, k * s))
+    return c, sk, -k * s, lon
+
+
+def _wave_flow(grid: Grid, tau: float, X, V, full: bool = False) -> tuple:
+    """e^{tau L} (X, V) for X' = V, V' = -|k|^2 X_transverse, per mode of the
+    grid's Nyquist-zeroed tables (the linear part of `_curl_div_hat`): the
+    transverse part rotates by |k| tau, the longitudinal part shears, X +=
+    tau V.  full: complex scalars in the cfft layout, all transverse.  None
+    is a zero field."""
+    c, sk, mks, lon = _wave_symbols(grid, tau, full)
+    if X is None:
+        X1, V1 = np.multiply(V, sk), np.multiply(V, c)
+    else:
+        X1, V1 = np.multiply(X, c), np.multiply(X, mks)
+        if V is not None:
+            tmp = np.multiply(V, sk)
+            X1 += tmp
+            V1 += np.multiply(V, c, out=tmp)
+    if lon is None:
+        return X1, V1
+    k, rX, rV = (grid.kx, grid.ky, grid.kz), 0.0, 0.0   # X1 += k rX, V1 += k rV
+    for Z, wX, wV in ((X, lon[0], lon[2]), (V, lon[1], lon[0])):
+        if Z is not None:
+            p = np.multiply(Z[0], k[0])
+            p += k[1] * Z[1]
+            p += k[2] * Z[2]
+            rX, rV = rX + wX * p, np.add(rV, np.multiply(p, wV, out=p), out=p)
+    for i in range(3):
+        X1[i] += k[i] * rX
+        V1[i] += k[i] * rV
+    return X1, V1
+
+
+def _axpy(a, c, b):
+    """a + c b as one fresh array built in place; b None (zero): a itself."""
+    if b is None:
+        return a
     u = np.multiply(b, c, dtype=np.result_type(a, b))
     u += a
-    return u if e is None else np.multiply(u, e, out=u)
+    return u
 
 
-def rk4_step(y: tuple, dt: float, f, half=None, full=None, k1=None,
-             with_k4: bool = False):
-    """One classical RK4 step on a tuple of arrays; given per-field factors
-    half = e^{dt L/2} and full = e^{dt L} (None: no linear part L), the
-    integrating-factor RK4 step of y' = L y + f(y) (Kassam & Trefethen 2005).
-    Each stage is one fresh array per field, built in place in the textbook
-    operand order up to exact IEEE commutation; f may return its input.
-    Pass k1 = f(y) when the caller holds it; with_k4 returns the last stage
-    too, as (y_next, k4)."""
-    half, full = half or (None,) * len(y), full or (None,) * len(y)
-
-    def times(e, u):
-        return u if e is None else e * u
-
-    # stages eh (a + dt/2 k1), eh a + dt/2 k2 and ef a + dt (eh k3)
+def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, with_k4: bool = False):
+    """One classical RK4 step on a tuple of arrays; given prop(tau, z) =
+    e^{tau L} z, the exact flow of a linear part L, Lawson's integrating-
+    factor RK4 step of y' = L y + f(y) (Lawson 1967).  f may give None for
+    a zero field, which prop takes too, and may return its input; prop
+    returns fresh arrays.  Stages are built in the textbook operand order up
+    to exact IEEE commutation.  Pass k1 = f(y) when the caller holds it;
+    with_k4 returns (y_next, the last stage k4)."""
+    P = prop or (lambda tau, z: z)
+    h2 = 0.5 * dt
     k1 = f(y) if k1 is None else k1
-    k2 = f(tuple(_axpy(a, 0.5 * dt, k, e) for a, k, e in zip(y, k1, half)))
-    k3 = f(tuple(_axpy(times(e, a), 0.5 * dt, k) for a, k, e in zip(y, k2, half)))
-    k4 = f(tuple(_axpy(times(ef, a), dt, times(eh, k))
-                 for a, k, eh, ef in zip(y, k3, half, full)))
-    out = []
-    for a, b1, b2, b3, b4, eh, ef in zip(y, k1, k2, k3, k4, half, full):
-        # ef a + dt/6 (ef b1 + 2 (eh (b2 + b3)) + b4), in place on b2 + b3
-        u = np.add(b2, b3, dtype=np.result_type(a, b2))
-        for op, x in ((np.multiply, eh), (np.multiply, 2.0), (np.add, times(ef, b1)),
-                      (np.add, b4), (np.multiply, dt / 6.0), (np.add, times(ef, a))):
+    k2 = f(P(h2, tuple(_axpy(a, h2, k) for a, k in zip(y, k1))))
+    k3 = f(tuple(_axpy(a, h2, k) for a, k in zip(P(h2, y), k2)))
+    mid = P(h2, tuple(b2 if b3 is None else b3 if b2 is None else
+                      np.add(b2, b3, dtype=np.result_type(a, b2))
+                      for a, b2, b3 in zip(y, k2, k3)))
+    y4 = tuple(_axpy(a, dt, k) for a, k in zip(P(dt, y), P(h2, k3)))
+    del k2, k3                             # not held through the last stage
+    k4 = f(y4)
+    del y4
+    for u, b1, b4, a in zip(mid, P(dt, k1), k4, P(dt, y)):
+        # e^{dt L} a + dt/6 (e^{dt L} b1 + 2 e^{dt L/2} (b2 + b3) + b4), in place
+        for op, x in ((np.multiply, 2.0), (np.add, b1), (np.add, b4),
+                      (np.multiply, dt / 6.0), (np.add, a)):
             if x is not None:
                 op(u, x, out=u)
-        out.append(u)
-    return (tuple(out), k4) if with_k4 else tuple(out)
+    return (mid, k4) if with_k4 else mid
+
+
+def spectral_norm(grid: Grid, y: tuple) -> float:
+    """L2 norm of the fields y together, by Parseval for the rfft and cfft
+    layouts (complex), as they are for real physical fields; None is 0."""
+    full = grid.volume / grid.n**6
+    return float(np.sqrt(sum(
+        grid.spectral_l2(u) ** 2 if u.shape[-1] != grid.n else
+        full * np.vdot(u, u).real if np.iscomplexobj(u) else grid.l2_norm(u) ** 2
+        for u in y if u is not None)))
 
 
 def step_rk4(state, dt: float):
-    """One RK4 step of a wave state: `wave_legs` to the mark 1."""
-    return wave_legs(state, dt, [1])
+    """One IF-RK4 step of size dt of a wave state, no error control."""
+    y = rk4_step(state.spectral(), dt, state.spectral_rhs, state.propagate)
+    if not all(np.isfinite(u).all() for u in y):
+        raise BlowUpError(f"non-finite state at t={state.t + dt:.6g}")
+    return state.from_spectral(state.t + dt, y)
 
 
-def wave_legs(state, dt: float, marks, emit=None):
-    """RK4 steps of size dt (negative: backward) on `state.spectral()`; after
-    each nondecreasing step count in `marks` (0: the input) emit(st, y)
-    gets the physical state and its spectral fields, read only; returns the
-    state at the last mark.  A Yang-Mills step makes 144 transforms; no
-    emitted state stays referenced through a leg."""
-    g = state.grid
-    y, t, done, st = state.spectral(), state.t, 0, state
-    for mark in marks:
-        if mark > done:
-            del st
-            for _ in range(mark - done):
-                y_next = rk4_step(y, dt, state.spectral_rhs)
-                t += dt
-                if not all(np.isfinite(u).all() for u in y_next):
-                    raise BlowUpError(
-                        f"non-finite state at t={t:.6g} (|A|max before step "
-                        f"{np.max(np.abs(g.ifft(y[0]))):.3e})")
-                y = y_next
-            st, done = state.from_spectral(t, y), mark
+# Tolerance of a leg's error estimate, relative to the L2 norm of the whole
+# state.  One-step flow legs estimate at most 5e-13 on default data, 20x
+# below it: the estimate under-reads a one-step leg's error against 32
+# substeps by up to 16x.  Wave legs meet a tenth of it: at LEG_TOL, su(2)
+# data of amplitude 1 at n = 16 took one step per leg of 5 dt and ended 7x
+# further from a fine reference than fixed-dt classical RK4, at
+# WAVE_LEG_TOL (two steps) 2x closer.
+LEG_TOL = 1e-11
+WAVE_LEG_TOL = 1e-12
+
+
+@dataclass
+class LegRecord:
+    """What `controlled_legs` did: the steps of each accepted leg, the IF
+    steps in all (redone legs included), the legs redone, and the largest
+    error estimate of an accepted leg."""
+
+    counts: list = field(default_factory=list)
+    steps: int = 0
+    redone: int = 0
+    max_error: float = 0.0
+
+
+def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol):
+    """Advance `state` over legs of the given spans (any sign), calling
+    emit(state) at the end of each, a leg of span 0 without a step; returns
+    the `LegRecord`.
+
+    step(y, h, k1) makes one step of size h from y, k1 being rhs(y) or None,
+    and returns the new state and its last stage k4.  The leg's last step
+    gives the estimate e = |h|/10 ||k4 - rhs(y_end)|| / ||y_end|| of the
+    embedded third-order pair (Balac & Mahe 2013), norm taking a whole
+    state, and rhs(y_end) is the next leg's k1 ("first same as last"): a run
+    makes 4 x steps + 1 right-hand sides.  The first leg that moves takes
+    its cap, caps giving each leg's most steps; each later leg the fewest
+    for which the previous estimate scaled by the h^4 law is at most tol.  A
+    leg whose own estimate then exceeds tol is redone at its cap.
+    Non-finite values raise error(leg index).  No emitted state stays
+    referenced through the next leg, which would raise peak memory.
+    """
+    record = LegRecord()
+    k1, e, h = None, 0.0, None
+    for leg, (span, cap) in enumerate(zip(spans, caps)):
+        if span == 0:
+            emit(state)
+            continue
+        m = cap if h is None else next(
+            (j for j in range(1, cap) if e * (span / (j * h)) ** 4 <= tol), cap)
+        start = (state, k1) if m < cap else None      # kept for a redo
+        while True:
+            h = span / m
+            for _ in range(m - 1):
+                state, k1 = step(state, h, k1)[0], None
+            state, k4 = step(state, h, k1)
+            if not all(u is None or np.isfinite(u).all() for u in state):
+                raise error(leg)
+            k1 = rhs(state)
+            e = abs(h) / 10.0 * norm(tuple(None if a is None else a - b for a, b in
+                                           zip(k4, k1))) / max(norm(state), 1e-300)
+            record.steps += m
+            k4 = None                       # not held through a redo or the sample
+            if e <= tol or start is None:
+                break
+            (state, k1), start, m = start, None, cap
+            record.redone += 1
+        start = None                        # not held through the sample
+        record.counts.append(m)
+        record.max_error = max(record.max_error, e)
+        emit(state)
+    return record
+
+
+def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
+    """IF-RK4 legs (dt < 0: backward) on `state.spectral()` to each
+    nondecreasing step count in `marks` (0: the input), `controlled_legs`
+    taking at most the leg's steps of dt at WAVE_LEG_TOL; emit(st, y) gets
+    the physical state at t + mark dt and its spectral fields, read only.
+    Returns the state at the last mark; a `legs` list receives the
+    `LegRecord`.  A Yang-Mills step makes 144 transforms, a leg's estimate
+    36 more."""
+    marks = [int(m) for m in marks]
+    caps = [b - a for a, b in zip([0] + marks, marks)]
+    done, held = iter(marks), []
+
+    def sample(y):
+        mark = next(done)
+        held[:] = [state if mark == 0 else state.from_spectral(state.t + mark * dt, y)]
         if emit is not None:
-            emit(st, y)
-    return st
+            emit(held[0], y)
+
+    def step(y, h, k1):
+        held.clear()                        # no emitted state held through a leg
+        return rk4_step(y, h, state.spectral_rhs, state.propagate, k1=k1, with_k4=True)
+
+    def blowup(leg):
+        return BlowUpError(f"non-finite state at t={state.t + marks[leg] * dt:.6g}")
+
+    record = controlled_legs(state.spectral(), [c * dt for c in caps], caps, step,
+                             state.spectral_rhs, lambda y: spectral_norm(state.grid, y),
+                             sample, blowup, WAVE_LEG_TOL)
+    if legs is not None:
+        legs.append(record)
+    return held[0]
 
 
 def energy(state: CauchyState, Ah: np.ndarray | None = None) -> float:
@@ -219,11 +375,14 @@ class Trajectory:
     hsig: list = field(default_factory=list)
     states: list = field(default_factory=list)
     final: CauchyState | None = None
+    legs: LegRecord | None = None
 
 
 def evolve(state: CauchyState, config: EvolutionConfig,
            sigma: float = 5.0 / 6.0) -> Trajectory:
-    """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms."""
+    """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms
+    every `sample_every` steps of dt; the trajectory keeps the `LegRecord`,
+    and one INFO record logs it."""
     g = state.grid
     traj = Trajectory()
 
@@ -238,9 +397,18 @@ def evolve(state: CauchyState, config: EvolutionConfig,
         if config.keep_states:
             traj.states.append(st.copy())
 
+    legs = []
     traj.final = wave_legs(state, config.dt, sample_marks(
-        g, config.dt, config.T, config.cfl, config.sample_every), sample)
+        g, config.dt, config.T, config.cfl, config.sample_every), sample, legs)
+    traj.legs = legs[0]
+    log_legs("evolve", traj.final.t, traj.legs)
     return traj
+
+
+def log_legs(what: str, t: float, record: LegRecord) -> None:
+    """One INFO record of a wave run's `LegRecord`."""
+    log.info("%s to t = %.6g: %d IF steps, %d legs redone, leg error <= %.1e",
+             what, t, record.steps, record.redone, record.max_error)
 
 
 def ymt_bracket_rhs(state: CauchyState) -> np.ndarray:

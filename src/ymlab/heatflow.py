@@ -8,7 +8,8 @@ are stepped explicitly, so the abelian flow reproduces the heat semigroup to
 round-off.  The flow state lives in Fourier space between samples, so the
 heat factor is a multiply; only the samples go back to physical fields.
 Every flow runs through `sample_legs`, which takes each leg between samples
-in as few steps as an embedded error estimate allows.
+in as few steps as an embedded error estimate allows (the wave's loop,
+`dynamics.controlled_legs`).
 The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
 dU/ds = U A_s.
 
@@ -24,13 +25,14 @@ whose tension needs a second t-derivative, and the tests as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
-from .dynamics import CauchyState, covariant_curl_div, rk4_step, wave_legs
+from .dynamics import (LEG_TOL, CauchyState, LegRecord, controlled_legs,
+                       covariant_curl_div, rk4_step, spectral_norm, wave_legs)
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, duhamel, gradient,
@@ -189,15 +191,6 @@ class _IFSystem:
     def physical(self, y: tuple) -> tuple:
         return self._each(y, self.grid.ifft, self.grid.cifft)
 
-    def norm(self, y: tuple) -> float:
-        """L2 norm of the spectral state y, all fields together (Parseval)."""
-        g = self.grid
-        full = g.volume / g.n**6
-        return float(np.sqrt(sum(
-            g.spectral_l2(u) ** 2 if kd == "heat" else
-            full * np.vdot(u, u).real if kd == "cheat" else g.l2_norm(u) ** 2
-            for u, kd in zip(y, self.kinds))))
-
     def sample_legs(self, y: tuple, s_samples, substeps: int, nonlin, emit,
                     project=None) -> "LegRecord":
         """Module `sample_legs` on the spectral state of the physical y with
@@ -209,7 +202,7 @@ class _IFSystem:
             return z if project is None else project(z), k4
 
         return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin,
-                           self.norm,
+                           lambda z: spectral_norm(self.grid, z),
                            lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
                                              else self.physical(z)))
 
@@ -218,93 +211,32 @@ class _IFSystem:
         return [np.exp(-h * k2[kd]) if kd in k2 else None for kd in self.kinds]
 
     def step(self, y: tuple, h: float, nonlin, k1=None, with_k4: bool = False):
-        """One IF-RK4 step of size h, as `rk4_step`: k1 = nonlin(y) when the
-        caller holds it; with_k4 returns (y at s + h, the last stage k4)."""
-        return rk4_step(y, h, nonlin, self._factors(0.5 * h), self._factors(h),
-                        k1=k1, with_k4=with_k4)
-
-
-# Tolerance of a leg's error estimate, relative to the L2 norm of the whole
-# flow state.  One-step legs estimate at most 5e-13 on default data, 20x
-# below it: the estimate under-reads a one-step leg's error against 32
-# substeps by up to 16x, depending on the data.
-LEG_TOL = 1e-11
-
-
-@dataclass
-class LegRecord:
-    """What `sample_legs` did: the steps of each accepted leg, the IF steps
-    taken in all (redone legs included), the number of legs redone, and the
-    largest error estimate of an accepted leg."""
-
-    counts: list = field(default_factory=list)
-    steps: int = 0
-    redone: int = 0
-    max_error: float = 0.0
+        """One IF-RK4 step of size h, as `rk4_step` with the heat factors as
+        the propagator: k1 = nonlin(y) when the caller holds it; with_k4
+        returns (y at s + h, the last stage k4)."""
+        factors = {tau: self._factors(tau) for tau in (0.5 * h, h)}
+        return rk4_step(y, h, nonlin, lambda tau, z: tuple(
+            u if e is None else e * u for u, e in zip(z, factors[tau])), k1, with_k4)
 
 
 def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
                 emit) -> LegRecord:
-    """Advance `state` through the sorted parabolic times, calling
-    emit(s, state) at each sample; returns the `LegRecord`.
-
-    step(y, h, k1) makes one step of size h from y, k1 being rhs(y) or None,
-    and returns the new state and its last stage k4.  The leg's last step
-    gives the error estimate e = h/10 ||k4 - rhs(y_end)|| / ||y_end|| of the
-    embedded third-order pair with weights (1/6, 1/3, 1/3, 1/15, 1/10)
-    (Balac & Mahe 2013), norm being the L2 norm of a whole state, and
-    rhs(y_end) is the next leg's first k1 ("first same as last"): a flow
-    makes 4 x steps + 1 right-hand sides.  The leg from s = 0 takes
-    max(2 * substeps, 4) steps.  Each later leg takes the fewest steps, at
-    most substeps, for which the previous leg's estimate scaled by the h^4
-    law is at most LEG_TOL; a leg whose own estimate then exceeds LEG_TOL is
-    redone with substeps steps.
-
-    A sample at s = 0 is emitted as given.  Non-finite values in any field
-    raise ParabolicBlowUpError.  emit copies what it keeps; being a
-    callback, not a generator, no sampled state stays referenced through
-    the next leg, which would raise peak memory.
-    """
+    """`dynamics.controlled_legs` through the sorted parabolic times at
+    LEG_TOL, calling emit(s, state) at each sample (at s = 0 the state as
+    given): the leg from s = 0 takes max(2 * substeps, 4) steps, each later
+    leg at most substeps.  Non-finite values raise ParabolicBlowUpError."""
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     times = sorted(float(s) for s in s_samples)
     if times and times[0] < 0:
         raise ValueError("parabolic times must be nonnegative")
-    if times and times[0] == 0.0:
-        emit(0.0, state)
-        times = times[1:]
-    record = LegRecord()
-    s_prev, k1, e, h = 0.0, None, 0.0, None
-    for s_target in times:
-        span = s_target - s_prev
-        if h is None:
-            m = max(2 * substeps, 4)
-        else:
-            m = next((j for j in range(1, substeps)
-                      if e * (span / (j * h)) ** 4 <= LEG_TOL), substeps)
-        start = (state, k1) if m < substeps else None    # kept for a redo
-        while True:
-            h = span / m
-            for _ in range(m - 1):
-                state, k1 = step(state, h, k1)[0], None
-            state, k4 = step(state, h, k1)
-            if not all(np.isfinite(u).all() for u in state):
-                raise ParabolicBlowUpError(f"non-finite flow state at s={s_target:.3e}")
-            k1 = rhs(state)
-            e = h / 10.0 * norm(tuple(a - b for a, b in zip(k4, k1))) \
-                / max(norm(state), 1e-300)
-            record.steps += m
-            k4 = None                       # not held through a redo or the sample
-            if e <= LEG_TOL or start is None:
-                break
-            (state, k1), start, m = start, None, substeps
-            record.redone += 1
-        start = None                        # not held through the sample
-        record.counts.append(m)
-        record.max_error = max(record.max_error, e)
-        emit(s_target, state)
-        s_prev = s_target
-    return record
+    starts, done, box = [0.0] + times[:-1], iter(times), [state]
+    del state                               # the loop holds the only reference
+    return controlled_legs(
+        box.pop(), [b - a for a, b in zip(starts, times)],
+        [max(2 * substeps, 4) if a == 0.0 else substeps for a in starts], step, rhs,
+        norm, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
+            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL)
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:

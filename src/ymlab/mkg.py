@@ -2,14 +2,16 @@
 tension fields, and the modified Hamiltonian.
 
 The Maxwell sector reuses the non-abelian stack with the abelian structure
-group.  `MkgState` is a wave state of `dynamics.wave_legs`: it steps (A, E)
-in rfft layout with the Yang-Mills `_curl_div_hat` plus the scalar current,
-and (phi, phi_t) in the full cfft layout, so a vanishing scalar reproduces
-the Yang-Mills trajectories bit for bit.  The Hamiltonian's Maxwell part
-is `dynamics.energy` at u(1); one nonlinearity (`_mkg_nonlinear`) gives the
-scalar current and D_j D_j phi to the wave step, the heat flow and the
-tension.  The five-slice stencils are `heatflow.make_stencil`'s.  Covariant
-derivatives are D_a = d_a + i A_a with A real.
+group.  `MkgState` is a wave state of `dynamics.wave_legs`: its IF step
+takes (A, E) in rfft layout by the Maxwell wave flow (`dynamics._wave_flow`)
+plus the scalar current, the abelian brackets being 0, and (phi, phi_t) in
+the full cfft layout by the Klein-Gordon rotation plus the covariant terms,
+so a vanishing scalar reproduces the u(1) Yang-Mills trajectories bit for
+bit.  The Hamiltonian's Maxwell part is `dynamics.energy` at u(1); one
+nonlinearity (`_mkg_nonlinear`) gives the scalar current and D_j D_j phi to
+the wave step, the heat flow and the tension.  The five-slice stencils are
+`heatflow.make_stencil`'s.  Covariant derivatives are D_a = d_a + i A_a
+with A real.
 """
 
 from __future__ import annotations
@@ -51,16 +53,20 @@ class MkgState:
         return g.fft(self.A), g.fft(self.E), g.cfft(self.phi), g.cfft(self.phit)
 
     def spectral_rhs(self, y: tuple) -> tuple:
-        """d/dt of the spectral fields y: the Maxwell `_curl_div_hat` plus the
-        masked current, and -|k|^2 phih plus the masked covariant terms."""
+        """Nonlinear part of d/dt of the spectral fields y: the masked scalar
+        current for E, the masked covariant terms for phit (None: zero).
+        The Maxwell brackets vanish: 8 + 12 transforms, no bracket."""
         g = self.grid
         Ah, _, phih, _ = y
-        A = g.ifft(Ah)
-        NA, Nphi = _mkg_nonlinear(g, A, g.cifft(phih), phih, divergence(g, vh=Ah)[0])
-        Edot = dyn._curl_div_hat(g, _U1, A, Ah)
-        Edot += NA
-        Nphi -= g.k2_full * phih
-        return y[1], Edot, y[3], Nphi
+        NA, Nphi = _mkg_nonlinear(g, g.ifft(Ah), g.cifft(phih), phih,
+                                  divergence(g, vh=Ah)[0])
+        return None, NA, None, Nphi
+
+    def propagate(self, tau: float, y: tuple) -> tuple:
+        """The linear flow over tau: the Maxwell wave on (A, E), phi_tt =
+        Lap phi on (phi, phit)."""
+        g = self.grid
+        return dyn._wave_flow(g, tau, *y[:2]) + dyn._wave_flow(g, tau, *y[2:], full=True)
 
     def from_spectral(self, t: float, y: tuple) -> "MkgState":
         g = self.grid
@@ -100,11 +106,13 @@ def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
 
 def mkg_rhs(state: MkgState):
     """(dA, dE, dphi, dphit) in the temporal gauge: `MkgState.spectral_rhs`
-    in physical space.  dE adds the scalar current to the Yang-Mills curl
-    divergence; the scalar wave is phi_tt = D_j D_j phi."""
+    plus the linear parts, in physical space.  dE adds the scalar current to
+    the Maxwell curl divergence; the scalar wave is phi_tt = D_j D_j phi."""
     g = state.grid
-    _, Edot, _, phitt = state.spectral_rhs(state.spectral())
-    return state.E, g.ifft(Edot), state.phit, g.cifft(phitt)
+    y = state.spectral()
+    _, NA, _, Nphi = state.spectral_rhs(y)
+    NA += dyn._curl_div_hat(g, _U1, state.A, y[0])
+    return state.E, g.ifft(NA), state.phit, g.cifft(Nphi - g.k2_full * y[2])
 
 
 def _hamiltonian(grid: Grid, A, B, phi, Dtphi, Ah=None, phih=None) -> float:
@@ -162,7 +170,9 @@ def repair_constraint(state: MkgState) -> MkgState:
 
 def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
            cfl: float = 0.5):
-    """Integrate, recording energy / charge / constraint residual."""
+    """Integrate, recording energy / charge / constraint residual every
+    `sample_every` steps of dt, and the wave's `LegRecord` ("legs"), which
+    one INFO record logs."""
     g = state.grid
     times, energies, charges, constraint = [], [], [], []
 
@@ -172,10 +182,12 @@ def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
         charges.append(charge(st))
         constraint.append(constraint_residual(st, hat[1])[1])
 
+    legs = []
     final = dyn.wave_legs(state, dt, dyn.sample_marks(g, dt, T, cfl, sample_every),
-                          sample)
+                          sample, legs)
+    dyn.log_legs("mkg evolve", final.t, legs[0])
     return {"times": times, "energies": energies, "charges": charges,
-            "constraint": constraint, "final": final}
+            "constraint": constraint, "final": final, "legs": legs[0]}
 
 
 # --- MKG heat flow ------------------------------------------------------------

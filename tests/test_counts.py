@@ -81,8 +81,10 @@ def test_energy_at_transforms(counter):
 
 
 def test_mkg_step_transforms(counter):
-    """An MKG wave step makes 4 x (14 + 15) transforms on the spectral state
-    (192 with physical-space stages): the count at 8 steps less that at 4."""
+    """An MKG wave step makes 4 x (8 + 12) transforms on the spectral state:
+    the count at 8 steps less that at 4.  The abelian Maxwell brackets are
+    skipped (4 x (14 + 15) when their 6 + 3 transforms ran; 192 with
+    physical-space stages)."""
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
     totals = []
@@ -90,14 +92,16 @@ def test_mkg_step_transforms(counter):
         before = dict(counter)
         mkg.evolve(st, 1e-3, nsteps * 1e-3)
         totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
-    assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 56, 4 * 60)
+    assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 32, 4 * 48)
 
 
 def test_mkg_sample_transforms(counter):
-    """An MKG evolve sample makes 7 + 2 transforms besides the driver's 8
+    """An MKG evolve sample makes 4 + 2 transforms besides the driver's 8
     inverses, reading the energy and the Gauss-law residual from the spectral
-    fields (28 when the energy and residual were physical): 4 steps sampled
-    at every step less sampled at the last only.  `mkg_energy` takes 10 (22)."""
+    fields and skipping the abelian curvature brackets (7 + 2 with them; 28
+    when the energy and residual were physical): 4 steps sampled at every
+    step less sampled at the last only.  `mkg_energy` takes 7 (10 with the
+    brackets, 22 in physical space)."""
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
     totals = []
@@ -105,10 +109,10 @@ def test_mkg_sample_transforms(counter):
         before = dict(counter)
         mkg.evolve(st, 1e-3, 4e-3, sample_every=every)
         totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
-    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 7, 3 * (2 + 8))
+    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 8))
     before = dict(counter)
     mkg.mkg_energy(st)
-    assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (10, 0)
+    assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (7, 0)
 
 
 def test_make_data_transforms(counter):
@@ -120,6 +124,43 @@ def test_make_data_transforms(counter):
     total = counter["fwd"] + counter["inv"]
     assert total <= 4884 // 3
     assert (counter["fwd"], counter["inv"]) == (204, 168)
+
+
+def test_make_data_pulses_transforms(counter):
+    """`make_data` for the pulses family: 34 transforms, the Gauss residual
+    taken from the constraint repair (64 when the data report measured it
+    again after the repair)."""
+    cfg = config.ExperimentConfig(n=16, family="pulses")
+    _, report = datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
+    assert (counter["fwd"], counter["inv"]) == (20, 14)
+    assert report["gauss_residual"] == 0.0
+
+
+def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
+    """The evolve experiment's wave: at n = 32, T = 0.2 (50 legs of 2 dt)
+    51 IF steps, 2 + 49 x 1, and 4 x 51 + 1 = 205 right-hand sides (100
+    RK4 steps at fixed dt); at the default config (50 legs of 5 dt) at most
+    60 steps (250 at fixed dt)."""
+    calls = [0]
+    rhs = dynamics.CauchyState.spectral_rhs
+
+    def counted(self, y):
+        calls[0] += 1
+        return rhs(self, y)
+
+    monkeypatch.setattr(dynamics.CauchyState, "spectral_rhs", counted)
+    for n, T, every in ((32, 0.2, 2), (16, 0.5, 5)):
+        cfg = config.ExperimentConfig(n=n, T=T)
+        g = grid.Grid(cfg.n, cfg.L)
+        state, _ = datagen.make_data(cfg, g)
+        calls[0] = 0
+        legs = dynamics.evolve(state, dynamics.EvolutionConfig(
+            dt=cfg.dt, T=cfg.T, sample_every=every)).legs
+        assert calls[0] == 4 * legs.steps + 1 and legs.redone == 0
+        if n == 32:
+            assert legs.counts == [2] + [1] * 49 and legs.steps == 51
+        else:
+            assert legs.counts[0] == 5 and legs.steps <= 60
 
 
 def test_gauss_operator_counts(counter):

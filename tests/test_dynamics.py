@@ -31,19 +31,28 @@ def test_abelian_plane_wave_linear_rhs(grid16, ab):
 
 
 def test_plane_wave_period_return_and_order(grid16, ab):
+    """The IF step takes the abelian plane wave exactly: through `evolve` it
+    returns after one period to round-off.  Classical RK4, written out on
+    `ym_rhs`, converges to it at order 4."""
     st = abelian_wave(grid16, ab, 0.1)
     period = 2.0 * np.pi
+    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=period / 128, T=period))
+    assert np.max(np.abs(tr.final.A - st.A)) < 1e-14
+    assert np.max(np.abs(tr.final.E - st.E)) < 1e-14
     errs = []
     for div in (128, 256):
-        tr = dyn.evolve(st, dyn.EvolutionConfig(dt=period / div, T=period))
-        errs.append(np.max(np.abs(tr.final.A - st.A)))
+        y = (st.A, st.E)
+        for _ in range(div):
+            y = dyn.rk4_step(y, period / div,
+                             lambda z: dyn.ym_rhs(dyn.CauchyState(grid16, ab, 0.0, *z)))
+        errs.append(np.max(np.abs(y[0] - st.A)))
     order = np.log2(errs[0] / errs[1])
     assert abs(order - 4.0) < 0.3
 
 
 def test_rk4_self_convergence(grid16, s2, rng):
     st = su2_state(grid16, s2, rng)
-    dt = 4e-3
+    dt = 4e-2
     one = dyn.step_rk4(st, dt)
     half = dyn.step_rk4(dyn.step_rk4(st, dt / 2), dt / 2)
     quarter = st
@@ -54,30 +63,120 @@ def test_rk4_self_convergence(grid16, s2, rng):
     assert 16 * 0.8 < e1 / e2 < 16 / 0.8 * 1.1
 
 
+def _linear_part(grid, A):
+    """-|k|^2 A + k (k . A), the linear part of sum_j D_j F_ji, physical."""
+    Ah = grid.fft(A)
+    kA = sum(grid.k(i) * Ah[i] for i in range(3))
+    return grid.ifft(np.stack([-grid.k2 * Ah[i] + grid.k(i) * kA for i in range(3)]))
+
+
 def test_wave_legs_matches_physical_loop(grid16, s2, rng):
-    """The spectral-state driver against RK4 with physical-space stages,
-    written out here: 10 steps forward (sampled at 4 and 10) and one back."""
+    """The spectral-state driver against Lawson IF-RK4 with physical-space
+    stages, written out here on the steps the driver's `LegRecord` took:
+    legs to the marks 4 and 10 and one step back.  The first leg takes all
+    its steps; the emitted t is t0 + mark dt."""
     st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
     dt = 4e-3
 
-    def physical_loop(nsteps, h):
-        y, t = (st.A, st.E), st.t
-        for _ in range(nsteps):
-            y = dyn.rk4_step(y, h, lambda z: (
-                z[1], dyn.covariant_curl_div(grid16, s2, z[0])))
-            t += h
-        return t, y
+    def nonlinear(z):
+        return None, dyn.covariant_curl_div(grid16, s2, z[0]) - _linear_part(grid16, z[0])
 
-    got = []
-    final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat: got.append(state))
+    def prop(tau, z):
+        zh = tuple(None if u is None else grid16.fft(u) for u in z)
+        return tuple(grid16.ifft(u) for u in st.propagate(tau, zh))
+
+    def physical_loop(marks, counts, h):
+        y, out = (st.A, st.E), []
+        for a, b, m in zip([0] + marks, marks, counts):
+            for _ in range(m):
+                y = dyn.rk4_step(y, (b - a) * h / m, nonlinear, prop)
+            out.append(y)
+        return out
+
+    got, legs = [], []
+    final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat: got.append(state), legs)
     assert final is got[-1]
+    assert legs[0].counts[0] == 4 and 1 <= legs[0].counts[1] <= 6
     back = []
-    dyn.wave_legs(st, -dt, [1], lambda state, _hat: back.append(state))
-    for (nsteps, h), state in zip([(4, dt), (10, dt), (1, -dt)], got + back):
-        t, (A, E) = physical_loop(nsteps, h)
-        assert state.t == t
+    dyn.wave_legs(st, -dt, [1], lambda state, _hat: back.append(state), legs)
+    assert legs[1].counts == [1]
+    want = physical_loop([4, 10], legs[0].counts, dt) + physical_loop([1], [1], -dt)
+    for t, state, (A, E) in zip((4 * dt, 10 * dt, -dt), got + back, want):
+        assert state.t == st.t + t
         for ref, val in ((A, state.A), (E, state.E)):
             assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_wave_propagator_group_law(grid16, s2, rng):
+    """P_h P_h = P_2h and P_-h P_h = 1 to round-off, on random spectral
+    (A, E) and on MKG scalar pairs (cfft layout), zero blocks included."""
+    g, h = grid16, 0.037
+    A, E = (g.fft(rng.standard_normal((3, 3, 16, 16, 16))) for _ in range(2))
+    phi, phit = (g.cfft(rng.standard_normal((16,) * 3) + 1j * rng.standard_normal((16,) * 3))
+                 for _ in range(2))
+    for pair, full in (((A, E), False), ((phi, phit), True), ((None, E), False)):
+        def flow(tau, y):
+            return dyn._wave_flow(g, tau, *y, full=full)
+
+        twice, double = flow(h, flow(h, pair)), flow(2 * h, pair)
+        back = flow(-h, flow(h, pair))
+        for u, v, w in zip(twice, double, back):
+            scale = np.max(np.abs(v))
+            assert np.max(np.abs(u - v)) <= 1e-13 * scale
+        for u, w in zip(pair, back):
+            ref = np.zeros_like(w) if u is None else u
+            assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(back[1]))
+
+
+@pytest.mark.parametrize("amp", [0.1, 1.0])
+def test_controlled_evolve_accuracy(grid16, s2, amp):
+    """su(2) data sampled every 5 dt: the controlled IF `evolve` ends no
+    further from classical RK4 at dt/4 than fixed-dt classical RK4 does,
+    in fewer steps; its energy drifts by less than 1e-10, and its Gauss
+    residual grows by at most 1.001 times the growth under fixed-dt
+    classical RK4 (the truncation cascade at n = 16 grows it 7x for both)."""
+    st, _ = random_state(grid16, s2, amp, seed=2, mode_cut=3.0, decay=1e6)
+    dt, nsteps = 2e-3, 25
+
+    def classical(h, n, every):
+        y, gauss = (st.A, st.E), [gt.gauss_residual(grid16, st.A, st.E, s2)[1]]
+        for m in range(1, n + 1):
+            y = dyn.rk4_step(y, h, lambda z: dyn.ym_rhs(dyn.CauchyState(grid16, s2, 0.0, *z)))
+            if m % every == 0:
+                gauss.append(gt.gauss_residual(grid16, *y, s2)[1])
+        return y, np.array(gauss)
+
+    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=dt, T=nsteps * dt, sample_every=5))
+    assert tr.legs.steps < nsteps
+    ref, _ = classical(dt / 4, 4 * nsteps, 4 * nsteps)
+    fixed, gauss = classical(dt, nsteps, 5)
+
+    def gap(y):
+        return np.sqrt(sum(np.sum((u - v) ** 2) for u, v in zip(y, ref)))
+
+    assert gap((tr.final.A, tr.final.E)) <= gap(fixed)
+    e, gs = np.array(tr.energies), np.array(tr.gauss)
+    assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
+    assert gs.max() / gs[0] < 1.001 * gauss.max() / gauss[0]
+
+
+def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
+    """`evolve` and `mkg.evolve` keep the wave's `LegRecord` and log it in
+    one INFO record each."""
+    from ymlab import mkg
+    from ymlab.datagen import mkg_random
+    st = su2_state(grid16, s2, rng)
+    with caplog.at_level("INFO", logger="ymlab.dynamics"):
+        tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.02, sample_every=5))
+        out = mkg.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
+                         2e-3, 0.02, sample_every=5)
+    for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"])):
+        assert rec.counts[0] == 5 and sum(rec.counts) == rec.steps <= 10
+        assert 0.0 < rec.max_error <= dyn.WAVE_LEG_TOL
+    msgs = [r.getMessage() for r in caplog.records]
+    assert msgs == [f"{what} to t = 0.02: {rec.steps} IF steps, 0 legs redone, "
+                    f"leg error <= {rec.max_error:.1e}"
+                    for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"]))]
 
 
 def test_evolve_transform_count(s2, rng):

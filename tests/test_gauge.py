@@ -186,7 +186,7 @@ def test_constraint_repair_keeps_satisfying_pulses(grid16, s2):
     """Pulses data has a Gauss residual of exactly 0 and a third of its
     spectrum off the band; it comes back as it went in, with no 0/0."""
     cfg = config.ExperimentConfig(n=16, family="pulses")
-    st_p = datagen.colliding_pulses(grid16, s2, cfg.amplitude)
+    st_p, _ = datagen.colliding_pulses(grid16, s2, cfg.amplitude)
     assert gt.gauss_residual(grid16, st_p.A, st_p.E, s2)[1] == 0.0
     E = gt.constraint_repair(grid16, st_p.A, st_p.E, s2, tol=1e-12)
     assert np.all(np.isfinite(E))
