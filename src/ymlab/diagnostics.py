@@ -11,7 +11,7 @@ import numpy as np
 
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
-from .dynamics import CauchyState, energy, wave_legs
+from .dynamics import CauchyState, energy, log_legs, wave_legs
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
 from .grid import Grid
@@ -238,8 +238,9 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     drawn from one lattice (`heatflow.nested_sample_grids`), so they share
     most of their points; their union is flowed once and each modified
     energy reads its own grid.  Each time sample logs one INFO record with
-    t, the union size, the IF steps taken and the largest leg error estimate
-    (`heatflow.sample_legs`).  The fitted log-log slope is
+    t, the union size, the IF steps taken, the legs redone and the largest
+    leg error estimate (`heatflow.sample_legs`); the wave's `LegRecord` gets
+    one more (`dynamics.log_legs`).  The fitted log-log slope is
     exploratory output.
     """
     N_values = sorted(N_values)
@@ -253,9 +254,9 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
         rec, legs = [], []
         hf.run_flow(st, union, substeps=substeps, keep_states=False,
                     observer=lambda f: rec.append((f.s, energy_at(f))), legs=legs)
-        log.info("sweep t = %.6g: %d flow samples, %d IF steps, leg error <= %.1e",
-                 t_samples[len(ie[N_values[0]])], len(union), legs[0].steps,
-                 legs[0].max_error)
+        log.info("sweep t = %.6g: %d flow samples, %d IF steps, %d legs redone, "
+                 "leg error <= %.1e", t_samples[len(ie[N_values[0]])], len(union),
+                 legs[0].steps, legs[0].redone, legs[0].max_error)
         s_all, e_all = np.array(rec).T
         for N in N_values:
             sel = np.isin(s_all, grids[N]) | (s_all == 0.0)
@@ -263,7 +264,9 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
             ie[N].append(val)
 
     steps = [int(round((b - a) / dt)) for a, b in zip(t_samples, t_samples[1:])]
-    wave_legs(state0, dt, np.cumsum([0] + steps, dtype=int), measure)
+    wave = []
+    wave_legs(state0, dt, np.cumsum([0] + steps, dtype=int), measure, wave)
+    log_legs("sweep wave", T, wave[0])
 
     drifts = [max(abs(v - ie[N][0]) for v in ie[N]) for N in N_values]
     logs = np.log(np.asarray(N_values, float))

@@ -276,7 +276,8 @@ class LegRecord:
     max_error: float = 0.0
 
 
-def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol):
+def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol,
+                    cold: bool = True):
     """Advance `state` over legs of the given spans (any sign), calling
     emit(state) at the end of each, a leg of span 0 without a step; returns
     the `LegRecord`.
@@ -286,10 +287,13 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol
     gives the estimate e = |h|/10 ||k4 - rhs(y_end)|| / ||y_end|| of the
     embedded third-order pair (Balac & Mahe 2013), norm taking a whole
     state, and rhs(y_end) is the next leg's k1 ("first same as last"): a run
-    makes 4 x steps + 1 right-hand sides.  The first leg that moves takes
-    its cap, caps giving each leg's most steps; each later leg the fewest
-    for which the previous estimate scaled by the h^4 law is at most tol.  A
-    leg whose own estimate then exceeds tol is redone at its cap.
+    makes 4 x steps + 1 right-hand sides.  caps give each leg's most steps.
+    The first leg that moves takes one step if cold, else its cap; each
+    later leg the fewest for which the previous estimate scaled by the h^4
+    law is at most tol.  A leg whose own estimate then exceeds tol is redone
+    at its cap, from the kept state and k1.  Pass cold only when the
+    estimate sees every block of the state: a block whose right-hand side
+    does not depend on the state (the u(1) caloric transport) reads 0.
     Non-finite values raise error(leg index).  No emitted state stays
     referenced through the next leg, which would raise peak memory.
     """
@@ -299,7 +303,7 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol
         if span == 0:
             emit(state)
             continue
-        m = cap if h is None else next(
+        m = (1 if cold else cap) if h is None else next(
             (j for j in range(1, cap) if e * (span / (j * h)) ** 4 <= tol), cap)
         start = (state, k1) if m < cap else None      # kept for a redo
         while True:
@@ -405,10 +409,10 @@ def evolve(state: CauchyState, config: EvolutionConfig,
     return traj
 
 
-def log_legs(what: str, t: float, record: LegRecord) -> None:
-    """One INFO record of a wave run's `LegRecord`."""
-    log.info("%s to t = %.6g: %d IF steps, %d legs redone, leg error <= %.1e",
-             what, t, record.steps, record.redone, record.max_error)
+def log_legs(what: str, t: float, record: LegRecord, var: str = "t") -> None:
+    """One INFO record of a run's `LegRecord`, ending at var = t."""
+    log.info("%s to %s = %.6g: %d IF steps, %d legs redone, leg error <= %.1e",
+             what, var, t, record.steps, record.redone, record.max_error)
 
 
 def ymt_bracket_rhs(state: CauchyState) -> np.ndarray:

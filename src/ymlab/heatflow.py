@@ -194,9 +194,9 @@ class _IFSystem:
     def sample_legs(self, y: tuple, s_samples, substeps: int, nonlin, emit,
                     project=None) -> "LegRecord":
         """Module `sample_legs` on the spectral state of the physical y with
-        `step` and nonlin, each step followed by project(state) when given;
-        emit gets physical fields that no later step writes to (copies of y
-        at s = 0)."""
+        `step` and nonlin, each step followed by project(state) when given,
+        cold unless a field is an "ode" block; emit gets physical fields
+        that no later step writes to (copies of y at s = 0)."""
         def step(z, h, k1):
             z, k4 = self.step(z, h, nonlin, k1, True)
             return z if project is None else project(z), k4
@@ -204,7 +204,8 @@ class _IFSystem:
         return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin,
                            lambda z: spectral_norm(self.grid, z),
                            lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
-                                             else self.physical(z)))
+                                             else self.physical(z)),
+                           "ode" not in self.kinds)
 
     def _factors(self, h):
         k2 = {"heat": self.grid.k2, "cheat": self.grid.k2_full}
@@ -220,11 +221,12 @@ class _IFSystem:
 
 
 def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
-                emit) -> LegRecord:
+                emit, cold: bool = True) -> LegRecord:
     """`dynamics.controlled_legs` through the sorted parabolic times at
     LEG_TOL, calling emit(s, state) at each sample (at s = 0 the state as
-    given): the leg from s = 0 takes max(2 * substeps, 4) steps, each later
-    leg at most substeps.  Non-finite values raise ParabolicBlowUpError."""
+    given): the leg from s = 0 takes at most max(2 * substeps, 4) steps, one
+    if cold and its estimate meets LEG_TOL, each later leg at most
+    substeps.  Non-finite values raise ParabolicBlowUpError."""
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     times = sorted(float(s) for s in s_samples)
@@ -236,7 +238,7 @@ def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
         box.pop(), [b - a for a, b in zip(starts, times)],
         [max(2 * substeps, 4) if a == 0.0 else substeps for a in starts], step, rhs,
         norm, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
-            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL)
+            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL, cold)
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:

@@ -114,8 +114,10 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
         Fh = dyn._curvature_hat(grid, f.spec, f.A, Ah)
         rec.append((f.s, dg.energy_at(f, Ah), 0.5 * grid.spectral_l2(Fh) ** 2))
 
+    legs = []
     hf.run_flow(state, samples, substeps=cfg.substeps, keep_states=False,
-                observer=observe)
+                observer=observe, legs=legs)
+    dyn.log_legs("heatflow", s0, legs[0], "s")
     s_vals, e_vals, m_vals = np.array(rec).T
     ie, parts = dg.modified_energy(s_vals, e_vals, cfg.N, cfg.sigma)
     _write_csv(os.path.join(out_dir, "results.csv"),
@@ -205,10 +207,11 @@ def _run_invariants(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     from .gauge import constraint_repair
     spec = spec_of(cfg.group)
     rng = np.random.default_rng(cfg.seed)
+    cut = min(cfg.mode_cut, cfg.n / 6.0)     # pairwise products stay on the 2/3 band
     A = random_alg_field(grid, spec, rng, cfg.amplitude,
-                         mode_cut=cfg.mode_cut, decay=cfg.decay, components=3)
+                         mode_cut=cut, decay=cfg.decay, components=3)
     E = random_alg_field(grid, spec, rng, cfg.amplitude,
-                         mode_cut=cfg.mode_cut, decay=cfg.decay, components=3)
+                         mode_cut=cut, decay=cfg.decay, components=3)
     E = constraint_repair(grid, A, E, spec, tol=1e-9 * max(cfg.amplitude, 1e-6))
     audit = dg.invariant_audit(grid, spec, A, E, rng=rng)
     phi = random_alg_field(grid, spec, rng, cfg.amplitude, mode_cut=cfg.mode_cut)
@@ -228,4 +231,5 @@ def _run_invariants(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
         fh.write("\n")
     passed = all(v < 1e-8 for v in audit.values()) and all(
         v < 10.0 for v in gn.values())
-    return {"audit": audit, "gn_ratios": gn, "all_pass": bool(passed)}
+    return {"audit": audit, "gn_ratios": gn, "all_pass": bool(passed),
+            "audit_mode_cut": cut}

@@ -80,35 +80,51 @@ def test_energy_at_transforms(counter):
     assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (18, 0)
 
 
-def test_mkg_step_transforms(counter):
-    """An MKG wave step makes 4 x (8 + 12) transforms on the spectral state:
-    the count at 8 steps less that at 4.  The abelian Maxwell brackets are
-    skipped (4 x (14 + 15) when their 6 + 3 transforms ran; 192 with
-    physical-space stages)."""
+def _transforms_per_call(counter, monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that lists the (forward, inverse)
+    transforms of each call."""
+    fn, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        before = dict(counter)
+        out = fn(*args, **kwargs)
+        calls.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_mkg_step_transforms(counter, monkeypatch):
+    """An MKG wave step that makes its own first stage makes 4 x (8 + 12)
+    transforms on the spectral state, each `rk4_step` call counted over the
+    steps of one leg.  The abelian Maxwell brackets are skipped (4 x (14 +
+    15) when their 6 + 3 transforms ran; 192 with physical-space stages)."""
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
-    totals = []
-    for nsteps in (4, 8):
-        before = dict(counter)
-        mkg.evolve(st, 1e-3, nsteps * 1e-3)
-        totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
-    assert (totals[1][0] - totals[0][0], totals[1][1] - totals[0][1]) == (4 * 32, 4 * 48)
+    per_step = _transforms_per_call(counter, monkeypatch, dynamics, "rk4_step")
+    legs = mkg.evolve(st, 1e-3, 8e-3)["legs"]
+    assert legs.steps >= 1 and per_step == [(4 * 8, 4 * 12)] * legs.steps
 
 
-def test_mkg_sample_transforms(counter):
+def test_mkg_sample_transforms(counter, monkeypatch):
     """An MKG evolve sample makes 4 + 2 transforms besides the driver's 8
     inverses, reading the energy and the Gauss-law residual from the spectral
     fields and skipping the abelian curvature brackets (7 + 2 with them; 28
     when the energy and residual were physical): 4 steps sampled at every
-    step less sampled at the last only.  `mkg_energy` takes 7 (10 with the
+    step less sampled at the last only, the transforms of the right-hand
+    sides, counted per call, taken out.  `mkg_energy` takes 7 (10 with the
     brackets, 22 in physical space)."""
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
+    rhs = _transforms_per_call(counter, monkeypatch, mkg.MkgState, "spectral_rhs")
     totals = []
     for every in (1, 4):
         before = dict(counter)
+        rhs.clear()
         mkg.evolve(st, 1e-3, 4e-3, sample_every=every)
-        totals.append((counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]))
+        totals.append(tuple(counter[k] - before[k] - sum(c[i] for c in rhs)
+                            for i, k in enumerate(("fwd", "inv"))))
     assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 8))
     before = dict(counter)
     mkg.mkg_energy(st)
@@ -138,9 +154,10 @@ def test_make_data_pulses_transforms(counter):
 
 def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
     """The evolve experiment's wave: at n = 32, T = 0.2 (50 legs of 2 dt)
-    51 IF steps, 2 + 49 x 1, and 4 x 51 + 1 = 205 right-hand sides (100
-    RK4 steps at fixed dt); at the default config (50 legs of 5 dt) at most
-    60 steps (250 at fixed dt)."""
+    50 IF steps, one per leg, the first starting cold, and 4 x 50 + 1 = 201
+    right-hand sides (51 steps with a first leg of 2; 100 RK4 steps at
+    fixed dt); at the default config (50 legs of 5 dt) 50 steps (54 with a
+    first leg of 5; 250 at fixed dt)."""
     calls = [0]
     rhs = dynamics.CauchyState.spectral_rhs
 
@@ -157,10 +174,25 @@ def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
         legs = dynamics.evolve(state, dynamics.EvolutionConfig(
             dt=cfg.dt, T=cfg.T, sample_every=every)).legs
         assert calls[0] == 4 * legs.steps + 1 and legs.redone == 0
-        if n == 32:
-            assert legs.counts == [2] + [1] * 49 and legs.steps == 51
-        else:
-            assert legs.counts[0] == 5 and legs.steps <= 60
+        assert legs.counts == [1] * 50 and legs.steps == 50
+
+
+def test_cold_wave_leg_above_the_tolerance_is_redone_at_its_cap(monkeypatch):
+    """The sweep-n16 benchmark's wave is one leg of 50 dt.  Its cold first
+    step misses WAVE_LEG_TOL, so the leg is redone at its cap of 50 from the
+    kept state: 51 IF steps, and the state of a leg that took its cap at
+    once, bit for bit."""
+    cfg = config.ExperimentConfig(kind="acl-sweep", n=16, T=0.1, time_samples=2)
+    state, _ = datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
+    legs = []
+    final = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
+    assert legs[0].counts == [50] and legs[0].steps == 51 and legs[0].redone == 1
+    controlled = dynamics.controlled_legs
+    monkeypatch.setattr(dynamics, "controlled_legs",
+                        lambda *args: controlled(*args, cold=False))
+    warm = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
+    assert legs[1].counts == [50] and legs[1].steps == 50
+    assert final.A.tobytes() == warm.A.tobytes() and final.E.tobytes() == warm.E.tobytes()
 
 
 def test_gauss_operator_counts(counter):
@@ -245,7 +277,7 @@ def test_controlled_flow_right_hand_sides(monkeypatch):
     heatflow.run_flow(state, heatflow.sample_grid(cfg.s0_value, 6), substeps=2,
                       keep_states=False, legs=legs)
     assert calls == {"step": legs[0].steps, "rhs": 4 * legs[0].steps + 1}
-    assert legs[0].counts == [4, 1, 1, 1, 1, 1] and legs[0].redone == 0
+    assert legs[0].counts == [1] * 6 and legs[0].redone == 0
     calls.update(step=0, rhs=0)
     heatflow.flow_tangent(state, (0.0, cfg.s0_value / 4, cfg.s0_value), substeps=4)
     assert calls == {"step": 10, "rhs": 4 * 10 + 1}

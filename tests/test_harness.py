@@ -214,6 +214,28 @@ def test_runner_invariants_all_pass(tmp_path):
     assert schema["rows"] > 0
 
 
+def test_runner_invariants_pass_at_the_default_config(tmp_path):
+    """At n = 16 the default mode_cut 3 puts the audit's nested products
+    off the two-thirds band (bianchi about 1e-5); the audit draws A and E
+    at n / 6 instead, records that cut, and passes at its 1e-8 bound."""
+    summary = run(ExperimentConfig(kind="invariants"), str(tmp_path / "inv"))
+    assert summary["all_pass"] and summary["audit_mode_cut"] == 16 / 6.0
+    assert max(summary["audit"].values()) < 1e-8
+
+
+def test_runner_heatflow_logs_its_legs(tmp_path, caplog):
+    """The heatflow experiment logs its flow's `LegRecord` in one INFO
+    record and writes none of it to the summary."""
+    cfg = ExperimentConfig(kind="heatflow", n=8, s_samples=4)
+    with caplog.at_level("INFO", logger="ymlab.dynamics"):
+        summary = run(cfg, str(tmp_path / "hf"))
+    msgs = [r.getMessage() for r in caplog.records if r.name == "ymlab.dynamics"]
+    assert len(msgs) == 1 and msgs[0].startswith("heatflow to s = 0.015625: ")
+    assert " IF steps, 0 legs redone, leg error <= " in msgs[0]
+    assert sorted(summary) == ["data_report", "experiment", "magnetic_monotone",
+                               "modified_energy", "modified_energy_parts", "s0", "seed"]
+
+
 def test_runner_evolve_abelian(tmp_path):
     cfg = ExperimentConfig(kind="evolve", n=16, family="abelian-wave",
                            group="u1", amplitude=0.1, dt=2e-3, T=0.1,

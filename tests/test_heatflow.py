@@ -173,6 +173,35 @@ def test_caloric_abelian_closed_form(grid16, ab, rng):
     assert np.max(np.abs(div_cal - div_0)) < 1e-10
 
 
+def test_first_leg_starts_cold_only_where_the_estimate_sees_every_block(
+        grid16, ab, rng, monkeypatch):
+    """On the caloric test's data the u(1) transport block has no linear part
+    and a right-hand side free of U, so the leg estimate reads exactly 0 on
+    every block: a cold one-step first leg would pass, 1.6e-9 from the
+    closed form.  `run_flow` with transport keeps its first leg at
+    max(2 substeps, 4) = 16 steps; without it, the leg starts at one."""
+    st = abelian_state(grid16, ab, rng)
+    st = dyn.CauchyState(grid16, ab, 0.0,
+                         st.A + 0.3 * sp.leray_cf(
+                             grid16, gt.random_alg_field(
+                                 grid16, ab, rng, 0.3, mode_cut=2.0,
+                                 components=3)), st.E)
+    s = 0.02
+    expect = (sp.heat_propagate(grid16, sp.leray_df(grid16, st.A), s)
+              + sp.leray_cf(grid16, st.A))
+    sample_legs, legs = hf.sample_legs, []
+    for cold in (False, True):
+        if cold:
+            monkeypatch.setattr(hf, "sample_legs", lambda *a: sample_legs(*a[:7], True))
+        flows = hf.run_flow(st, [s], with_transport=True, substeps=8, legs=legs)
+        gap = np.max(np.abs(hf.to_caloric(flows)[-1] - expect)) / np.max(np.abs(st.A))
+        assert legs[-1].counts == ([1] if cold else [16]) and legs[-1].redone == 0
+        assert legs[-1].max_error == 0.0 and (gap > 1e-10) == cold
+    monkeypatch.undo()
+    hf.run_flow(st, [s], substeps=8, legs=legs)
+    assert legs[-1].counts == [1]
+
+
 def test_fornberg_weights():
     w = hf.fornberg_weights(np.arange(5.0), 2.0, 1)
     assert np.allclose(w, np.array([1, -8, 0, 8, -1]) / 12.0)
@@ -329,8 +358,8 @@ def test_sample_legs_schedule_and_validation(grid8, s2, rng):
     record, out, hs = _scalar_legs(lambda y: (np.ones(1),), [0.3, 0.0, 0.1, 0.2], 2,
                                    (np.zeros(1),))
     assert [s for s, _ in out] == [0.0, 0.1, 0.2, 0.3]
-    # the leg from s = 0 is refined; a zero estimate gives one step per later leg
-    assert record.counts == [4, 1, 1] and record.steps == len(hs) == 6
+    # the first leg starts cold at one step; a zero estimate keeps every leg at one
+    assert record.counts == [1, 1, 1] and record.steps == len(hs) == 3
     assert record.redone == 0 and record.max_error == 0.0
     assert abs(out[-1][1] - 0.3) < 1e-15
     with pytest.raises(ValueError, match="substeps"):
@@ -344,10 +373,10 @@ def test_sample_legs_schedule_and_validation(grid8, s2, rng):
 
 def test_sample_legs_redoes_a_leg_above_the_tolerance():
     """y' = 5 max(s - 1, 0) y, with s as the second field: the estimate is 0
-    up to s = 1, so the leg to 1.1 is predicted at one step; its own
-    estimate exceeds LEG_TOL, and it is redone with substeps steps, which
-    meet it.  The flow makes 4 x steps + 1 right-hand sides, the redone leg
-    included."""
+    up to s = 1, so the cold first leg keeps its one step and the leg to 1.1
+    is predicted at one step; its own estimate exceeds LEG_TOL, and it is
+    redone with substeps steps, which meet it.  The flow makes 4 x steps + 1
+    right-hand sides, the redone leg included."""
     calls = [0]
 
     def rhs(y):
@@ -355,9 +384,9 @@ def test_sample_legs_redoes_a_leg_above_the_tolerance():
         return 5.0 * np.maximum(y[1] - 1.0, 0.0) * y[0], np.ones(1)
 
     record, out, hs = _scalar_legs(rhs, [0.5, 1.0, 1.1], 8, (np.ones(1), np.zeros(1)))
-    assert record.counts == [16, 1, 8] and record.redone == 1
-    assert record.steps == len(hs) == 16 + 1 + 1 + 8
-    assert hs[17] == pytest.approx(0.1) and hs[18:] == [pytest.approx(0.1 / 8)] * 8
+    assert record.counts == [1, 1, 8] and record.redone == 1
+    assert record.steps == len(hs) == 1 + 1 + 1 + 8
+    assert hs[2] == pytest.approx(0.1) and hs[3:] == [pytest.approx(0.1 / 8)] * 8
     assert 0.0 < record.max_error <= hf.LEG_TOL
     assert calls[0] == 4 * record.steps + 1
     assert abs(out[-1][1] - np.exp(2.5 * 0.1**2)) < 1e-11
@@ -375,8 +404,10 @@ def test_controlled_flows_match_a_refined_fixed_step_flow(grid8, s2, amp, monkey
     LEG_TOL of the state's L2 norm (the estimate under-reads a leg's error
     by up to 16x) beyond the samples of today's fixed substeps per leg,
     which a leg keeps where fewer steps do not meet LEG_TOL (at amplitude 1
-    the last leg does not meet it even so).  The first leg takes
-    max(2 substeps, 4) steps and no later leg more than substeps."""
+    the last leg does not meet it even so).  The first leg of `run_flow`
+    starts cold at one step; that of `flow_tangent`, whose A_0 block the
+    estimate does not see, takes max(2 substeps, 4); no later leg takes
+    more than substeps."""
     rng = np.random.default_rng(3)
     st = su2_state(grid8, s2, rng, amp=amp, cut=1.5)
     samples, substeps = hf.sample_grid(1 / 32.0, 3, 16.0), 2
@@ -391,8 +422,8 @@ def test_controlled_flows_match_a_refined_fixed_step_flow(grid8, s2, amp, monkey
     monkeypatch.setattr(hf, "sample_legs", recorded)
     tangent = hf.flow_tangent(st, samples, substeps)
     monkeypatch.undo()
-    for c in (legs[0].counts, counts[0]):
-        assert c[0] == 4 and max(c[1:]) <= substeps and len(c) == 3
+    for c, first in ((legs[0].counts, 1), (counts[0], 4)):
+        assert c[0] == first and max(c[1:]) <= substeps and len(c) == 3
         assert min(c[1:]) < substeps or amp == 1.0   # amplitude 0.1: a leg is cut
     bound = 100 * hf.LEG_TOL
     monkeypatch.setattr(hf, "LEG_TOL", -1.0)       # no estimate meets it: fixed steps

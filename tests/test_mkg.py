@@ -257,7 +257,8 @@ def test_hamiltonian_identity_flows_each_node_once(grid8, monkeypatch):
 
 def test_stencil_if_step_transform_count(monkeypatch):
     """One IF step of the five-slice MKG flow makes 4 x 5 x 21 scalar 3-D
-    transforms (720 when the dealiased products were transformed again)."""
+    transforms (720 when the dealiased products were transformed again),
+    each `_IFSystem.step` call counted over the steps of one leg."""
     from ymlab import heatflow as hf
     from ymlab.grid import Grid
     g = Grid(8)
@@ -280,7 +281,7 @@ def test_stencil_if_step_transform_count(monkeypatch):
 
     monkeypatch.setattr(hf._IFSystem, "step", counted_step)
     mkg.flow_mkg_stencil(stn, [1 / 256.0], substeps=1)
-    assert per_step == [420] * 4
+    assert per_step and per_step == [420] * len(per_step)
 
 
 def test_repair_requires_neutral_charge(grid16, ab, rng):
