@@ -177,21 +177,22 @@ def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
         assert legs.counts == [1] * 50 and legs.steps == 50
 
 
-def test_cold_wave_leg_above_the_tolerance_is_redone_at_its_cap(monkeypatch):
+def test_cold_wave_leg_above_the_tolerance_is_sized_by_step_doubling(monkeypatch):
     """The sweep-n16 benchmark's wave is one leg of 50 dt.  Its cold first
-    step misses WAVE_LEG_TOL, so the leg is redone at its cap of 50 from the
-    kept state: 51 IF steps, and the state of a leg that took its cap at
-    once, bit for bit."""
+    step misses WAVE_LEG_TOL, so the leg is probed at two steps, and the
+    probe's step-doubling error sizes the redo from the kept state at 12
+    steps: 1 + 2 + 12 = 15 IF steps (51 when the redo took its cap of 50),
+    and the state of a warm leg of 12 steps, bit for bit."""
     cfg = config.ExperimentConfig(kind="acl-sweep", n=16, T=0.1, time_samples=2)
     state, _ = datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
     legs = []
     final = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
-    assert legs[0].counts == [50] and legs[0].steps == 51 and legs[0].redone == 1
+    assert legs[0].counts == [12] and legs[0].steps == 15 and legs[0].redone == 1
     controlled = dynamics.controlled_legs
-    monkeypatch.setattr(dynamics, "controlled_legs",
-                        lambda *args: controlled(*args, cold=False))
+    monkeypatch.setattr(dynamics, "controlled_legs", lambda y, spans, caps, *rest:
+                        controlled(y, spans, [0, 12], *rest, cold=False))
     warm = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
-    assert legs[1].counts == [50] and legs[1].steps == 50
+    assert legs[1].counts == [12] and legs[1].steps == 12 and legs[1].redone == 0
     assert final.A.tobytes() == warm.A.tobytes() and final.E.tobytes() == warm.E.tobytes()
 
 

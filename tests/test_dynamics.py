@@ -163,7 +163,8 @@ def test_controlled_evolve_accuracy(grid16, s2, amp):
 def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
     """`evolve` and `mkg.evolve` keep the wave's `LegRecord` and log it in
     one INFO record each; on these data the cold first step misses, and the
-    first leg is redone at its cap of 5."""
+    two-step probe of step doubling is the first leg (redone at its cap of 5
+    before the probe sized it); the probe's steps count in the record."""
     from ymlab import mkg
     from ymlab.datagen import mkg_random
     st = su2_state(grid16, s2, rng)
@@ -172,13 +173,133 @@ def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
         out = mkg.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
                          2e-3, 0.02, sample_every=5)
     for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"])):
-        assert rec.counts[0] == 5 and rec.redone == 1
-        assert sum(rec.counts) + 1 == rec.steps <= 10
+        assert rec.counts == [2, 2] and rec.redone == 1
+        assert 1 + sum(rec.counts) == rec.steps == 5
         assert 0.0 < rec.max_error <= dyn.WAVE_LEG_TOL
     msgs = [r.getMessage() for r in caplog.records]
     assert msgs == [f"{what} to t = 0.02: {rec.steps} IF steps, 1 legs redone, "
                     f"leg error <= {rec.max_error:.1e}"
                     for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"]))]
+
+
+def _l2(y):
+    return float(np.sqrt(sum(np.sum(u * u) for u in y)))
+
+
+def _scalar_controlled(rhs, y0, span, cap, tol, cold=True):
+    """`controlled_legs` over one leg on small arrays with the classical RK4
+    step; returns the record, the end state and the step sizes taken."""
+    hs, out = [], []
+
+    def step(y, h, k1):
+        hs.append(h)
+        return dyn.rk4_step(y, h, rhs, k1=k1, with_k4=True)
+
+    record = dyn.controlled_legs(y0, [span], [cap], step, rhs, _l2, out.append,
+                                 dyn.BlowUpError, tol, cold)
+    return record, out[0], hs
+
+
+def test_missed_cold_leg_is_sized_by_step_doubling():
+    """y' = cos(2 s) + c y, s' = 1: the estimate sees only the c y term, so
+    the cold step of span 0.1 misses tol.  The leg is probed at two steps
+    and redone at the fewest m for which the probe's step-doubling error
+    r = ||y_2 - y_1|| / 15 / ||y_2||, scaled by (2/m)^4, is at most tol: at
+    c = 0.01 that leg meets its own estimate and tol against a fine
+    reference, and is bit for bit a warm leg of m steps; at c = 0.1 its
+    own estimate misses, and it is redone at its cap as before."""
+    tol, span, cap, y0 = dyn.WAVE_LEG_TOL, 0.1, 50, (np.zeros(1), np.zeros(1))
+    for c, sized in ((0.01, True), (0.1, False)):
+        def rhs(y):
+            return np.cos(2.0 * y[1]) + c * y[0], np.ones(1)
+
+        y1 = dyn.rk4_step(y0, span, rhs)
+        y2 = dyn.rk4_step(dyn.rk4_step(y0, span / 2, rhs), span / 2, rhs)
+        r = _l2([u - v for u, v in zip(y2, y1)]) / 15.0 / _l2(y2)
+        m = int(np.ceil(2.0 * (r / tol) ** 0.25))
+        assert 2 < m < cap
+        record, end, hs = _scalar_controlled(rhs, y0, span, cap, tol)
+        assert hs[:3 + m] == [span, span / 2, span / 2] + [span / m] * m
+        assert record.redone == 1
+        if not sized:
+            assert record.counts == [cap] and hs[3 + m:] == [span / cap] * cap
+            continue
+        assert record.counts == [m] and record.steps == len(hs) == 1 + 2 + m
+        assert 0.0 < record.max_error <= tol
+        ref = y0
+        for _ in range(2000):
+            ref = dyn.rk4_step(ref, span / 2000, rhs)
+        assert _l2([u - v for u, v in zip(end, ref)]) <= tol * _l2(ref)
+        _, warm, _ = _scalar_controlled(rhs, y0, span, m, tol, cold=False)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(end, warm))
+
+
+def test_missed_cold_leg_keeps_its_cap_without_a_finite_probe():
+    """With tol <= 0 (the fixed-step idiom) the missed cold step is redone
+    at its cap with no probe; a probe whose step-doubling error is not
+    finite (here the squared norm of a state near 1e200 overflows) leaves
+    the redo at its cap too; neither raises."""
+    def rhs(y):
+        return (y[0],)
+
+    record, _, hs = _scalar_controlled(rhs, (np.ones(1),), 0.5, 20, -1.0)
+    assert record.counts == [20] and record.redone == 1 and hs == [0.5] + [0.025] * 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        record, end, hs = _scalar_controlled(rhs, (np.full(1, 1e200),), 0.5, 20,
+                                             dyn.WAVE_LEG_TOL)
+    assert record.counts == [20] and record.redone == 1
+    assert hs == [0.5, 0.25, 0.25] + [0.025] * 20 and np.isfinite(end[0]).all()
+
+
+def test_step_doubling_reads_the_sweep_wave_leg_error():
+    """The sweep-n16 benchmark's wave leg (50 dt, seed 1): against 256 IF
+    steps, the step-doubling error ||y_2m - y_m|| / 15 / ||y_2m|| lies within
+    [0.5, 2] x the true error of y_2m for m = 1, 2, 4, 8, while the embedded
+    estimate of the m-step leg reads at least 50x below its true error; the
+    leg that `wave_legs` sizes from the probe ends no further from the
+    reference than fixed-dt classical RK4."""
+    from ymlab import config, datagen, grid
+    cfg = config.ExperimentConfig(kind="acl-sweep", n=16, T=0.1, time_samples=2)
+    g = grid.Grid(cfg.n, cfg.L)
+    st, _ = datagen.make_data(cfg, g)
+    span = 50 * cfg.dt
+
+    def step(y, h, k1):
+        return dyn.rk4_step(y, h, st.spectral_rhs, st.propagate, k1=k1, with_k4=True)
+
+    def norm(y):
+        return dyn.spectral_norm(g, y)
+
+    def leg(m):
+        out = []
+        rec = dyn.controlled_legs(st.spectral(), [span], [m], step, st.spectral_rhs,
+                                  norm, out.append, dyn.BlowUpError, 0.0, cold=False)
+        return out[0], rec.max_error
+
+    legs = {m: leg(m) for m in (1, 2, 4, 8, 16, 256)}
+    ref = legs.pop(256)[0]
+
+    def true(y):
+        return norm(tuple(u - v for u, v in zip(y, ref))) / norm(ref)
+
+    for m in (1, 2, 4, 8):
+        y, y2 = legs[m][0], legs[2 * m][0]
+        doubling = norm(tuple(u - v for u, v in zip(y2, y))) / 15.0 / norm(y2)
+        assert 0.5 <= doubling / true(y2) <= 2.0
+        assert true(y) >= 50.0 * legs[m][1]
+    record = []
+    sized = dyn.wave_legs(st, cfg.dt, [0, 50], None, record)
+    assert record[0].counts[0] < 50
+    fixed = (st.A, st.E)
+    for _ in range(50):
+        fixed = dyn.rk4_step(fixed, cfg.dt,
+                             lambda z: dyn.ym_rhs(dyn.CauchyState(g, st.spec, 0.0, *z)))
+    exact = st.from_spectral(st.t + span, ref)
+
+    def gap(A, E):
+        return np.sqrt(np.sum((A - exact.A) ** 2) + np.sum((E - exact.E) ** 2))
+
+    assert gap(sized.A, sized.E) <= gap(*fixed)
 
 
 def _counted_transforms(g, owner, name, monkeypatch):
