@@ -117,10 +117,6 @@ def inner(x: np.ndarray, y: np.ndarray, spec: StructureSpec) -> np.ndarray:
     return spec.metric_normalization * np.einsum("a...,a...->...", x, y)
 
 
-def norm(x: np.ndarray, spec: StructureSpec) -> np.ndarray:
-    return np.sqrt(inner(x, x, spec))
-
-
 # --- group elements -------------------------------------------------------
 
 def identity_group(spec: StructureSpec, site_shape: tuple = ()) -> np.ndarray:

@@ -26,16 +26,15 @@ def spec_of(name: str) -> StructureSpec:
     raise ValueError(f"unknown structure group {name!r}")
 
 
-def abelian_wave(grid: Grid, spec: StructureSpec, amplitude: float,
-                 mode: int = 1) -> CauchyState:
+def abelian_wave(grid: Grid, spec: StructureSpec, amplitude: float) -> CauchyState:
     """Travelling plane wave in one algebra direction: an exact solution.
 
-    A_i(t,x) = a p_i cos(m x - w t) with polarization p orthogonal to the
-    propagation axis, w = |k|.  In the non-abelian group the single algebra
-    direction keeps every bracket zero.
+    A_i(t,x) = a p_i cos(k x - w t), k = 2 pi / L, with polarization p
+    orthogonal to the propagation axis, w = |k|.  In the non-abelian group
+    the single algebra direction keeps every bracket zero.
     """
     X, _, _ = grid.x
-    kx = 2.0 * np.pi * mode / grid.L
+    kx = 2.0 * np.pi / grid.L
     shape = (3, spec.dim) + (grid.n,) * 3
     A = np.zeros(shape)
     E = np.zeros(shape)
@@ -46,15 +45,14 @@ def abelian_wave(grid: Grid, spec: StructureSpec, amplitude: float,
 
 
 def random_state(grid: Grid, spec: StructureSpec, amplitude: float, seed: int,
-                 mode_cut: float, decay: float, sigma: float = 5.0 / 6.0,
-                 repair_tol: float = 1e-9):
+                 mode_cut: float, decay: float, sigma: float = 5.0 / 6.0):
     """Band-limited random data normalized to ||A||_{H^sigma} = amplitude."""
     rng = np.random.default_rng(seed)
     A = random_alg_field(grid, spec, rng, 1.0, mode_cut, decay, components=3)
     E = random_alg_field(grid, spec, rng, 1.0, mode_cut, decay, components=3)
     A *= amplitude / sobolev_norm(grid, A, sigma)
     E *= amplitude / sobolev_norm(grid, E, sigma - 1.0)
-    E, gauss = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6),
+    E, gauss = constraint_repair(grid, A, E, spec, tol=1e-9 * max(amplitude, 1e-6),
                                  return_residual=True)
     st = CauchyState(grid, spec, 0.0, A, E)
     report = {
@@ -65,8 +63,7 @@ def random_state(grid: Grid, spec: StructureSpec, amplitude: float, seed: int,
     return st, report
 
 
-def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float,
-                     repair_tol: float = 1e-9):
+def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float):
     """Two smooth counter-propagating wave packets.
 
     Periodic Gaussian-like envelopes exp(kappa (cos(x - x0) - 1)) carrying
@@ -91,7 +88,7 @@ def colliding_pulses(grid: Grid, spec: StructureSpec, amplitude: float,
     from .spectral import derivative
     E[1, 0] = -derivative(grid, A[1, 0], 0)
     E[2, d2] = +derivative(grid, A[2, d2], 0)
-    E, gauss = constraint_repair(grid, A, E, spec, tol=repair_tol * max(amplitude, 1e-6),
+    E, gauss = constraint_repair(grid, A, E, spec, tol=1e-9 * max(amplitude, 1e-6),
                                  return_residual=True)
     return CauchyState(grid, spec, 0.0, A, E), gauss
 
@@ -112,15 +109,15 @@ def mkg_random(grid: Grid, amplitude: float, seed: int, mode_cut: float,
     return mkg_mod.repair_constraint(st)
 
 
-def mkg_wave(grid: Grid, amplitude: float, mode: int = 1) -> mkg_mod.MkgState:
-    """A = 0 with a standing Klein-Gordon wave phi = a cos(kx) cos(wt).
+def mkg_wave(grid: Grid, amplitude: float) -> mkg_mod.MkgState:
+    """A = 0 with a standing Klein-Gordon wave phi = a cos(kx) cos(wt), k = 2 pi / L.
 
     A travelling complex wave carries net charge, which the torus constraint
     cannot source; the real standing wave is charge-free and still an exact
     linear solution.
     """
     X, _, _ = grid.x
-    kx = 2.0 * np.pi * mode / grid.L
+    kx = 2.0 * np.pi / grid.L
     phi = amplitude * np.cos(kx * X) * np.ones((grid.n,) * 3) + 0.0j
     phit = np.zeros_like(phi)
     shape = (3, 1) + (grid.n,) * 3

@@ -158,9 +158,9 @@ def energy_identity_check(state0: CauchyState, t_span: float, s: float,
 # --- audits -------------------------------------------------------------------
 
 def invariant_audit(grid: Grid, spec: StructureSpec, A: np.ndarray,
-                    E: np.ndarray, rng=None) -> dict:
-    """Normalized residuals of the structural identities on (A, E)."""
-    rng = np.random.default_rng(0) if rng is None else rng
+                    E: np.ndarray, rng: np.random.Generator) -> dict:
+    """Normalized residuals of the structural identities on (A, E), the
+    covariant-derivative checks on test fields drawn from rng."""
     F = curvature(grid, A, spec)
     scaleF = max(grid.l2_norm(F), 1e-30)
     bianchi = (covariant_derivative(grid, A, pair_component(F, 1, 2), 0, spec)

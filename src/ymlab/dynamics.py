@@ -96,11 +96,13 @@ def active_kmax(grid: Grid) -> float:
 def sample_marks(grid: Grid, dt: float, T: float, cfl: float, every: int) -> list:
     """Step counts at which an integration to T samples for `wave_legs`: 0,
     each multiple of `every` (0: none) and the last.  Raises on dt * kmax
-    above the CFL bound."""
+    above the CFL bound and on a T that is not a multiple of dt."""
     if dt * active_kmax(grid) > cfl + 1e-12:
         raise ValueError(f"CFL violation: dt*kmax = {dt * active_kmax(grid):.3f} "
                          f"> cfl = {cfl}")
     nsteps = int(round(T / dt))
+    if abs(nsteps * dt - T) > 1e-9 * T:
+        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return [m for m in range(nsteps + 1)
             if m == 0 or (every and m % every == 0) or m == nsteps]
 
@@ -297,15 +299,14 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol
     The first leg that moves takes one step if cold, else its cap; each
     later leg the fewest for which the previous estimate scaled by the h^4
     law is at most tol.  A leg whose own estimate then exceeds tol is redone
-    at its cap, from the kept state and k1; but a cold first leg (tol > 0)
-    is first probed at two steps and redone at the fewest m >= 2 for which
-    the probe's step-doubling error r = ||y_2 - y_1|| / 15 / ||y_2||
-    (Richardson; the embedded e reads up to 140x low there), scaled by
-    (2/m)^4, is at most tol, the probe itself being the leg at m = 2, and
-    at its cap if r is not finite or that leg's e still exceeds tol.  Pass
-    cold only when the estimate sees every block of the state: a block
-    whose right-hand side does not depend on the state (the u(1) caloric
-    transport) reads 0.
+    once, from the kept state and k1: at its cap, except a cold first leg
+    (tol > 0), which is probed at two steps and redone at the fewest m >= 2
+    for which the probe's step-doubling error r = ||y_2 - y_1|| / 15 /
+    ||y_2|| (Richardson; the embedded e reads up to 140x low there), scaled
+    by (2/m)^4, is at most tol, at its cap if r is not finite; the probe
+    itself is the leg at m = 2.  Pass cold only when the estimate sees
+    every block of the state: a block whose right-hand side does not depend
+    on the state (the u(1) caloric transport) reads 0.
     Non-finite values raise error(leg index).  No emitted state stays
     referenced through the next leg, which would raise peak memory.
     """
@@ -334,13 +335,13 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol
                 r = norm(_minus(state, y1)) / 15.0 / max(norm(state), 1e-300)
                 q, y1 = 2.0 * (r / tol) ** 0.25, None
                 m = max(2, math.ceil(q)) if q < cap else cap
-                if m > 2:
-                    (state, k1), start = start, start if m < cap else None
-                    continue
-            if e <= tol or m == cap:
+                if m == 2:
+                    break
+                (state, k1), start = start, None
+            elif e <= tol or start is None:
                 break
-            if probe:
-                (state, k1), y1, m, probe = start, state, 2, False
+            elif probe:
+                (state, k1), y1, m = start, state, 2
             else:
                 (state, k1), start, m = start, None, cap
         start = None                        # not held through the sample

@@ -94,11 +94,11 @@ def adjoint_field(U: np.ndarray, X: np.ndarray, spec: StructureSpec) -> np.ndarr
 
 
 def gauge_transform(grid: Grid, A: np.ndarray, E: np.ndarray | None,
-                    U: np.ndarray, spec: StructureSpec,
-                    mc_warn: float = 1e-6):
-    """Apply A -> U A U^{-1} - (dU) U^{-1}, E -> U E U^{-1} for spatial U."""
+                    U: np.ndarray, spec: StructureSpec):
+    """Apply A -> U A U^{-1} - (dU) U^{-1}, E -> U E U^{-1} for spatial U;
+    warns when the Maurer-Cartan tangency residual exceeds 1e-6."""
     mc, resid = mc_derivative(grid, U, spec, return_residual=True)
-    if resid > mc_warn:
+    if resid > 1e-6:
         warnings.warn(f"gauge field is rough: Maurer-Cartan tangency residual {resid:.3e}")
     At = dealias(grid, adjoint_field(U, A, spec)) - dealias(grid, mc)
     if E is None:
@@ -216,17 +216,17 @@ def constraint_repair(grid: Grid, A: np.ndarray, E_raw: np.ndarray,
 
 
 def coulomb_project(grid: Grid, A: np.ndarray, spec: StructureSpec,
-                    tol: float = 1e-11, max_iter: int = 40):
+                    tol: float = 1e-11):
     """Iterated exponential gauge change driving div A to zero.
 
     Each step applies U = exp(V) with grad V the curl-free part of the
-    current connection.  Returns the transformed connection and the
-    accumulated group field.
+    current connection, at most 40 steps.  Returns the transformed
+    connection and the accumulated group field.
     """
     At = A.copy()
     U_tot = alg.identity_group(spec, (grid.n,) * 3)
     history = [grid.l2_norm(divergence(grid, At))]
-    for _ in range(max_iter):
+    for _ in range(40):
         if history[-1] <= tol:
             return At, U_tot, history
         V = inverse_laplacian(grid, divergence(grid, At))
@@ -268,9 +268,8 @@ def random_alg_field(grid: Grid, spec: StructureSpec, rng: np.random.Generator,
 
 
 def random_gauge(grid: Grid, spec: StructureSpec, seed: int,
-                 amplitude: float = 0.3, decay: float = 2.0,
-                 mode_cut: float | None = None) -> np.ndarray:
+                 amplitude: float = 0.3, mode_cut: float | None = None) -> np.ndarray:
     """Deterministic smooth random gauge transformation U = exp(X)."""
     rng = np.random.default_rng(seed)
-    X = random_alg_field(grid, spec, rng, amplitude, mode_cut, decay)
+    X = random_alg_field(grid, spec, rng, amplitude, mode_cut)
     return alg.exp_map(X, spec)

@@ -94,7 +94,7 @@ def nested_sample_grids(s0_values, n_samples: int = 32,
 # --- DeTurck right-hand side ------------------------------------------------
 
 def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
-                      B: np.ndarray | None, Ah=None, Bh=None):
+                      B: np.ndarray, Ah=None, Bh=None):
     """Bracket terms of the DeTurck parabolic system, as dealiased transforms.
 
     connection:  [A^l, d_l A_i + F_li]
@@ -106,7 +106,7 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
     A and B are physical; pass their rfft as Ah, Bh when the caller holds it.
     Returns (N_A, N_B, F_magnetic, DB) with F physical and the others in rfft
     layout, masked brackets; DB = D^l B_l, the trace of the transformed
-    2 d_l B_i + [A_l, B_i] less div B.  N_B and DB are None when B is None.
+    2 d_l B_i + [A_l, B_i] less div B.
     """
     mask = grid.dealias_mask
     Ah = grid.fft(A) if Ah is None else Ah
@@ -119,7 +119,7 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
         Fmag[c] += G[i][j] - G[j][i]
         G[i, j] += Fmag[c]
         G[j, i] -= Fmag[c]
-    N = np.empty((1 if B is None else 2,) + A.shape)   # N_A, N_B
+    N = np.empty((2,) + A.shape)                 # N_A, N_B
 
     def contract(G, out):                        # out[i] = sum_l [A^l, G[l, i]]
         for l, i in np.ndindex(3, 3):
@@ -128,23 +128,21 @@ def deturck_nonlinear(grid: Grid, spec: StructureSpec, A: np.ndarray,
         out += brk[2]
 
     contract(G, N[0])
-    DB = None
-    if B is not None:
-        Bh = grid.fft(B) if Bh is None else Bh
-        for l, i in np.ndindex(3, 3):
-            bracket(A[l], B[i], spec, out=brk[l, i])
-        Gh = grid.fft(brk)
-        Gh *= mask
-        for l in range(3):
-            Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
-        DB = sum(Gh[l, l] - derivative_hat(grid, Bh[l], l) for l in range(3))
-        contract(grid.ifft(Gh), N[1])            # G[l, i] = 2 d_l B_i + [A_l, B_i]
-        for c, (i, j) in enumerate(PAIRS):      # 2[B^l, F_li], F_ji = -F_ij
-            N[1, j] += 2.0 * bracket(B[i], Fmag[c], spec, out=brk[1, 0])
-            N[1, i] -= 2.0 * bracket(B[j], Fmag[c], spec, out=brk[1, 0])
+    Bh = grid.fft(B) if Bh is None else Bh
+    for l, i in np.ndindex(3, 3):
+        bracket(A[l], B[i], spec, out=brk[l, i])
+    Gh = grid.fft(brk)
+    Gh *= mask
+    for l in range(3):
+        Gh[l] += 2.0 * derivative_hat(grid, Bh, l)
+    DB = sum(Gh[l, l] - derivative_hat(grid, Bh[l], l) for l in range(3))
+    contract(grid.ifft(Gh), N[1])                # G[l, i] = 2 d_l B_i + [A_l, B_i]
+    for c, (i, j) in enumerate(PAIRS):          # 2[B^l, F_li], F_ji = -F_ij
+        N[1, j] += 2.0 * bracket(B[i], Fmag[c], spec, out=brk[1, 0])
+        N[1, i] -= 2.0 * bracket(B[j], Fmag[c], spec, out=brk[1, 0])
     Nh = grid.fft(N)
     Nh *= mask
-    return Nh[0], None if B is None else Nh[1], Fmag, DB
+    return Nh[0], Nh[1], Fmag, DB
 
 
 def _deturck_hat(grid: Grid, spec: StructureSpec, Ah, Bh):
@@ -255,8 +253,7 @@ def flow_step(flow: FlowState, ds: float) -> FlowState:
 
 
 def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
-             with_transport: bool = False, renorm_tol: float = 1e-6,
-             observer=None, keep_states: bool = True,
+             with_transport: bool = False, observer=None, keep_states: bool = True,
              legs: list | None = None) -> list[FlowState]:
     """Flow the Cauchy data through the sample list of parabolic times.
 
@@ -281,7 +278,7 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
 
     def project(y):
         U, corr = alg.renormalize(y[2], spec)
-        if corr > renorm_tol:
+        if corr > 1e-6:
             raise ParabolicBlowUpError(
                 f"caloric transport left the group: correction {corr:.2e}")
         return y[0], y[1], U
@@ -427,14 +424,13 @@ class TimeStencil:
         return np.tensordot(w, fields, axes=(0, 0))
 
 
-def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4, observer=None):
+def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4):
     """Flow the five slices in lockstep, integrating A_0 per slice.
 
     A_0 obeys dA_0/ds = d_t(div A) - [div A, A_0] - D^l B_l with A_0(0)=0;
     the cross-slice time derivative of div A is evaluated stage by stage so
     every slice sees consistent data.  Returns a list (one entry per sample)
-    of lists of 5 FlowStates carrying A, B, A0; with an observer, each such
-    list is passed to it instead and none is kept.
+    of lists of 5 FlowStates carrying A, B, A0.
     """
     g, spec = stencil.grid, stencil.spec
     d = spec.dim
@@ -466,10 +462,9 @@ def flow_stencil(stencil: TimeStencil, s_samples, substeps: int = 4, observer=No
         return NA, NB, NA0
 
     out = []
-    emit = out.append if observer is None else observer
     sys.sample_legs((A, B, A0), s_samples, substeps, nonlin,
-                    lambda s, y: emit([FlowState(g, spec, s, y[0][m], y[1][m], A0=y[2][m])
-                                       for m in range(5)]))
+                    lambda s, y: out.append([FlowState(g, spec, s, y[0][m], y[1][m],
+                                                       A0=y[2][m]) for m in range(5)]))
     return out
 
 
@@ -557,17 +552,14 @@ def b_compatibility_residual(state: CauchyState, s: float, substeps: int = 4) ->
     return g.l2_norm(B_rec - B) / max(g.l2_norm(B), 1e-30)
 
 
-def f_bilinear_part(origin: CauchyState, s: float, substeps: int = 6,
-                    flow: list[FlowState] | None = None):
+def f_bilinear_part(origin: CauchyState, s: float, substeps: int = 6):
     """Difference route for the bilinear curvature part.
 
     F_bil(s) = F(s) - e^{s Lap} F(0), returned as the pair
     (magnetic pair components, electric components).
     """
     g, spec = origin.grid, origin.spec
-    if flow is None:
-        flow = run_flow(origin, [s], substeps=substeps)
-    end = flow[-1]
+    end = run_flow(origin, [s], substeps=substeps)[-1]
     mag = curvature(g, end.A, spec) - heat_propagate(g, curvature(g, origin.A, spec), s)
     ele = end.B - heat_propagate(g, origin.E, s)
     return mag, ele
@@ -614,8 +606,9 @@ def f_bilinear_duhamel(origin: CauchyState, s: float, n_quad: int = 16,
     return out[:3], out[3:]
 
 
-def w2_leading(origin: CauchyState, s: float, n_quad: int = 32) -> np.ndarray:
-    """Leading bilinear tension term via the Duhamel heat form.
+def w2_leading(origin: CauchyState, s: float) -> np.ndarray:
+    """Leading bilinear tension term via the Duhamel heat form, by 32-node
+    Gauss-Legendre in s'.
 
     Applies the W symbol, node by node, to the bracket pair
     (E^l(0), d_i E_l(0) - 2 d_l E_i(0)); the overall sign follows the
@@ -639,4 +632,4 @@ def w2_leading(origin: CauchyState, s: float, n_quad: int = 32) -> np.ndarray:
             yield g.fft(np.stack([sum(bracket(Eheat[l], Gheat[i, l], spec)
                                       for l in range(3)) for i in range(3)]))
 
-    return -2.0 * duhamel(g, s, n_quad, sources)
+    return -2.0 * duhamel(g, s, 32, sources)

@@ -293,8 +293,9 @@ def mkg_tension(stencil: hf.TimeStencil, s: float, substeps: int = 4, sample=Non
     return v, w
 
 
-def mkg_w2_leading(state: MkgState, s: float, n_quad: int = 32) -> np.ndarray:
-    """Leading quadratic tension: P_j w(s) ~ -2 P_j Im W(d_t phi, conj grad d_t phi)."""
+def mkg_w2_leading(state: MkgState, s: float) -> np.ndarray:
+    """Leading quadratic tension: P_j w(s) ~ -2 P_j Im W(d_t phi, conj grad d_t phi),
+    by 32-node Gauss-Legendre in s'."""
     g = state.grid
     gh = g.cfft(state.phit)
 
@@ -303,7 +304,7 @@ def mkg_w2_leading(state: MkgState, s: float, n_quad: int = 32) -> np.ndarray:
             fh = np.exp(-s_node * g.k2_full) * gh
             yield g.fft(_current(g.cifft(fh), cgradient(g, fh=fh)))
 
-    w2 = -2.0 * leray_df(g, duhamel(g, s, n_quad, sources))
+    w2 = -2.0 * leray_df(g, duhamel(g, s, 32, sources))
     return w2[:, None]
 
 
@@ -321,12 +322,12 @@ def mkg_modified_energy(stencil: hf.TimeStencil, N: float, sigma: float,
 
 def mkg_hamiltonian_identity_check(state0: MkgState, t_span: float, s: float,
                                    n_nodes: int = 9, dt: float = 1e-3,
-                                   delta: float | None = None,
                                    substeps: int = 4):
     """Residual of H(t1,s) - H(t0,s) = -Re int int D_t phi conj(v) + F_{j0} w_j,
-    by `diagnostics.simpson_identity`; returns (residual, lhs, rhs)."""
+    by `diagnostics.simpson_identity`, the stencils spaced 5 dt; returns
+    (residual, lhs, rhs)."""
     g = state0.grid
-    delta = 5.0 * dt if delta is None else delta
+    delta = 5.0 * dt
 
     def node(st):
         stencil = hf.make_stencil(st, delta, dt)

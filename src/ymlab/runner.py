@@ -24,9 +24,7 @@ from .grid import Grid
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def _write_csv(path: str, columns: dict, descriptions: dict):
@@ -216,19 +214,11 @@ def _run_invariants(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     audit = dg.invariant_audit(grid, spec, A, E, rng=rng)
     phi = random_alg_field(grid, spec, rng, cfg.amplitude, mode_cut=cfg.mode_cut)
     gn = dg.gn_inequality_probe(grid, spec, phi, A)
-    rows = {"check": list(audit) + list(gn),
-            "value": list(audit.values()) + list(gn.values())}
-    with open(os.path.join(out_dir, "results.csv"), "w", encoding="ascii") as fh:
-        fh.write("check,value\n")
-        for name, val in zip(rows["check"], rows["value"]):
-            fh.write(f"{name},{_fmt(val)}\n")
-    with open(os.path.join(out_dir, "results.schema.json"), "w",
-              encoding="ascii") as fh:
-        json.dump({"columns": [
-            {"name": "check", "description": "identity or inequality name"},
-            {"name": "value", "description": "normalized residual or ratio"}],
-            "rows": len(rows["check"])}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(os.path.join(out_dir, "results.csv"),
+               {"check": list(audit) + list(gn),
+                "value": list(audit.values()) + list(gn.values())},
+               {"check": "identity or inequality name",
+                "value": "normalized residual or ratio"})
     passed = all(v < 1e-8 for v in audit.values()) and all(
         v < 10.0 for v in gn.values())
     return {"audit": audit, "gn_ratios": gn, "all_pass": bool(passed),

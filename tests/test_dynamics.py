@@ -73,8 +73,10 @@ def _linear_part(grid, A):
 def test_wave_legs_matches_physical_loop(grid16, s2, rng):
     """The spectral-state driver against Lawson IF-RK4 with physical-space
     stages, written out here on the steps the driver's `LegRecord` took:
-    legs to the marks 4 and 10 and one step back.  The first leg takes all
-    its steps; the emitted t is t0 + mark dt."""
+    legs to the marks 4 and 10 and one step back.  The first leg is redone
+    once, at the 3 steps its step-doubling probe sizes (1 + 2 + 3 IF
+    steps), and ends within WAVE_LEG_TOL of 64 IF steps; the emitted t is
+    t0 + mark dt."""
     st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
     dt = 4e-3
 
@@ -96,7 +98,12 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
     got, legs = [], []
     final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat: got.append(state), legs)
     assert final is got[-1]
-    assert legs[0].counts[0] == 4 and 1 <= legs[0].counts[1] <= 6
+    assert legs[0].counts[0] == 3 and 1 <= legs[0].counts[1] <= 6
+    ref = st.spectral()
+    for _ in range(64):
+        ref = dyn.rk4_step(ref, 4 * dt / 64, st.spectral_rhs, st.propagate)
+    gap = [u - v for u, v in zip(got[0].spectral(), ref)]
+    assert dyn.spectral_norm(grid16, gap) <= dyn.WAVE_LEG_TOL * dyn.spectral_norm(grid16, ref)
     back = []
     dyn.wave_legs(st, -dt, [1], lambda state, _hat: back.append(state), legs)
     assert legs[1].counts == [1]
@@ -203,13 +210,14 @@ def _scalar_controlled(rhs, y0, span, cap, tol, cold=True):
 def test_missed_cold_leg_is_sized_by_step_doubling():
     """y' = cos(2 s) + c y, s' = 1: the estimate sees only the c y term, so
     the cold step of span 0.1 misses tol.  The leg is probed at two steps
-    and redone at the fewest m for which the probe's step-doubling error
-    r = ||y_2 - y_1|| / 15 / ||y_2||, scaled by (2/m)^4, is at most tol: at
-    c = 0.01 that leg meets its own estimate and tol against a fine
-    reference, and is bit for bit a warm leg of m steps; at c = 0.1 its
-    own estimate misses, and it is redone at its cap as before."""
+    and redone once, at the fewest m for which the probe's step-doubling
+    error r = ||y_2 - y_1|| / 15 / ||y_2||, scaled by (2/m)^4, is at most
+    tol; that leg meets tol against a fine reference and is bit for bit a
+    warm leg of m steps.  At c = 0.01 it meets its own estimate too; at
+    c = 0.1 its own estimate misses, and it is kept (m = 25: 28 steps in
+    all)."""
     tol, span, cap, y0 = dyn.WAVE_LEG_TOL, 0.1, 50, (np.zeros(1), np.zeros(1))
-    for c, sized in ((0.01, True), (0.1, False)):
+    for c, m_want in ((0.01, 26), (0.1, 25)):
         def rhs(y):
             return np.cos(2.0 * y[1]) + c * y[0], np.ones(1)
 
@@ -217,21 +225,29 @@ def test_missed_cold_leg_is_sized_by_step_doubling():
         y2 = dyn.rk4_step(dyn.rk4_step(y0, span / 2, rhs), span / 2, rhs)
         r = _l2([u - v for u, v in zip(y2, y1)]) / 15.0 / _l2(y2)
         m = int(np.ceil(2.0 * (r / tol) ** 0.25))
-        assert 2 < m < cap
+        assert m == m_want
         record, end, hs = _scalar_controlled(rhs, y0, span, cap, tol)
-        assert hs[:3 + m] == [span, span / 2, span / 2] + [span / m] * m
+        assert hs == [span, span / 2, span / 2] + [span / m] * m
         assert record.redone == 1
-        if not sized:
-            assert record.counts == [cap] and hs[3 + m:] == [span / cap] * cap
-            continue
         assert record.counts == [m] and record.steps == len(hs) == 1 + 2 + m
-        assert 0.0 < record.max_error <= tol
+        assert (0.0 < record.max_error <= tol) == (c == 0.01)
         ref = y0
-        for _ in range(2000):
-            ref = dyn.rk4_step(ref, span / 2000, rhs)
+        for _ in range(4000):
+            ref = dyn.rk4_step(ref, span / 4000, rhs)
         assert _l2([u - v for u, v in zip(end, ref)]) <= tol * _l2(ref)
         _, warm, _ = _scalar_controlled(rhs, y0, span, m, tol, cold=False)
         assert all(u.tobytes() == v.tobytes() for u, v in zip(end, warm))
+
+
+def test_evolve_rejects_T_off_the_dt_grid(grid8, s2):
+    """T = 0.01 is no multiple of dt = 0.003: both wave drivers raise,
+    naming T and dt, instead of ending at t = 0.009."""
+    from ymlab import mkg
+    from ymlab.datagen import mkg_wave
+    with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
+        dyn.evolve(abelian_wave(grid8, s2, 0.1), dyn.EvolutionConfig(dt=0.003, T=0.01))
+    with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
+        mkg.evolve(mkg_wave(grid8, 0.1), 0.003, 0.01)
 
 
 def test_missed_cold_leg_keeps_its_cap_without_a_finite_probe():

@@ -278,3 +278,18 @@ def test_mc_derivative_routes_agree(grid16, s2):
         sp.derivative_hat(grid16, grid16.fft(U), i)) for i in range(3)])
     mc_q = np.stack([alg.maurer_cartan_coeff(U, dU[i], s2) for i in range(3)])
     assert np.max(np.abs(mc_log - mc_q)) < 1e-9
+
+
+def test_mc_derivative_fallback_is_right_invariant(grid16, s2):
+    """(d(U V)) (U V)^{-1} = (dU) U^{-1} for a constant V.  A rotation V by
+    0.95 pi puts U V beyond the log chart's 0.9 pi guard, so the product
+    takes the componentwise fallback route, U the chart."""
+    U = gt.random_gauge(grid16, s2, seed=9, amplitude=0.3, mode_cut=1.5)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    V = alg.exp_map((0.95 * np.pi * axis)[:, None, None, None] * np.ones((16,) * 3), s2)
+    UV = alg.group_mul(U, V, s2)
+    X = alg.log_map(UV, s2)
+    assert np.max(np.sqrt(np.einsum("a...,a...->...", X, X))) >= 0.9 * np.pi
+    want = gt.mc_derivative(grid16, U, s2)
+    got = gt.mc_derivative(grid16, UV, s2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

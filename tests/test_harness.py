@@ -1,6 +1,10 @@
 import json
+import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +287,72 @@ def test_cli_seed_override(tmp_path):
                      "--seed", "99", "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["seed"] == 99
+
+
+def test_cli_mkg_reproduces_with_threads(tmp_path, monkeypatch):
+    """`mkg` through the CLI at n = 8, T = 0.02, once plain and once with
+    --threads 1 (which sets YMLAB_THREADS): both exit 0 with finite summary
+    values, their artifacts are byte-identical and the checkpoint reads back
+    as an `MkgState`."""
+    monkeypatch.delenv("YMLAB_THREADS", raising=False)   # restored afterwards
+    cfg_path = tmp_path / "mkg.ini"
+    cfg_path.write_text("[grid]\nn = 8\n[physics]\ngroup = u1\n"
+                        "[integrator]\nT = 0.02\n[data]\nfamily = mkg-random\n")
+    out1, out2 = str(tmp_path / "m1"), str(tmp_path / "m2")
+    assert cli.main(["mkg", "--config", str(cfg_path), "--out", out1]) == 0
+    assert cli.main(["mkg", "--config", str(cfg_path), "--out", out2,
+                     "--threads", "1"]) == 0
+    assert os.environ["YMLAB_THREADS"] == "1"
+    summary = json.load(open(os.path.join(out1, "summary.json")))
+    values = [v for v in summary.values() if isinstance(v, float)]
+    values += list(summary["data_report"].values())
+    assert summary["experiment"] == "mkg" and len(values) == 6
+    assert np.isfinite(values).all()
+    for name in ("results.csv", "summary.json", "final.ckpt"):
+        b1 = open(os.path.join(out1, name), "rb").read()
+        b2 = open(os.path.join(out2, name), "rb").read()
+        assert b1 == b2, name
+    assert isinstance(read_checkpoint(os.path.join(out1, "final.ckpt")), mkg.MkgState)
+
+
+def test_cli_runs_without_a_config(tmp_path):
+    """With no --config the experiment runs at the default config."""
+    out = str(tmp_path / "ev")
+    assert cli.main(["evolve", "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["seed"] == ExperimentConfig().seed
+    assert np.isfinite(summary["energy_drift_rel"])
+
+
+def test_cli_failure_is_a_json_record(tmp_path, capsys):
+    """A run that fails past the config (here the CFL guard of the wave)
+    exits 1 with a JSON record of the exception on stderr."""
+    cfg_path = tmp_path / "cfl.ini"
+    cfg_path.write_text("[grid]\nn = 8\n[integrator]\ndt = 0.2\nT = 0.2\n")
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "CFL" in record["message"]
+
+
+def test_perfbench_traced_run_reports_every_layer():
+    """The benchmark's traced flow-n32 run (about 7 s) exits 0 and ends in a
+    strict-JSON result line: correct, with exactly the per-layer metrics
+    that BENCHMARK.json declares, each finite.  A traced name that goes
+    missing, an output off the reference or a failed per-call count check
+    empties the metrics."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "flow-n32",
+                           "--trace", "1"], cwd=root, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
+    assert result["correct"] is True, proc.stderr[-2000:]
+    declared = [m["name"] for m in json.loads(
+        (root / "BENCHMARK.json").read_text())["per_layer"]]
+    assert len(declared) == 30 and sorted(result["metrics"]) == sorted(declared)
+    assert all(math.isfinite(m["value"]) for m in result["metrics"].values())
