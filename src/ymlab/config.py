@@ -72,6 +72,11 @@ class ExperimentConfig:
             problems.append(f"{', '.join(infinite)} must be finite")
         if min(self.N, self.L, self.dt, 1 if self.s0 is None else self.s0) <= 0 or self.T < 0:
             problems.append("N, L, dt, s0 must be positive and T nonnegative")
+        for name in ("mode_cut", "decay"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be positive, got {getattr(self, name)}")
+        if self.amplitude < 0:
+            problems.append(f"amplitude must be nonnegative, got {self.amplitude}")
         if not 0.0 < self.cfl <= 1.0:
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
         steps = self.T / self.dt if self.dt > 0 and not infinite else 0.0

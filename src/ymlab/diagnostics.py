@@ -96,13 +96,10 @@ def modified_energy(s_values, energies, N: float, sigma: float):
                    "n_samples": len(sb)}
 
 
-def modified_energy_of_state(state: CauchyState, N: float, sigma: float,
-                             n_samples: int = 32, span: float = 1024.0,
-                             substeps: int = 4):
+def modified_energy_of_state(state: CauchyState, N: float, sigma: float):
     """Convenience wrapper: flow the state and assemble the modified energy."""
     rec = []
-    hf.run_flow(state, hf.sample_grid(1.0 / N**2, n_samples, span),
-                substeps=substeps, keep_states=False,
+    hf.run_flow(state, hf.sample_grid(1.0 / N**2),
                 observer=lambda f: rec.append((f.s, energy_at(f))))
     s_vals, e_vals = np.array(rec).T
     return modified_energy(s_vals, e_vals, N, sigma)
@@ -252,7 +249,7 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
 
     def measure(st, _hat):
         rec, legs = [], []
-        hf.run_flow(st, union, substeps=substeps, keep_states=False,
+        hf.run_flow(st, union, substeps=substeps,
                     observer=lambda f: rec.append((f.s, energy_at(f))), legs=legs)
         log.info("sweep t = %.6g: %d flow samples, %d IF steps, %d legs redone, "
                  "leg error <= %.1e", t_samples[len(ie[N_values[0]])], len(union),

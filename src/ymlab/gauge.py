@@ -30,20 +30,14 @@ def pair_component(F: np.ndarray, i: int, j: int) -> np.ndarray:
     return sign * F[idx]
 
 
-def curvature(grid: Grid, A: np.ndarray, spec: StructureSpec,
-              E: np.ndarray | None = None):
-    """Magnetic curvature F_ij = d_i A_j - d_j A_i + [A_i, A_j].
-
-    Returns the pair-indexed magnetic field; the electric components F_{0i}
-    are whatever E supplies (returned alongside when given).
-    """
+def curvature(grid: Grid, A: np.ndarray, spec: StructureSpec) -> np.ndarray:
+    """Magnetic curvature F_ij = d_i A_j - d_j A_i + [A_i, A_j], pair-indexed."""
     Ah = grid.fft(A)
     mag = []
     for i, j in PAIRS:
         lin = grid.ifft(derivative_hat(grid, Ah[j], i) - derivative_hat(grid, Ah[i], j))
         mag.append(lin + dealias(grid, bracket(A[i], A[j], spec)))
-    Fmag = np.stack(mag)
-    return (Fmag, E) if E is not None else Fmag
+    return np.stack(mag)
 
 
 def covariant_derivative(grid: Grid, A: np.ndarray, B: np.ndarray, axis: int,

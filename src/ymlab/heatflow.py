@@ -18,9 +18,10 @@ level s.  They come from one flow in the tangent algebra (`flow_tangent`):
 the Cauchy data carry their exact t-derivative (E, `ym_rhs`) as the second
 block of dual numbers, so the IF-RK4 map, a polynomial in brackets, carries
 d/dt of the flowed fields exactly.  A_0(s) is reconstructed along the flow
-from its own ODE (A_0 = 0 at s = 0 in the temporal gauge).  Five Cauchy
-slices flowed in lockstep (`flow_stencil`) and differenced in t serve MKG,
-whose tension needs a second t-derivative, and the tests as an oracle.
+from its own ODE (A_0 = 0 at s = 0 in the temporal gauge).  MKG flows its
+data as Taylor jets in t (`mkg.flow_jets`) on the same `_IFSystem`.  Five
+Cauchy slices flowed in lockstep (`flow_stencil`) and differenced in t serve
+the tests as an O(delta^4) oracle.
 """
 
 from __future__ import annotations
@@ -253,16 +254,15 @@ def flow_step(flow: FlowState, ds: float) -> FlowState:
 
 
 def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
-             with_transport: bool = False, observer=None, keep_states: bool = True,
+             with_transport: bool = False, observer=None,
              legs: list | None = None) -> list[FlowState]:
     """Flow the Cauchy data through the sample list of parabolic times.
 
     Returns one FlowState per requested s (including s = 0 if present).
     with_transport integrates the caloric transport U alongside, so the
-    caloric connection can be recovered by `to_caloric`.  An observer is
-    called with each sampled FlowState; pass keep_states=False to stream
-    large runs through the observer without retaining fields.  A `legs`
-    list receives the flow's `LegRecord`.
+    caloric connection can be recovered by `to_caloric`.  With an observer,
+    each sampled FlowState is passed to it instead and none is kept.  A
+    `legs` list receives the flow's `LegRecord`.
     """
     g, spec = origin.grid, origin.spec
     state = (origin.A, origin.E)
@@ -284,16 +284,12 @@ def run_flow(origin: CauchyState, s_samples, substeps: int = 4,
         return y[0], y[1], U
 
     out = []
-
-    def emit(s, y):
-        fs = FlowState(g, spec, s, y[0], y[1], U=y[2] if with_transport else None)
-        if observer is not None:
-            observer(fs)
-        if keep_states:
-            out.append(fs)
-
-    record = sys.sample_legs(state, s_samples, substeps, nonlin, emit,
-                             project if with_transport else None)
+    emit = out.append if observer is None else observer
+    record = sys.sample_legs(
+        state, s_samples, substeps, nonlin,
+        lambda s, y: emit(FlowState(g, spec, s, y[0], y[1],
+                                    U=y[2] if with_transport else None)),
+        project if with_transport else None)
     if legs is not None:
         legs.append(record)
     return out
@@ -371,8 +367,8 @@ def fornberg_weights(x_nodes, x0: float, order: int) -> np.ndarray:
 
 
 def make_stencil(state, delta: float, dt: float) -> "TimeStencil":
-    """Five slices centered on the wave state `state` (a `CauchyState` or an
-    `mkg.MkgState`), from `wave_legs` trajectories.
+    """Five slices centered on the Yang-Mills wave state `state`, from
+    `wave_legs` trajectories (any wave state steps the same way).
 
     delta must be an integer multiple of dt.  The two earlier slices are
     integrated backward from the center, so the central slice is the input
@@ -415,12 +411,12 @@ class TimeStencil:
     def center(self) -> CauchyState:
         return self.states[2]
 
-    def d_dt(self, fields: np.ndarray, node: int = 2) -> np.ndarray:
-        """First time derivative at slice `node` from the 5 slices.
+    def d_dt(self, fields: np.ndarray) -> np.ndarray:
+        """First time derivative at the central slice from the 5 slices.
 
         fields has the slice axis first (length 5).
         """
-        w = fornberg_weights(np.arange(5) * self.delta, node * self.delta, 1)
+        w = fornberg_weights(np.arange(5) * self.delta, 2 * self.delta, 1)
         return np.tensordot(w, fields, axes=(0, 0))
 
 

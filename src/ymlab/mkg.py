@@ -9,14 +9,18 @@ the full cfft layout by the Klein-Gordon rotation plus the covariant terms,
 so a vanishing scalar reproduces the u(1) Yang-Mills trajectories bit for
 bit.  The Hamiltonian's Maxwell part is `dynamics.energy` at u(1); one
 nonlinearity (`_mkg_nonlinear`) gives the scalar current and D_j D_j phi to
-the wave step, the heat flow and the tension.  The five-slice stencils are
-`heatflow.make_stencil`'s.  Covariant derivatives are D_a = d_a + i A_a
-with A real.
+the wave step, the heat flow and the tension.  It acts on truncated Taylor
+jets in t, products taken by the Leibniz rule (`_jmul`): the wave step and
+the heat flow pass one coefficient, and `flow_jets` flows the data with
+their first two t-derivatives, which the tension and the Hamiltonian
+identity read (Taylor-mode forward differentiation, Griewank & Walther
+2008, ch. 13).  Covariant derivatives are D_a = d_a + i A_a with A real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -58,9 +62,9 @@ class MkgState:
         The Maxwell brackets vanish: 8 + 12 transforms, no bracket."""
         g = self.grid
         Ah, _, phih, _ = y
-        NA, Nphi = _mkg_nonlinear(g, g.ifft(Ah), g.cifft(phih), phih,
-                                  divergence(g, vh=Ah)[0])
-        return None, NA, None, Nphi
+        NA, Nphi = _mkg_nonlinear(g, g.ifft(Ah), g.cifft(phih)[None], phih[None],
+                                  divergence(g, vh=Ah))
+        return None, NA, None, Nphi[0]
 
     def propagate(self, tau: float, y: tuple) -> tuple:
         """The linear flow over tau: the Maxwell wave on (A, E), phi_tt =
@@ -73,16 +77,23 @@ class MkgState:
         return MkgState(g, t, g.ifft(y[0]), g.ifft(y[1]), g.cifft(y[2]), g.cifft(y[3]))
 
 
+def _jmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Leibniz product of two jets of t-derivatives (f, d_t f, d_t^2 f, ...)
+    held on their leading axis, as long as the shorter: (ab)^(m) =
+    sum_j C(m, j) a^(j) b^(m-j).  With one coefficient the plain product."""
+    return np.stack([a[0] * b[0]] + [sum(comb(m, j) * a[j] * b[m - j] for j in range(m + 1))
+                                     for m in range(1, min(len(a), len(b)))])
+
+
 def _aphi_hat(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Masked cfft of A_i phi, the product term of D_i phi."""
-    return grid.dealias_mask_full * grid.cfft(A[:, 0] * phi)
+    """Masked cfft of the jets A_i phi, the product term of D_i phi:
+    A of shape (3, k, n, n, n), phi of shape (k, n, n, n)."""
+    return grid.dealias_mask_full * grid.cfft(np.stack([_jmul(a, phi) for a in A]))
 
 
-def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray,
-                   dphi: np.ndarray | None = None) -> np.ndarray:
-    """D_i phi = d_i phi + i A_i phi, product dealiased; dphi = grad phi if held."""
-    dphi = cgradient(grid, phi) if dphi is None else dphi
-    return dphi + 1j * grid.cifft(_aphi_hat(grid, A, phi))
+def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """D_i phi = d_i phi + i A_i phi, product dealiased."""
+    return cgradient(grid, phi) + 1j * grid.cifft(_aphi_hat(grid, A, phi[None]))[:, 0]
 
 
 def _current(phi: np.ndarray, Dphi: np.ndarray) -> np.ndarray:
@@ -94,14 +105,7 @@ def _current(phi: np.ndarray, Dphi: np.ndarray) -> np.ndarray:
 def scalar_current(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """J_i = Im(phi conj(D_i phi)), the Maxwell source, in u(1) layout:
     `_mkg_nonlinear`'s current in physical space."""
-    return grid.ifft(_mkg_nonlinear(grid, A, phi, grid.cfft(phi))[0])
-
-
-def _drift_terms(grid: Grid, A: np.ndarray, phi: np.ndarray, dphi: np.ndarray):
-    """A.grad phi and |A|^2 phi (|A|^2 dealiased) for the caller to dealias."""
-    a = A[:, 0]
-    a2 = dealias(grid, a[0]**2 + a[1]**2 + a[2]**2)
-    return a[0] * dphi[0] + a[1] * dphi[1] + a[2] * dphi[2], a2 * phi
+    return grid.ifft(_mkg_nonlinear(grid, A, phi[None], grid.cfft(phi)[None])[0])
 
 
 def mkg_rhs(state: MkgState):
@@ -121,7 +125,7 @@ def _hamiltonian(grid: Grid, A, B, phi, Dtphi, Ah=None, phih=None) -> float:
     its masked transform.  Pass rfft A and cfft phi as Ah, phih when held."""
     phih = grid.cfft(phi) if phih is None else phih
     kphih = np.stack([grid.kfull(i) * phih for i in range(3)])
-    Dphih = 1j * (kphih + _aphi_hat(grid, A, phi))
+    Dphih = 1j * (kphih + _aphi_hat(grid, A, phi[None])[:, 0])
     quad = (np.sum(np.abs(Dtphi) ** 2) + np.sum(Dphih.real ** 2 + Dphih.imag ** 2)
             / grid.n ** 3) * grid.site_measure
     return dyn.energy(dyn.CauchyState(grid, _U1, 0.0, A, B), Ah) + 0.5 * float(quad)
@@ -198,98 +202,92 @@ def mkg_heatflow_rhs(grid: Grid, A: np.ndarray, phi: np.ndarray):
     dphi/ds = Lap phi + 2i A.grad phi - |A|^2 phi
     (the i div A terms cancel against the gauge drift)."""
     Ah, phih = grid.fft(A), grid.cfft(phi)
-    NA, Nphi = _mkg_nonlinear(grid, A, phi, phih)
-    return grid.ifft(NA - grid.k2 * Ah), grid.cifft(Nphi - grid.k2_full * phih)
+    NA, Nphi = _mkg_nonlinear(grid, A, phi[None], phih[None])
+    return grid.ifft(NA - grid.k2 * Ah), grid.cifft(Nphi[0] - grid.k2_full * phih)
 
 
 def _mkg_nonlinear(grid, A, phi, phih, div_a=None):
     """Masked transforms of the current Im(phi conj(D_i phi)) (u(1) layout)
-    and of 2i A.grad phi - |A|^2 phi, plus i (div A) phi when div_a is given
-    (the wave form; the heat flow's gauge drift cancels it), each outer
-    product transformed once; phih = cfft(phi)."""
+    and of 2i A.grad phi - |A|^2 phi (|A|^2 dealiased), plus i (div A) phi
+    when div_a is given (the wave form; the heat flow's gauge drift cancels
+    it), each outer product transformed once.  The fields are jets of k
+    t-derivatives (`_jmul`): A of shape (3, k, n, n, n), the jet on its
+    u(1) axis, and phi, phih = cfft(phi) and div_a of shape (k, n, n, n)."""
     dphi = cgradient(grid, fh=phih)
-    J = _current(phi, covariant_grad(grid, A, phi, dphi))
-    adg, mass = _drift_terms(grid, A, phi, dphi)
-    src = 2j * adg - mass
+    Dphi = dphi + 1j * grid.cifft(_aphi_hat(grid, A, phi))
+    J = np.stack([np.imag(_jmul(phi, np.conj(d))) for d in Dphi])
+    a2 = dealias(grid, _jmul(A[0], A[0]) + _jmul(A[1], A[1]) + _jmul(A[2], A[2]))
+    src = 2j * (_jmul(A[0], dphi[0]) + _jmul(A[1], dphi[1]) + _jmul(A[2], dphi[2])) \
+        - _jmul(a2, phi)
     if div_a is not None:
-        src += 1j * div_a * phi
-    return (grid.dealias_mask * grid.fft(J))[:, None], \
-        grid.dealias_mask_full * grid.cfft(src)
+        src += _jmul(1j * div_a, phi)
+    return grid.dealias_mask * grid.fft(J), grid.dealias_mask_full * grid.cfft(src)
 
 
-def flow_mkg_stencil(stencil: hf.TimeStencil, s_samples, substeps: int = 4):
-    """Lockstep parabolic flow of the five slices with A_0 per slice.
+def flow_jets(state: MkgState, s_samples, substeps: int = 4) -> list[dict]:
+    """Flow the data with their t-derivatives as jets through the sorted
+    parabolic times s_samples.
 
-    A_0 obeys dA_0/ds = Lap A_0 + Im(phi conj(d_t phi)) - A_0 |phi|^2 with
-    A_0(0) = 0; d_t phi is the cross-slice stencil derivative, evaluated
-    stage by stage.  Returns per-sample dicts of stacked fields.
+    A and phi are 3-jets (the field, d_t, d_t^2) that start from (A, E,
+    d_t E) and (phi, phit, d_t phit) of `mkg_rhs`; A_0 is a 2-jet that
+    starts at 0 and obeys dA_0/ds = Lap A_0 + Im(phi conj(d_t phi))
+    - A_0 |phi|^2, d_t phi being the phi jet shifted down one order.  The
+    IF-RK4 map is a polynomial in the fields, so each jet holds the exact
+    t-derivatives of its flowed field.  Returns one dict per sample: "s",
+    "A" (3, 3, n, n, n), "phi" (3, n, n, n) and "A0" (2, n, n, n).
     """
-    g = stencil.grid
-    delta = stencil.delta
-    A = np.stack([st.A for st in stencil.states])       # (5, 3, 1, n^3)
-    phi = np.stack([st.phi for st in stencil.states])   # (5, n^3) complex
-    A0 = np.zeros((5,) + (g.n,) * 3)
-    wrows = np.stack([hf.fornberg_weights(np.arange(5) * delta, m * delta, 1)
-                      for m in range(5)])
+    g = state.grid
+    _, dE, _, dphit = mkg_rhs(state)
+    A = np.concatenate((state.A, state.E, dE), axis=1)
+    phi = np.stack((state.phi, state.phit, dphit))
     sys = hf._IFSystem(g, ("heat", "cheat", "heat"))
 
     def nonlin(y):
-        Am, phim, A0m = sys.physical(y)
-        NA = np.empty_like(y[0])
-        Nphi = np.empty_like(y[1])
-        for m in range(5):
-            NA[m], Nphi[m] = _mkg_nonlinear(g, Am[m], phim[m], y[1][m])
-        dt_phi = np.tensordot(wrows, phim, axes=(1, 0))
-        NA0 = _current(phim, dt_phi) - A0m * np.abs(phim) ** 2
+        A, phi, A0 = sys.physical(y)
+        NA, Nphi = _mkg_nonlinear(g, A, phi, y[1])
+        phi2 = phi[:2]
+        NA0 = np.imag(_jmul(phi2, np.conj(phi[1:]))) \
+            - _jmul(A0, np.real(_jmul(phi2, np.conj(phi2))))
         return NA, Nphi, g.dealias_mask * g.fft(NA0)
 
     out = []
-    sys.sample_legs((A, phi, A0), s_samples, substeps, nonlin,
+    sys.sample_legs((A, phi, np.zeros((2,) + (g.n,) * 3)), s_samples, substeps, nonlin,
                     lambda s, y: out.append({"s": s, "A": y[0], "phi": y[1], "A0": y[2]}))
     return out
 
 
-def _slice_fields(grid, sample, stencil):
-    """Central-slice level-s fields: A, B, phi, D_t phi, A0."""
-    A5, phi5, A05 = sample["A"], sample["phi"], sample["A0"]
-    A_c, phi_c, A0_c = A5[2], phi5[2], A05[2]
-    B = stencil.d_dt(A5) - gradient(grid, A0_c)[:, None]
-    Dtphi = stencil.d_dt(phi5) + 1j * cdealias(grid, A0_c * phi_c)
-    return A_c, B, phi_c, Dtphi, A0_c
+def _time_jets(grid: Grid, sample: dict):
+    """The 2-jets B = d_t A - grad A_0 and D_t phi = d_t phi + i A_0 phi
+    (product dealiased) of a `flow_jets` sample."""
+    A0 = sample["A0"]
+    return (sample["A"][:, 1:] - gradient(grid, A0),
+            sample["phi"][1:] + 1j * cdealias(grid, _jmul(A0, sample["phi"])))
 
 
-def mkg_energy_at(grid, sample, stencil) -> float:
-    A_c, B, phi_c, Dtphi, _ = _slice_fields(grid, sample, stencil)
-    return _hamiltonian(grid, A_c, B, phi_c, Dtphi)
+def _energy_at(grid: Grid, sample: dict) -> float:
+    """H(t, s) of a `flow_jets` sample."""
+    B, Dtphi = _time_jets(grid, sample)
+    return _hamiltonian(grid, sample["A"][:, :1], B[:, :1], sample["phi"][0], Dtphi[0])
 
 
-def mkg_tension(stencil: hf.TimeStencil, s: float, substeps: int = 4, sample=None):
-    """Tension fields (v, w) at level s on the central slice.
+def mkg_tension(state: MkgState, s: float, substeps: int = 4, sample=None):
+    """Tension fields (v, w) of the data at level s.
 
-    v = box_A phi;  w_j = d^a F_{aj} + Im(phi conj(D_j phi)).  Pass the
-    `flow_mkg_stencil` sample at level s as `sample` when the caller holds it.
+    v = box_A phi = -D_t D_t phi + D_j D_j phi;
+    w_j = d^a F_{aj} + Im(phi conj(D_j phi)).  Pass the `flow_jets` sample
+    at level s as `sample` when the caller holds it.
     """
-    g = stencil.grid
-    smp = sample if sample is not None else flow_mkg_stencil(stencil, [s], substeps)[-1]
-    A5, phi5, A05 = smp["A"], smp["phi"], smp["A0"]
-    A_c, _, phi_c, _, A0_c = _slice_fields(g, smp, stencil)
-    # B per slice, for d_t B at the center
-    dtB = stencil.d_dt(np.stack([stencil.d_dt(A5, m) - gradient(g, A05[m])[:, None]
-                                 for m in range(5)]))
-
+    g = state.grid
+    smp = sample if sample is not None else flow_jets(state, [s], substeps)[-1]
+    A, phi = smp["A"][:, :1], smp["phi"][:1]
+    B, Dtphi = _time_jets(g, smp)
     # J and D_j D_j phi - Lap phi from one nonlinearity in the wave form
-    Ah, phih = g.fft(A_c), g.cfft(phi_c)
-    div_a = divergence(g, vh=Ah)[0]
-    NA, Nphi = _mkg_nonlinear(g, A_c, phi_c, phih, div_a)
-    w = -dtB + g.ifft(-g.k2 * Ah) - gradient(g, div_a)[:, None] + g.ifft(NA)
-
-    # v = box_A phi = -D_t D_t phi + sum_j D_j D_j phi
-    w2 = hf.fornberg_weights(np.arange(5) * stencil.delta, 2 * stencil.delta, 2)
-    dt2phi = np.tensordot(w2, phi5, axes=(0, 0))
-    dtphi, dtA0 = stencil.d_dt(phi5), stencil.d_dt(A05)
-    DtDtphi = dt2phi + 1j * cdealias(g, dtA0 * phi_c) \
-        + 2j * cdealias(g, A0_c * dtphi) - cdealias(g, A0_c**2 * phi_c)
-    v = g.cifft(Nphi - g.k2_full * phih) - DtDtphi
+    Ah, phih = g.fft(A), g.cfft(phi)
+    div_a = divergence(g, vh=Ah)
+    NA, Nphi = _mkg_nonlinear(g, A, phi, phih, div_a)
+    w = -B[:, 1:] + g.ifft(NA - g.k2 * Ah) - gradient(g, div_a)
+    DtDtphi = Dtphi[1] + 1j * cdealias(g, smp["A0"][0] * Dtphi[0])
+    v = g.cifft(Nphi - g.k2_full * phih)[0] - DtDtphi
     return v, w
 
 
@@ -308,15 +306,12 @@ def mkg_w2_leading(state: MkgState, s: float) -> np.ndarray:
     return w2[:, None]
 
 
-def mkg_modified_energy(stencil: hf.TimeStencil, N: float, sigma: float,
-                        n_samples: int = 24, span: float = 1024.0,
-                        substeps: int = 4):
+def mkg_modified_energy(state: MkgState, N: float, sigma: float, n_samples: int = 24):
     """Modified Hamiltonian: sup + ds/s integral of (N^2 s)^{1-sigma} H(t,s)."""
-    g = stencil.grid
-    sgrid = hf.sample_grid(1.0 / N**2, n_samples, span)
-    samples = flow_mkg_stencil(stencil, sgrid, substeps=substeps)
+    g = state.grid
+    samples = flow_jets(state, hf.sample_grid(1.0 / N**2, n_samples))
     s_vals = np.array([smp["s"] for smp in samples])
-    h_vals = np.array([mkg_energy_at(g, smp, stencil) for smp in samples])
+    h_vals = np.array([_energy_at(g, smp) for smp in samples])
     return modified_energy(s_vals, h_vals, N, sigma)
 
 
@@ -324,18 +319,16 @@ def mkg_hamiltonian_identity_check(state0: MkgState, t_span: float, s: float,
                                    n_nodes: int = 9, dt: float = 1e-3,
                                    substeps: int = 4):
     """Residual of H(t1,s) - H(t0,s) = -Re int int D_t phi conj(v) + F_{j0} w_j,
-    by `diagnostics.simpson_identity`, the stencils spaced 5 dt; returns
-    (residual, lhs, rhs)."""
+    by `diagnostics.simpson_identity`, the wave stepped by dt between the
+    nodes; returns (residual, lhs, rhs)."""
     g = state0.grid
-    delta = 5.0 * dt
 
     def node(st):
-        stencil = hf.make_stencil(st, delta, dt)
-        smp = flow_mkg_stencil(stencil, [s], substeps=substeps)[-1]
-        _, B, _, Dtphi, _ = _slice_fields(g, smp, stencil)
-        v, w = mkg_tension(stencil, s, sample=smp)
+        smp = flow_jets(st, [s], substeps)[-1]
+        B, Dtphi = _time_jets(g, smp)
+        v, w = mkg_tension(st, s, sample=smp)
         # F_{j0} = -B_j pairs with w_j; the real part applies to the scalar term
-        dens = -np.real(Dtphi * np.conj(v)) - sum(B[j, 0] * w[j, 0] for j in range(3))
-        return g.integrate(dens), mkg_energy_at(g, smp, stencil)
+        dens = -np.real(Dtphi[0] * np.conj(v)) - sum(B[j, 0] * w[j, 0] for j in range(3))
+        return g.integrate(dens), _energy_at(g, smp)
 
     return simpson_identity(state0, t_span, n_nodes, dt, node)

@@ -113,8 +113,7 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
         rec.append((f.s, dg.energy_at(f, Ah), 0.5 * grid.spectral_l2(Fh) ** 2))
 
     legs = []
-    hf.run_flow(state, samples, substeps=cfg.substeps, keep_states=False,
-                observer=observe, legs=legs)
+    hf.run_flow(state, samples, substeps=cfg.substeps, observer=observe, legs=legs)
     dyn.log_legs("heatflow", s0, legs[0], "s")
     s_vals, e_vals, m_vals = np.array(rec).T
     ie, parts = dg.modified_energy(s_vals, e_vals, cfg.N, cfg.sigma)

@@ -276,7 +276,7 @@ def test_controlled_flow_right_hand_sides(monkeypatch):
     monkeypatch.setattr(heatflow, "deturck_nonlinear", counted_rhs)
     legs = []
     heatflow.run_flow(state, heatflow.sample_grid(cfg.s0_value, 6), substeps=2,
-                      keep_states=False, legs=legs)
+                      legs=legs)
     assert calls == {"step": legs[0].steps, "rhs": 4 * legs[0].steps + 1}
     assert legs[0].counts == [1] * 6 and legs[0].redone == 0
     calls.update(step=0, rhs=0)

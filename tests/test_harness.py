@@ -12,8 +12,7 @@ import pytest
 from ymlab import cli
 from ymlab import mkg
 from ymlab.ckpt import CheckpointError, read_checkpoint, write_checkpoint
-from ymlab.config import (ConfigError, ExperimentConfig, emit_config,
-                          load_config, parse_config)
+from ymlab.config import ConfigError, ExperimentConfig, emit_config, parse_config
 from ymlab.datagen import make_data, mkg_random, spec_of
 from ymlab.dynamics import CauchyState
 from ymlab.grid import Grid
@@ -58,6 +57,20 @@ def test_config_round_trip():
 def test_config_rejects_bad_counts(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode_cut", -1.0), ("mode_cut", 0.0), ("decay", -5.0), ("decay", 0.0),
+    ("amplitude", -0.1)],
+    ids=["mode_cut-negative", "mode_cut-zero", "decay-negative", "decay-zero",
+         "amplitude-negative"])
+def test_config_rejects_bad_data_recipe(field, value):
+    """A negative mode_cut would run as its absolute value, a decay <= 0 as
+    1e-6 (the mean mode alone), a negative amplitude as its absolute value."""
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        parse_config(f"[data]\n{field} = {value}\n")
 
 
 def test_config_rejects_T_off_the_dt_grid():

@@ -5,7 +5,6 @@ from ymlab import dynamics as dyn
 from ymlab import gauge as gt
 from ymlab import heatflow as hf
 from ymlab import spectral as sp
-from ymlab.datagen import abelian_wave
 
 
 def su2_state(grid, s2, rng, amp=0.2, cut=2.0):

@@ -1,5 +1,7 @@
-"""Import footprint: a ymlab process loads scipy for its FFTs only."""
+"""Imports: a ymlab process loads scipy for its FFTs only, and no module
+imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +24,28 @@ def test_ymlab_imports_no_heavy_scipy_subpackage():
     assert "ymlab.diagnostics" in out and "scipy.fft" in out
     loaded = [m for m in out if any(m == h or m.startswith(h + ".") for h in HEAVY)]
     assert loaded == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; `__all__` entries count as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted([*SRC.rglob("*.py"), *Path(__file__).parent.glob("*.py")])
+    assert len(files) > 20
+    assert [u for f in files for u in _unused_imports(f)] == []

@@ -166,12 +166,11 @@ def test_heatflow_rhs_term_oracle(grid16, rng, ab):
 
 
 def test_mkg_tension_linear_zero(grid16):
-    """Tension fields vanish on exact linear solutions (stencil error only)."""
+    """Tension fields vanish on exact linear solutions."""
     st = mkg_wave(grid16, 0.1)
     dt = 2e-3
     out = mkg.evolve(st, dt, 0.05)
-    stn = hf.make_stencil(out["final"], 5 * dt, dt)
-    v, w = mkg.mkg_tension(stn, 1 / 256.0, substeps=4)
+    v, w = mkg.mkg_tension(out["final"], 1 / 256.0, substeps=4)
     scale = max(grid16.l2_norm(np.abs(st.phi)), 1e-30)
     assert grid16.l2_norm(np.abs(v)) < 1e-6 * scale
     assert grid16.l2_norm(w) < 1e-10 * scale
@@ -181,22 +180,52 @@ def test_mkg_tension_onshell_small(grid16):
     st = mkg_random(grid16, 0.2, seed=8, mode_cut=1.5, decay=1e6)
     dt = 2e-3
     out = mkg.evolve(st, dt, 0.05)
-    stn = hf.make_stencil(out["final"], 5 * dt, dt)
-    v, w = mkg.mkg_tension(stn, 0.0, substeps=4)
+    v, w = mkg.mkg_tension(out["final"], 0.0, substeps=4)
     h = mkg.mkg_energy(out["final"])
     assert grid16.l2_norm(np.abs(v)) < 1e-5 * np.sqrt(h)
     assert grid16.l2_norm(w) < 1e-5 * np.sqrt(h)
 
 
+def test_flow_jets_are_the_t_derivatives_of_the_flow(grid8):
+    """The jets of one flow against five-point differences of five flowed
+    Cauchy slices: the first-derivative gap falls at fourth order in the
+    slice spacing delta, the second derivatives agree to the stencil's
+    noise, and at s = 0 the tension is round-off."""
+    st = mkg_random(grid8, 0.2, seed=11, mode_cut=1.5, decay=1e6)
+    s = 1 / 256.0
+
+    def jets(state):                       # each field's jet on its leading axis
+        f = mkg.flow_jets(state, [s])[-1]
+        return {"A": np.moveaxis(f["A"], 1, 0), "phi": f["phi"], "A0": f["A0"]}
+
+    centre = jets(st)
+
+    def gaps(delta, order):
+        stn = hf.make_stencil(st, delta, delta / 4)
+        slices = [jets(x) for x in stn.states]
+        w = hf.fornberg_weights(np.arange(5) * delta, 2 * delta, order)
+        return {key: np.linalg.norm(sum(wm * x[key][0] for wm, x in zip(w, slices))
+                                    - ref[order]) / np.linalg.norm(ref[order])
+                for key, ref in centre.items() if order < len(ref)}
+
+    coarse, fine = gaps(4e-3, 1), gaps(2e-3, 1)
+    for key in ("A", "phi", "A0"):
+        assert 14 < coarse[key] / fine[key] < 18, (key, coarse[key] / fine[key])
+    second = gaps(4e-3, 2)
+    assert sorted(second) == ["A", "phi"] and max(second.values()) < 1e-9, second
+    v, w = mkg.mkg_tension(st, 0.0)
+    h = mkg.mkg_energy(st)
+    assert grid8.l2_norm(np.abs(v)) <= 1e-13 * np.sqrt(h)
+    assert grid8.l2_norm(w) <= 1e-13 * np.sqrt(h)
+
+
 def test_mkg_w2_amplitude_sweep(grid16):
     """Leading quadratic tension: cubic remainder under amplitude scaling."""
-    dt = 2e-3
     s_test = 1 / 256.0
     gaps, leads = [], []
     for a in (0.1, 0.2):
         st = mkg_random(grid16, a, seed=11, mode_cut=1.5, decay=1e6)
-        stn = hf.make_stencil(st, 5 * dt, dt)
-        _, w = mkg.mkg_tension(stn, s_test, substeps=4)
+        _, w = mkg.mkg_tension(st, s_test, substeps=4)
         w2 = mkg.mkg_w2_leading(st, s_test)
         Pw = sp.leray_df(grid16, w[:, 0])[:, None]
         gaps.append(grid16.l2_norm(Pw - w2))
@@ -214,10 +243,8 @@ def test_mkg_modified_energy_oracle(grid16):
     wave = abelian_wave(grid16, u1spec(), 0.2)
     st = mkg.MkgState(grid16, 0.0, wave.A, wave.E,
                       np.zeros((16,) * 3, complex), np.zeros((16,) * 3, complex))
-    dt = 2e-3
-    stn = hf.make_stencil(st, 5 * dt, dt)
     N, sigma = 8.0, 5.0 / 6.0
-    val, _ = mkg.mkg_modified_energy(stn, N, sigma, n_samples=32)
+    val, _ = mkg.mkg_modified_energy(st, N, sigma, n_samples=32)
     E0 = mkg.mkg_energy(st)
     om = 1.0 - sigma
     s0 = 1.0 / N**2
@@ -243,27 +270,25 @@ def test_hamiltonian_identity(grid16):
 def test_hamiltonian_identity_flows_each_node_once(grid8, monkeypatch):
     st = mkg_random(grid8, 0.2, seed=12, mode_cut=1.5, decay=1e6)
     calls = [0]
-    flow = mkg.flow_mkg_stencil
+    flow = mkg.flow_jets
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(mkg, "flow_mkg_stencil", counted)
+    monkeypatch.setattr(mkg, "flow_jets", counted)
     mkg.mkg_hamiltonian_identity_check(st, 0.01, 1 / 256.0, n_nodes=3,
                                        dt=2.5e-3, substeps=1)
     assert calls[0] == 3                        # 6 when the tension re-flows
 
 
 def test_stencil_if_step_transform_count(monkeypatch):
-    """One IF step of the five-slice MKG flow makes 4 x 5 x 21 scalar 3-D
-    transforms (720 when the dealiased products were transformed again),
+    """One IF step of the MKG jet flow makes 4 x 61 scalar 3-D transforms,
     each `_IFSystem.step` call counted over the steps of one leg."""
     from ymlab import heatflow as hf
     from ymlab.grid import Grid
     g = Grid(8)
     st = mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
-    stn = hf.make_stencil(st, 5e-3, 1e-3)
     count = [0]
     for name in ("fft", "ifft", "cfft", "cifft"):
         def counted(f, _fn=getattr(g, name)):
@@ -280,8 +305,8 @@ def test_stencil_if_step_transform_count(monkeypatch):
         return out
 
     monkeypatch.setattr(hf._IFSystem, "step", counted_step)
-    mkg.flow_mkg_stencil(stn, [1 / 256.0], substeps=1)
-    assert per_step and per_step == [420] * len(per_step)
+    mkg.flow_jets(st, [1 / 256.0], substeps=1)
+    assert per_step and per_step == [244] * len(per_step)
 
 
 def test_repair_requires_neutral_charge(grid16, ab, rng):

@@ -42,10 +42,10 @@ def valid_configs(draw):
         cfl=draw(_reals(1e-6, 1.0)),
         substeps=draw(st.integers(1, 64)),
         family=draw(st.sampled_from(FAMILIES)),
-        amplitude=draw(_reals(-1e3, 1e3)),
+        amplitude=draw(_reals(0.0, 1e3)),
         seed=draw(st.integers(-2**63, 2**63)),
-        mode_cut=draw(_reals(-1e3, 1e3)),
-        decay=draw(_reals(-1e9, 1e9)),
+        mode_cut=draw(_reals(0.0, 1e3, exclude_min=True)),
+        decay=draw(_reals(0.0, 1e9, exclude_min=True)),
         N_list=tuple(draw(st.lists(_reals(1e-6, 1e6), min_size=1, max_size=6))),
         time_samples=draw(st.integers(1, 1000)),
         s_samples=draw(st.integers(2, 1000)),
@@ -90,10 +90,10 @@ _INVALID = {
     ("integrator", "cfl"): ["0", "-0.5", "1.5", "nan"],
     ("integrator", "substeps"): ["0", "-3", "2.5"],
     ("data", "family"): ["gauss", ""],
-    ("data", "amplitude"): ["nan", "inf"],
+    ("data", "amplitude"): ["nan", "inf", "-0.1"],
     ("data", "seed"): ["1.5", "one"],
-    ("data", "mode_cut"): ["nan"],
-    ("data", "decay"): ["-inf"],
+    ("data", "mode_cut"): ["nan", "0", "-1"],
+    ("data", "decay"): ["-inf", "0", "-5"],
     ("sweep", "N_list"): ["", "4 -8", "4 0", "4 nan", "inf", "4 x"],
     ("sweep", "time_samples"): ["0", "-1"],
     ("sweep", "s_samples"): ["0", "1"],
