@@ -7,13 +7,13 @@ plus the Maxwell-Klein-Gordon analogue.
 """
 
 from .algebra import StructureSpec, su2, u1
-from .dynamics import CauchyState, EvolutionConfig, energy, evolve, ym_rhs
+from .dynamics import CauchyState, energy, evolve, ym_rhs
 from .grid import Grid
 from .heatflow import FlowState, TimeStencil, run_flow, tension_field
 
 __all__ = [
     "StructureSpec", "su2", "u1", "Grid",
-    "CauchyState", "EvolutionConfig", "energy", "evolve", "ym_rhs",
+    "CauchyState", "energy", "evolve", "ym_rhs",
     "FlowState", "TimeStencil", "run_flow", "tension_field",
 ]
 

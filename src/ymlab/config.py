@@ -21,6 +21,16 @@ class ConfigError(ValueError):
     pass
 
 
+def dt_steps(span: float, dt: float) -> int | None:
+    """The whole steps of dt (finite, > 0) in span (finite, >= 0), the one
+    rule by which a span of time becomes steps; None for a span off the grid
+    of dt by more than 1e-9 of span, or a dt or span out of range."""
+    if not (0 < dt < math.inf and 0 <= span < math.inf and span / dt < math.inf):
+        return None
+    steps = round(span / dt)
+    return steps if abs(steps * dt - span) <= 1e-9 * span else None
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "evolve"
@@ -79,9 +89,7 @@ class ExperimentConfig:
             problems.append(f"amplitude must be nonnegative, got {self.amplitude}")
         if not 0.0 < self.cfl <= 1.0:
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
-        steps = self.T / self.dt if self.dt > 0 and not infinite else 0.0
-        off_grid = not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T
-        if off_grid and self.kind in _STEPPED_KINDS:
+        if self.kind in _STEPPED_KINDS and dt_steps(self.T, self.dt) is None:
             problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
         for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 1)):
             if getattr(self, name) < low:

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
+from .config import dt_steps
 from .dynamics import CauchyState, energy, log_legs, wave_legs
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
@@ -112,15 +113,15 @@ def simpson_identity(state0, t_span: float, n_nodes: int, dt: float, node):
     integral composite Simpson over n_nodes (odd) equally spaced nodes.
 
     The nodes are `wave_legs` marks from state0 in steps of dt, which must
-    divide the node spacing; node(state) returns (I, E) at one node.
-    Returns (residual_relative, lhs, rhs).
+    divide the node spacing (`config.dt_steps`); node(state) returns (I, E)
+    at one node.  Returns (residual_relative, lhs, rhs).
     """
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("Simpson rule needs an odd node count >= 3")
     node_dt = t_span / (n_nodes - 1)
-    steps_per_node = int(round(node_dt / dt))
-    if abs(steps_per_node * dt - node_dt) > 1e-12:
-        raise ValueError("node spacing must be an integer multiple of dt")
+    steps_per_node = dt_steps(node_dt, dt)
+    if steps_per_node is None:
+        raise ValueError(f"node spacing {node_dt} must be an integer multiple of dt = {dt}")
     values = []
     wave_legs(state0, dt, [q * steps_per_node for q in range(n_nodes)],
               lambda st, _hat: values.append(node(st)))
@@ -231,28 +232,33 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
                               substeps: int = 2) -> SweepResult:
     """Drift of the modified energy over [0, T] for each threshold N.
 
-    One heat flow per sampled time serves every N: the per-N s-grids are
-    drawn from one lattice (`heatflow.nested_sample_grids`), so they share
-    most of their points; their union is flowed once and each modified
-    energy reads its own grid.  Each time sample logs one INFO record with
-    t, the union size, the IF steps taken, the legs redone and the largest
-    leg error estimate (`heatflow.sample_legs`); the wave's `LegRecord` gets
-    one more (`dynamics.log_legs`).  The fitted log-log slope is
-    exploratory output.
+    T must be whole steps of dt (`config.dt_steps`); the n_time_samples
+    samples are the steps nearest to evenly spaced times, which `times`
+    reports.  One heat flow per sampled time serves every N: the per-N
+    s-grids are drawn from one lattice (`heatflow.nested_sample_grids`), so
+    they share most of their points; their union is flowed once and each
+    modified energy reads its own grid.  Each time sample logs one INFO
+    record with the t reached, the union size, the IF steps taken, the legs
+    redone and the largest leg error estimate (`heatflow.sample_legs`); the
+    wave's `LegRecord` gets one more (`dynamics.log_legs`).  The fitted
+    log-log slope is exploratory output.
     """
+    nsteps = dt_steps(T, dt)
+    if nsteps is None:
+        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     N_values = sorted(N_values)
     grids = dict(zip(N_values, hf.nested_sample_grids(
         [1.0 / N**2 for N in N_values], n_s, span)))
     union = np.unique(np.concatenate(list(grids.values())))
-    t_samples = np.linspace(0.0, T, n_time_samples)
-    ie = {N: [] for N in N_values}
+    ie, times = {N: [] for N in N_values}, []
 
     def measure(st, _hat):
         rec, legs = [], []
+        times.append(st.t)
         hf.run_flow(st, union, substeps=substeps,
                     observer=lambda f: rec.append((f.s, energy_at(f))), legs=legs)
         log.info("sweep t = %.6g: %d flow samples, %d IF steps, %d legs redone, "
-                 "leg error <= %.1e", t_samples[len(ie[N_values[0]])], len(union),
+                 "leg error <= %.1e", st.t, len(union),
                  legs[0].steps, legs[0].redone, legs[0].max_error)
         s_all, e_all = np.array(rec).T
         for N in N_values:
@@ -260,14 +266,14 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
             val, _ = modified_energy(s_all[sel], e_all[sel], N, sigma)
             ie[N].append(val)
 
-    steps = [int(round((b - a) / dt)) for a, b in zip(t_samples, t_samples[1:])]
     wave = []
-    wave_legs(state0, dt, np.cumsum([0] + steps, dtype=int), measure, wave)
-    log_legs("sweep wave", T, wave[0])
+    final = wave_legs(state0, dt, np.round(np.linspace(0, nsteps, n_time_samples)),
+                      measure, wave)
+    log_legs("sweep wave", final.t, wave[0])
 
     drifts = [max(abs(v - ie[N][0]) for v in ie[N]) for N in N_values]
     logs = np.log(np.asarray(N_values, float))
     safe = np.log(np.maximum(drifts, 1e-300))
     slope = float(np.polyfit(logs, safe, 1)[0])
     return SweepResult(list(N_values), drifts, slope, modified_energies=ie,
-                       times=list(t_samples))
+                       times=times)

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import StructureSpec, bracket
+from .config import dt_steps
 from .gauge import PAIRS
 from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, gradient,
@@ -69,24 +70,6 @@ class CauchyState:
         return CauchyState(g, self.spec, t, g.ifft(y[0]), g.ifft(y[1]))
 
 
-@dataclass
-class EvolutionConfig:
-    """dt: the step whose multiples are the sample times; a leg takes at most
-    its steps of dt.  cfl: the bound on dt * k_max, still checked on dt."""
-
-    dt: float
-    T: float
-    cfl: float = 0.5
-    sample_every: int = 0  # steps between samples; 0 = endpoints only
-    keep_states: bool = False
-
-    def __post_init__(self):
-        if self.cfl > 1.0:
-            raise ValueError("cfl guard must not exceed 1")
-        if self.dt <= 0 or self.T < 0:
-            raise ValueError("dt must be positive and T nonnegative")
-
-
 def active_kmax(grid: Grid) -> float:
     """Largest |k| surviving the two-thirds truncation."""
     cut = np.floor(grid.n / 3.0)
@@ -94,14 +77,20 @@ def active_kmax(grid: Grid) -> float:
 
 
 def sample_marks(grid: Grid, dt: float, T: float, cfl: float, every: int) -> list:
-    """Step counts at which an integration to T samples for `wave_legs`: 0,
-    each multiple of `every` (0: none) and the last.  Raises on dt * kmax
-    above the CFL bound and on a T that is not a multiple of dt."""
+    """Step counts at which a wave run over T samples for `wave_legs`: 0, each
+    multiple of `every` (0: none) and the last; the one check of both wave
+    evolves.  A ValueError names a dt not finite and > 0, a T not finite and
+    >= 0, a cfl outside (0, 1], dt * kmax above cfl or T off the dt grid."""
+    for name, value, ok, need in (("dt", dt, 0 < dt < math.inf, "finite and positive"),
+                                  ("T", T, 0 <= T < math.inf, "finite and nonnegative"),
+                                  ("cfl", cfl, 0 < cfl <= 1, "in (0, 1]")):
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value}")
     if dt * active_kmax(grid) > cfl + 1e-12:
         raise ValueError(f"CFL violation: dt*kmax = {dt * active_kmax(grid):.3f} "
                          f"> cfl = {cfl}")
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * T:
+    nsteps = dt_steps(T, dt)
+    if nsteps is None:
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return [m for m in range(nsteps + 1)
             if m == 0 or (every and m % every == 0) or m == nsteps]
@@ -400,16 +389,15 @@ class Trajectory:
     energies: list = field(default_factory=list)
     gauss: list = field(default_factory=list)
     hsig: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     final: CauchyState | None = None
     legs: LegRecord | None = None
 
 
-def evolve(state: CauchyState, config: EvolutionConfig,
-           sigma: float = 5.0 / 6.0) -> Trajectory:
-    """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms
-    every `sample_every` steps of dt; the trajectory keeps the `LegRecord`,
-    and one INFO record logs it."""
+def evolve(state: CauchyState, dt: float, T: float, sample_every: int = 0,
+           cfl: float = 0.5, sigma: float = 5.0 / 6.0) -> Trajectory:
+    """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms at
+    the `sample_marks` of dt, T, cfl and `sample_every`, as `mkg.evolve`
+    does; the trajectory keeps the `LegRecord`, and one INFO record logs it."""
     g = state.grid
     traj = Trajectory()
 
@@ -421,12 +409,10 @@ def evolve(state: CauchyState, config: EvolutionConfig,
         traj.gauss.append(g.spectral_l2(rh + sum(derivative_hat(g, hat[1][l], l)
                                                  for l in range(3))))
         traj.hsig.append(sobolev_norm(g, None, sigma, fh=hat[0]))
-        if config.keep_states:
-            traj.states.append(st.copy())
 
     legs = []
-    traj.final = wave_legs(state, config.dt, sample_marks(
-        g, config.dt, config.T, config.cfl, config.sample_every), sample, legs)
+    traj.final = wave_legs(state, dt, sample_marks(g, dt, T, cfl, sample_every),
+                           sample, legs)
     traj.legs = legs[0]
     log_legs("evolve", traj.final.t, traj.legs)
     return traj

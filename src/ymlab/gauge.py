@@ -245,15 +245,20 @@ def random_alg_field(grid: Grid, spec: StructureSpec, rng: np.random.Generator,
 
     components=0 gives a scalar (d, n^3) field, otherwise that many leading
     vector components.  Normalized so the max pointwise algebra norm equals
-    amplitude.
+    amplitude.  Raises ValueError on mode_cut or decay <= 0 and amplitude < 0.
     """
     if mode_cut is None:
         mode_cut = grid.n / 6.0
+    for name, value, ok, need in (("mode_cut", mode_cut, mode_cut > 0, "positive"),
+                                  ("decay", decay, decay > 0, "positive"),
+                                  ("amplitude", amplitude, amplitude >= 0, "nonnegative")):
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value}")
     lead = (components,) if components else ()
     f = rng.standard_normal(lead + (spec.dim,) + (grid.n,) * 3)
     m2 = grid.mode_mag2
     keep = m2 <= mode_cut**2
-    weight = np.exp(-m2 / max(decay, 1e-6) ** 2) * keep
+    weight = np.exp(-m2 / decay**2) * keep
     f = grid.ifft(weight * grid.fft(f))
     scale = float(np.max(np.sqrt((f * f).sum(axis=-4))))
     if scale > 0:

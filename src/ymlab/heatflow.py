@@ -32,6 +32,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
+from .config import dt_steps
 from .dynamics import (LEG_TOL, CauchyState, LegRecord, controlled_legs,
                        covariant_curl_div, rk4_step, spectral_norm, wave_legs)
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
@@ -370,13 +371,14 @@ def make_stencil(state, delta: float, dt: float) -> "TimeStencil":
     """Five slices centered on the Yang-Mills wave state `state`, from
     `wave_legs` trajectories (any wave state steps the same way).
 
-    delta must be an integer multiple of dt.  The two earlier slices are
-    integrated backward from the center, so the central slice is the input
-    state itself.
+    delta must be a positive integer multiple of dt (`config.dt_steps`).
+    The two earlier slices are integrated backward from the center, so the
+    central slice is the input state itself.
     """
-    m = int(round(delta / dt))
-    if m < 1 or abs(m * dt - delta) > 1e-12 * max(1.0, delta):
-        raise ValueError("stencil spacing must be an integer multiple of dt")
+    m = dt_steps(delta, dt)
+    if not m:
+        raise ValueError(f"stencil spacing {delta} must be a positive integer "
+                         f"multiple of dt = {dt}")
     back, ahead = [], []
     wave_legs(state, -dt, (m, 2 * m), lambda st, _hat: back.append(st))
     wave_legs(state, dt, (m, 2 * m), lambda st, _hat: ahead.append(st))

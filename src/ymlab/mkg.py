@@ -91,11 +91,6 @@ def _aphi_hat(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return grid.dealias_mask_full * grid.cfft(np.stack([_jmul(a, phi) for a in A]))
 
 
-def covariant_grad(grid: Grid, A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """D_i phi = d_i phi + i A_i phi, product dealiased."""
-    return cgradient(grid, phi) + 1j * grid.cifft(_aphi_hat(grid, A, phi[None]))[:, 0]
-
-
 def _current(phi: np.ndarray, Dphi: np.ndarray) -> np.ndarray:
     """Im(phi conj(D_a phi)), the scalar current J_a for the D_a phi given:
     the charge density for D_0 phi = phi_t, J_i for D_i phi."""
@@ -174,9 +169,9 @@ def repair_constraint(state: MkgState) -> MkgState:
 
 def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
            cfl: float = 0.5):
-    """Integrate, recording energy / charge / constraint residual every
-    `sample_every` steps of dt, and the wave's `LegRecord` ("legs"), which
-    one INFO record logs."""
+    """Integrate to t + T as `dynamics.evolve` does, recording energy / charge /
+    constraint residual at its samples, and the wave's `LegRecord` ("legs"),
+    which one INFO record logs."""
     g = state.grid
     times, energies, charges, constraint = [], [], [], []
 

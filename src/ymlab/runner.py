@@ -17,7 +17,7 @@ from . import dynamics as dyn
 from . import heatflow as hf
 from . import mkg as mkg_mod
 from .ckpt import write_checkpoint
-from .config import ConfigError, ExperimentConfig, emit_config
+from .config import ConfigError, ExperimentConfig, dt_steps, emit_config
 from .datagen import make_data, spec_of
 from .gauge import random_alg_field
 from .grid import Grid
@@ -75,11 +75,14 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     return summary
 
 
+def _sample_every(cfg: ExperimentConfig) -> int:
+    """Steps of dt between the about 50 samples of an evolve or mkg run."""
+    return max(1, round(dt_steps(cfg.T, cfg.dt) / 50))
+
+
 def _run_evolve(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     state, report = make_data(cfg, grid)
-    traj = dyn.evolve(state, dyn.EvolutionConfig(
-        dt=cfg.dt, T=cfg.T, cfl=cfg.cfl,
-        sample_every=max(1, int(round(cfg.T / cfg.dt / 50)))), sigma=cfg.sigma)
+    traj = dyn.evolve(state, cfg.dt, cfg.T, _sample_every(cfg), cfg.cfl, cfg.sigma)
     e = np.asarray(traj.energies)
     gs = np.asarray(traj.gauss)
     _write_csv(os.path.join(out_dir, "results.csv"),
@@ -178,8 +181,7 @@ def _run_acl_sweep(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
 
 def _run_mkg(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     state, report = make_data(cfg, grid)
-    out = mkg_mod.evolve(state, cfg.dt, cfg.T, cfl=cfg.cfl,
-                         sample_every=max(1, int(round(cfg.T / cfg.dt / 50))))
+    out = mkg_mod.evolve(state, cfg.dt, cfg.T, _sample_every(cfg), cfg.cfl)
     e = np.asarray(out["energies"])
     q = np.asarray(out["charges"])
     c = np.asarray(out["constraint"])

@@ -74,11 +74,6 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.ifft(grid.dealias_mask * grid.fft(f))
 
 
-def mult2(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Alias-safe pointwise product of two band-limited fields."""
-    return grid.ifft(grid.dealias_mask * grid.fft(f * g))
-
-
 # --- complex scalar variants ------------------------------------------------
 
 def cgradient(grid: Grid, f: np.ndarray | None = None, *,

@@ -171,8 +171,7 @@ def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
         g = grid.Grid(cfg.n, cfg.L)
         state, _ = datagen.make_data(cfg, g)
         calls[0] = 0
-        legs = dynamics.evolve(state, dynamics.EvolutionConfig(
-            dt=cfg.dt, T=cfg.T, sample_every=every)).legs
+        legs = dynamics.evolve(state, cfg.dt, cfg.T, every).legs
         assert calls[0] == 4 * legs.steps + 1 and legs.redone == 0
         assert legs.counts == [1] * 50 and legs.steps == 50
 

@@ -5,6 +5,7 @@ import pytest
 import scipy
 from scipy.integrate import quad, simpson
 
+from ymlab import config, datagen
 from ymlab import diagnostics as dg
 from ymlab import dynamics as dyn
 from ymlab import gauge as gt
@@ -122,6 +123,12 @@ def test_energy_identity_converges(grid16, s2, rng):
         dg.energy_identity_check(st, 0.1, s, n_nodes=4)
 
 
+def test_energy_identity_rejects_a_node_spacing_off_the_dt_grid(grid8, s2):
+    st = abelian_wave(grid8, s2, 0.1)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        dg.energy_identity_check(st, 25 * 2e-3, 1 / 256.0, n_nodes=11, dt=2e-3)
+
+
 def test_energy_identity_abelian_zero(grid16, ab):
     st = abelian_wave(grid16, ab, 0.2)
     res, lhs, rhs = dg.energy_identity_check(
@@ -219,6 +226,31 @@ def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch
     assert len(wave) == 1 and head == "sweep wave to t = 0.05: 2 IF steps, 0 legs redone"
     assert 0.0 < float(error) <= dyn.WAVE_LEG_TOL
     assert capsys.readouterr().out == ""
+
+
+def test_sweep_rejects_T_off_the_dt_grid(grid8, s2):
+    with pytest.raises(ValueError, match=r"T = 0.0031 .*dt = 0.002"):
+        dg.almost_conservation_sweep(abelian_wave(grid8, s2, 0.1), [2.0, 4.0],
+                                     5.0 / 6.0, T=0.0031, dt=0.002)
+
+
+def test_sweep_times_are_the_steps_it_reached(grid8, monkeypatch):
+    """T = 0.5 is 250 steps of dt = 2e-3: five samples measure at the steps
+    nearest to evenly spaced times, 0, 62, 125, 188 and 250, and the sweep
+    reports those times, ending at T (not 0.125, ..., 0.5 at 0.124, ...,
+    0.496)."""
+    cfg = config.ExperimentConfig(kind="acl-sweep", n=8, N_list=(2.0, 4.0),
+                                  s_samples=8, T=0.5, time_samples=5)
+    st, _ = datagen.make_data(cfg, grid8)
+    measured, run_flow = [], hf.run_flow
+    monkeypatch.setattr(hf, "run_flow", lambda state, *a, **k: (
+        measured.append(state.t), run_flow(state, *a, **k))[1])
+    res = dg.almost_conservation_sweep(st, list(cfg.N_list), cfg.sigma, cfg.T, cfg.dt,
+                                       n_time_samples=cfg.time_samples,
+                                       n_s=cfg.s_samples, substeps=cfg.substeps)
+    assert res.times == measured == [m * cfg.dt for m in (0, 62, 125, 188, 250)]
+    assert res.times[-1] == cfg.T
+    assert res.times == pytest.approx([0.0, 0.124, 0.25, 0.376, 0.5], abs=1e-15)
 
 
 def test_sweep_abelian_noise_floor(grid16, ab):

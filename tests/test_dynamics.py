@@ -36,7 +36,7 @@ def test_plane_wave_period_return_and_order(grid16, ab):
     `ym_rhs`, converges to it at order 4."""
     st = abelian_wave(grid16, ab, 0.1)
     period = 2.0 * np.pi
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=period / 128, T=period))
+    tr = dyn.evolve(st, period / 128, period)
     assert np.max(np.abs(tr.final.A - st.A)) < 1e-14
     assert np.max(np.abs(tr.final.E - st.E)) < 1e-14
     errs = []
@@ -153,7 +153,7 @@ def test_controlled_evolve_accuracy(grid16, s2, amp):
                 gauss.append(gt.gauss_residual(grid16, *y, s2)[1])
         return y, np.array(gauss)
 
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=dt, T=nsteps * dt, sample_every=5))
+    tr = dyn.evolve(st, dt, nsteps * dt, 5)
     assert tr.legs.steps < nsteps
     ref, _ = classical(dt / 4, 4 * nsteps, 4 * nsteps)
     fixed, gauss = classical(dt, nsteps, 5)
@@ -176,7 +176,7 @@ def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
     from ymlab.datagen import mkg_random
     st = su2_state(grid16, s2, rng)
     with caplog.at_level("INFO", logger="ymlab.dynamics"):
-        tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.02, sample_every=5))
+        tr = dyn.evolve(st, 2e-3, 0.02, 5)
         out = mkg.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
                          2e-3, 0.02, sample_every=5)
     for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"])):
@@ -245,9 +245,28 @@ def test_evolve_rejects_T_off_the_dt_grid(grid8, s2):
     from ymlab import mkg
     from ymlab.datagen import mkg_wave
     with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
-        dyn.evolve(abelian_wave(grid8, s2, 0.1), dyn.EvolutionConfig(dt=0.003, T=0.01))
+        dyn.evolve(abelian_wave(grid8, s2, 0.1), 0.003, 0.01)
     with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
         mkg.evolve(mkg_wave(grid8, 0.1), 0.003, 0.01)
+
+
+@pytest.mark.parametrize("name, dt, T, cfl", [
+    ("dt", 0.0, 0.01, 0.5), ("dt", -1e-3, 0.01, 0.5), ("dt", float("nan"), 0.01, 0.5),
+    ("T", 1e-3, -0.01, 0.5), ("cfl", 1e-3, 0.01, 0.0), ("cfl", 1e-3, 0.01, 1.5)],
+    ids=["dt-zero", "dt-negative", "dt-nan", "T-negative", "cfl-zero", "cfl-above-1"])
+def test_wave_evolves_reject_a_bad_schedule_alike(grid8, s2, name, dt, T, cfl):
+    """Both wave systems' evolves raise the same ValueError, naming the
+    value, before any step: `sample_marks` is their one check."""
+    from ymlab import mkg
+    from ymlab.datagen import mkg_wave
+    value = {"dt": dt, "T": T, "cfl": cfl}[name]
+    messages = []
+    for run, state in ((dyn.evolve, abelian_wave(grid8, s2, 0.1)),
+                       (mkg.evolve, mkg_wave(grid8, 0.1))):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$") as info:
+            run(state, dt, T, cfl=cfl)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_missed_cold_leg_keeps_its_cap_without_a_finite_probe():
@@ -347,7 +366,7 @@ def test_evolve_transform_count(s2, rng, monkeypatch):
     g = Grid(16)
     st = su2_state(g, s2, rng)
     _, per_step = _counted_transforms(g, dyn, "rk4_step", monkeypatch)
-    legs = dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=8e-3)).legs
+    legs = dyn.evolve(st, 1e-3, 8e-3).legs
     assert legs.steps >= 1 and per_step == [144] * legs.steps
 
 
@@ -360,14 +379,14 @@ def test_energy_zero_and_plane_wave(grid16, s2, ab):
     # |grad A|^2 and |E|^2 average to (a k)^2 / 2 each over the torus
     expect = (a * k) ** 2 * grid16.volume / 2.0
     assert abs(dyn.energy(st) - expect) < 1e-12
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.5, sample_every=50))
+    tr = dyn.evolve(st, 2e-3, 0.5, 50)
     e = np.array(tr.energies)
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
 
 
 def test_energy_conservation_su2(grid16, s2, rng):
     st = su2_state(grid16, s2, rng)
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.3, sample_every=30))
+    tr = dyn.evolve(st, 2e-3, 0.3, 30)
     e = np.array(tr.energies)
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-9
 
@@ -384,9 +403,9 @@ def test_energy_gauge_invariance(grid32, s2, rng):
 def test_cfl_guard(grid16, s2, rng):
     st = su2_state(grid16, s2, rng)
     with pytest.raises(ValueError):
-        dyn.evolve(st, dyn.EvolutionConfig(dt=0.2, T=1.0))
+        dyn.evolve(st, 0.2, 1.0)
     with pytest.raises(ValueError):
-        dyn.EvolutionConfig(dt=1e-3, T=1.0, cfl=1.5)
+        dyn.evolve(st, 1e-3, 1.0, cfl=1.5)
 
 
 def test_blowup_detection(grid16, s2):
@@ -395,18 +414,17 @@ def test_blowup_detection(grid16, s2):
     with pytest.raises(dyn.BlowUpError):
         dyn.step_rk4(st, 1e-3)
     with pytest.raises(dyn.BlowUpError):
-        dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=1e-3))
+        dyn.evolve(st, 1e-3, 1e-3)
 
 
 def test_flow_gauge_covariance(grid16, s2, rng):
     """Evolve-then-transform equals transform-then-evolve for spatial U."""
     st = su2_state(grid16, s2, rng, amp=0.1)
     U = gt.random_gauge(grid16, s2, seed=4, amplitude=0.1, mode_cut=1.0)
-    cfg = dyn.EvolutionConfig(dt=2e-3, T=0.1)
-    ev_then = dyn.evolve(st, cfg).final
+    ev_then = dyn.evolve(st, 2e-3, 0.1).final
     A1, E1 = gt.gauge_transform(grid16, ev_then.A, ev_then.E, U, s2)
     A0, E0 = gt.gauge_transform(grid16, st.A, st.E, U, s2)
-    then_ev = dyn.evolve(dyn.CauchyState(grid16, s2, 0.0, A0, E0), cfg).final
+    then_ev = dyn.evolve(dyn.CauchyState(grid16, s2, 0.0, A0, E0), 2e-3, 0.1).final
     rel = np.max(np.abs(then_ev.A - A1)) / np.max(np.abs(A1))
     assert rel < 1e-6
 
@@ -426,7 +444,7 @@ def test_df_cf_consistency(grid16, s2, ab, rng):
 
 def test_gauss_propagation(grid16, s2, rng):
     st = su2_state(grid16, s2, rng, amp=0.1)
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.2, sample_every=20))
+    tr = dyn.evolve(st, 2e-3, 0.2, 20)
     gs = np.array(tr.gauss)
     # at n=16 the truncation cascade sets the floor; the strict 10x growth
     # criterion runs at n=32 in the acceptance suite
@@ -508,7 +526,7 @@ def test_evolve_sample_transform_count(s2, rng, monkeypatch):
     for every in (1, 4):
         count[0] = 0
         rhs.clear()
-        dyn.evolve(st, dyn.EvolutionConfig(dt=1e-3, T=4e-3, sample_every=every))
+        dyn.evolve(st, 1e-3, 4e-3, every)
         totals.append(count[0] - sum(rhs))
     assert totals[0] - totals[1] == 3 * 30
 
@@ -516,10 +534,13 @@ def test_evolve_sample_transform_count(s2, rng, monkeypatch):
 def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):
     """The spectral samples against the physical-space diagnostics."""
     st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=2e-3, T=0.02, sample_every=5,
-                                            keep_states=True))
-    assert tr.states[0].A is not st.A and np.array_equal(tr.states[0].A, st.A)
-    for s, e, gauss, hs in zip(tr.states, tr.energies, tr.gauss, tr.hsig):
+    dt, T, every = 2e-3, 0.02, 5
+    tr = dyn.evolve(st, dt, T, every)
+    states = []
+    dyn.wave_legs(st, dt, dyn.sample_marks(grid16, dt, T, 0.5, every),
+                  lambda s, _hat: states.append(s.copy()))
+    assert len(states) == len(tr.energies) == 3
+    for s, e, gauss, hs in zip(states, tr.energies, tr.gauss, tr.hsig):
         F = gt.curvature(grid16, s.A, s2)
         e_ref = 0.5 * (grid16.l2_norm(F) ** 2 + grid16.l2_norm(s.E) ** 2)
         assert abs(e - e_ref) <= 1e-14 * e_ref

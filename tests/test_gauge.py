@@ -18,6 +18,17 @@ def fd6(grid, f, axis):
     return out / h
 
 
+@pytest.mark.parametrize("name, value", [("mode_cut", -3.0), ("mode_cut", 0.0),
+                                         ("decay", -5.0), ("decay", 0.0),
+                                         ("amplitude", -0.1)])
+def test_random_alg_field_rejects_a_bad_recipe(grid8, s2, name, value):
+    """A negative mode_cut would draw the field of its absolute value, a
+    decay <= 0 the mean mode alone, a negative amplitude the negated field."""
+    kwargs = {"amplitude": 0.1, "mode_cut": 2.0, "decay": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+        gt.random_alg_field(grid8, s2, np.random.default_rng(1), **kwargs)
+
+
 def test_curvature_zero_and_abelian(grid16, s2, ab, rng):
     A = np.zeros((3, 3, 16, 16, 16))
     assert np.max(np.abs(gt.curvature(grid16, A, s2))) == 0.0

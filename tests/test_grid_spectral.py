@@ -223,7 +223,7 @@ def test_dealias_idempotent_and_fine_grid_oracle(grid16, rng):
     g2 = Grid(32, grid16.L)
     a = sp.dealias(grid16, rng.standard_normal((16,) * 3))
     b = sp.dealias(grid16, rng.standard_normal((16,) * 3))
-    prod = sp.mult2(grid16, a, b)
+    prod = sp.dealias(grid16, a * b)
 
     def upsample(x):
         xs = grid16.fft(x)

@@ -221,12 +221,14 @@ def test_stencil_construction(grid16, s2, rng):
     assert np.allclose(np.diff(ts), 5 * dt)
     with pytest.raises(ValueError):
         hf.make_stencil(st, 5.3 * dt, dt)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        hf.make_stencil(st, 2.5 * dt, dt)
 
 
 def test_tension_on_shell_small_and_abelian_zero(grid16, s2, ab, rng):
     dt = 2e-3
     st = su2_state(grid16, s2, rng, amp=0.2)
-    tr = dyn.evolve(st, dyn.EvolutionConfig(dt=dt, T=0.05))
+    tr = dyn.evolve(st, dt, 0.05)
     assert np.all(hf.tension_field(tr.final, 0.0) == 0.0)     # exact by construction
     # the five-slice oracle takes d_t B from the trajectory itself
     stn = hf.make_stencil(tr.final, 5 * dt, dt)
@@ -235,7 +237,7 @@ def test_tension_on_shell_small_and_abelian_zero(grid16, s2, ab, rng):
     assert grid16.l2_norm(w0) < 1e-6 * grid16.l2_norm(F)
     # abelian: w vanishes at every s
     stu = abelian_state(grid16, ab, rng)
-    tru = dyn.evolve(stu, dyn.EvolutionConfig(dt=dt, T=0.05))
+    tru = dyn.evolve(stu, dt, 0.05)
     scale = grid16.l2_norm(stu.E)
     assert grid16.l2_norm(hf.tension_field(tru.final, 0.0)) < 1e-7 * scale
     assert grid16.l2_norm(hf.tension_field(tru.final, 1 / 64.0, substeps=4)) < 1e-7 * scale

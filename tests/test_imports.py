@@ -49,3 +49,20 @@ def test_no_unused_imports():
     files = sorted([*SRC.rglob("*.py"), *Path(__file__).parent.glob("*.py")])
     assert len(files) > 20
     assert [u for f in files for u in _unused_imports(f)] == []
+
+
+def test_every_exported_name_resolves():
+    import ymlab
+    assert [name for name in ymlab.__all__ if not hasattr(ymlab, name)] == []
+
+
+def test_config_imports_only_the_standard_library():
+    """`config` holds `dt_steps`, which every layer imports: a leaf module
+    that imports no ymlab or third-party module cannot close a cycle."""
+    tree = ast.parse((SRC / "ymlab" / "config.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and [m for m in modules
+                        if m.split(".")[0] not in sys.stdlib_module_names] == []

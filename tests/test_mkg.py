@@ -71,7 +71,7 @@ def test_mkg_samples_match_physical_hamiltonian(grid16, ab):
     assert len(out["energies"]) == len(states) == 3
     for s, e in zip(states, out["energies"]):
         F = gt.curvature(grid16, s.A, ab)
-        Dphi = mkg.covariant_grad(grid16, s.A, s.phi)
+        Dphi = sp.cgradient(grid16, s.phi) + 1j * sp.cdealias(grid16, s.A[:, 0] * s.phi)
         e_ref = 0.5 * (grid16.l2_norm(F) ** 2 + grid16.l2_norm(s.E) ** 2
                        + grid16.integrate(np.abs(s.phit) ** 2 + np.sum(np.abs(Dphi) ** 2, 0)))
         assert abs(e - e_ref) <= 1e-14 * e_ref
