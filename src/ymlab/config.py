@@ -91,7 +91,7 @@ class ExperimentConfig:
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.kind in _STEPPED_KINDS and dt_steps(self.T, self.dt) is None:
             problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
-        for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 1)):
+        for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 2)):
             if getattr(self, name) < low:
                 problems.append(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.N_list or not all(0 < x < math.inf for x in self.N_list):

@@ -12,7 +12,7 @@ import numpy as np
 from . import heatflow as hf
 from .algebra import StructureSpec, bracket, inner
 from .config import dt_steps
-from .dynamics import CauchyState, energy, log_legs, wave_legs
+from .dynamics import CauchyState, energy, log_legs, sample_marks, wave_legs
 from .gauge import (PAIRS, covariant_derivative, curvature, gauss_residual,
                     pair_component, random_alg_field)
 from .grid import Grid
@@ -124,7 +124,7 @@ def simpson_identity(state0, t_span: float, n_nodes: int, dt: float, node):
         raise ValueError(f"node spacing {node_dt} must be an integer multiple of dt = {dt}")
     values = []
     wave_legs(state0, dt, [q * steps_per_node for q in range(n_nodes)],
-              lambda st, _hat: values.append(node(st)))
+              lambda st, _hat, _kept: values.append(node(st)))
     integrand, energies = np.array(values).T
     rhs = float(_simpson(integrand, np.linspace(0.0, t_span, n_nodes)))
     lhs = energies[-1] - energies[0]
@@ -229,30 +229,31 @@ class SweepResult:
 def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
                               T: float, dt: float, n_time_samples: int = 5,
                               n_s: int = 32, span: float = 1024.0,
-                              substeps: int = 2) -> SweepResult:
+                              substeps: int = 2, cfl: float = 0.5) -> SweepResult:
     """Drift of the modified energy over [0, T] for each threshold N.
 
-    T must be whole steps of dt (`config.dt_steps`); the n_time_samples
-    samples are the steps nearest to evenly spaced times, which `times`
-    reports.  One heat flow per sampled time serves every N: the per-N
-    s-grids are drawn from one lattice (`heatflow.nested_sample_grids`), so
-    they share most of their points; their union is flowed once and each
-    modified energy reads its own grid.  Each time sample logs one INFO
-    record with the t reached, the union size, the IF steps taken, the legs
-    redone and the largest leg error estimate (`heatflow.sample_legs`); the
-    wave's `LegRecord` gets one more (`dynamics.log_legs`).  The fitted
-    log-log slope is exploratory output.
+    dt, T and cfl pass the wave's checks (`dynamics.sample_marks`); the
+    n_time_samples (at least 2) samples are the steps nearest to evenly
+    spaced times, which `times` reports.  One heat flow per sampled time
+    serves every N: the per-N s-grids are drawn from one lattice
+    (`heatflow.nested_sample_grids`), so they share most of their points;
+    their union is flowed once and each modified energy reads its own grid.
+    Each time sample logs one INFO record with the t reached, the union
+    size, the IF steps taken, the legs redone and the largest leg error
+    estimate (`heatflow.sample_legs`); the wave's `LegRecord` gets one more
+    (`dynamics.log_legs`).  The fitted log-log slope is exploratory output.
     """
-    nsteps = dt_steps(T, dt)
-    if nsteps is None:
-        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+    if n_time_samples < 2:
+        raise ValueError(f"n_time_samples must be at least 2, got {n_time_samples}")
+    nsteps = sample_marks(state0.grid, dt, T, cfl, 0)[-1]
     N_values = sorted(N_values)
     grids = dict(zip(N_values, hf.nested_sample_grids(
         [1.0 / N**2 for N in N_values], n_s, span)))
     union = np.unique(np.concatenate(list(grids.values())))
     ie, times = {N: [] for N in N_values}, []
 
-    def measure(st, _hat):
+    def measure(st, _hat, kept):
+        kept.clear()                            # no wave record held through the flows
         rec, legs = [], []
         times.append(st.t)
         hf.run_flow(st, union, substeps=substeps,

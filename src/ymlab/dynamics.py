@@ -54,20 +54,21 @@ class CauchyState:
         """(rfft A, rfft E), the fields `wave_legs` steps."""
         return self.grid.fft(self.A), self.grid.fft(self.E)
 
-    def spectral_rhs(self, y: tuple) -> tuple:
+    def spectral_rhs(self, y: tuple, kept: dict | None = None) -> tuple:
         """Nonlinear part of d/dt of the spectral fields y: (None, the bracket
-        terms of `_curl_div_hat`), None standing for a zero dA/dt; 18 + 18
-        transforms."""
+        terms of `_curl_div_hat`, which fills kept), None standing for a
+        zero dA/dt; 18 + 18 transforms."""
         g = self.grid
-        return None, _curl_div_hat(g, self.spec, g.ifft(y[0]), y[0], linear=False)
+        return None, _curl_div_hat(g, self.spec, g.ifft(y[0]), y[0], False, kept)
 
     def propagate(self, tau: float, y: tuple) -> tuple:
         """The linear wave flow over tau of the spectral fields y."""
         return _wave_flow(self.grid, tau, *y)
 
-    def from_spectral(self, t: float, y: tuple) -> "CauchyState":
+    def from_spectral(self, t: float, y: tuple, kept: dict | None = None) -> "CauchyState":
+        """The state of y at t, A from a `spectral_rhs(y, kept)` record."""
         g = self.grid
-        return CauchyState(g, self.spec, t, g.ifft(y[0]), g.ifft(y[1]))
+        return CauchyState(g, self.spec, t, kept["A"] if kept else g.ifft(y[0]), g.ifft(y[1]))
 
 
 def active_kmax(grid: Grid) -> float:
@@ -115,10 +116,11 @@ def _curvature_hat(grid: Grid, spec: StructureSpec, A: np.ndarray, Ah: np.ndarra
 
 
 def _curl_div_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
-                  Ah: np.ndarray, linear: bool = True) -> np.ndarray:
+                  Ah: np.ndarray, linear: bool = True, kept: dict | None = None) -> np.ndarray:
     """rfft of sum_j D_j F_{ji} from A and its transform Ah, products
     dealiased: 18 + 9 transforms and 9 brackets (none when abelian); linear
-    False leaves out -|k|^2 Ah + k (k . Ah), which `_wave_flow` takes."""
+    False leaves out -|k|^2 Ah + k (k . Ah), which `_wave_flow` takes; a
+    kept dict receives Ah, A and the curvature hat Fh (not abelian)."""
     D = _curvature_hat(grid, spec, A, Ah, linear)       # F, or its brackets
     out = np.zeros_like(Ah)
     for c, (i, j) in enumerate(PAIRS):          # D_i F_ij into j, D_j F_ji into i
@@ -126,12 +128,17 @@ def _curl_div_hat(grid: Grid, spec: StructureSpec, A: np.ndarray,
         out[i] -= derivative_hat(grid, D[c], j)
     if not spec.structure_constants.any():
         return out
-    F = grid.ifft(D if linear else _curvature_hat(grid, spec, A, Ah, Fh=D.copy()))
+    D = D if linear else _curvature_hat(grid, spec, A, Ah, Fh=D)   # F, in place
+    if kept is not None:
+        kept.update(Ah=Ah, A=A, Fh=D)
+    F = grid.ifft(D)
+    del D                                   # each temporary goes once read
     brk = np.zeros_like(A)
     tmp = np.empty_like(A[0])
     for c, (i, j) in enumerate(PAIRS):
         brk[j] += bracket(A[i], F[c], spec, out=tmp)
         brk[i] -= bracket(A[j], F[c], spec, out=tmp)
+    del F, tmp
     bh = grid.fft(brk)
     bh *= grid.dealias_mask
     out += bh
@@ -199,32 +206,33 @@ def _axpy(a, c, b):
 
 
 def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, with_k4: bool = False):
-    """One classical RK4 step on a tuple of arrays; given prop(tau, z) =
-    e^{tau L} z, the exact flow of a linear part L, Lawson's integrating-
-    factor RK4 step of y' = L y + f(y) (Lawson 1967).  f may give None for
-    a zero field, which prop takes too, and may return its input; prop
-    returns fresh arrays.  Stages are built in the textbook operand order up
-    to exact IEEE commutation.  Pass k1 = f(y) when the caller holds it;
-    with_k4 returns (y_next, the last stage k4)."""
-    P = prop or (lambda tau, z: z)
+    """One RK4 step on a tuple of arrays; given prop(tau, z) = e^{tau L} z,
+    Lawson's integrating-factor step of y' = L y + f(y) (Lawson 1967) in five
+    P = prop(dt/2, .): a = P y, k2 = f(a + dt/2 P k1), k3 = f(z3 = a + dt/2
+    k2), a recovered as z3 - dt/2 k2 (y without prop), k4 = f(P(a + dt k3)),
+    y_next = P(a + dt/3 (k2 + k3) + dt/6 P k1) + dt/6 k4: at each f at most
+    two full states live besides y and k1.  f may give None for a zero
+    field, which prop takes too; no array f or prop returns is written to.
+    Pass k1 = f(y) when held; with_k4 returns (y_next, the last stage k4)."""
     h2 = 0.5 * dt
+    P = (lambda z: z) if prop is None else (lambda z: prop(h2, z))
     k1 = f(y) if k1 is None else k1
-    k2 = f(P(h2, tuple(_axpy(a, h2, k) for a, k in zip(y, k1))))
-    k3 = f(tuple(_axpy(a, h2, k) for a, k in zip(P(h2, y), k2)))
-    mid = P(h2, tuple(b2 if b3 is None else b3 if b2 is None else
-                      np.add(b2, b3, dtype=np.result_type(a, b2))
-                      for a, b2, b3 in zip(y, k2, k3)))
-    y4 = tuple(_axpy(a, dt, k) for a, k in zip(P(dt, y), P(h2, k3)))
-    del k2, k3                             # not held through the last stage
-    k4 = f(y4)
-    del y4
-    for u, b1, b4, a in zip(mid, P(dt, k1), k4, P(dt, y)):
-        # e^{dt L} a + dt/6 (e^{dt L} b1 + 2 e^{dt L/2} (b2 + b3) + b4), in place
-        for op, x in ((np.multiply, 2.0), (np.add, b1), (np.add, b4),
-                      (np.multiply, dt / 6.0), (np.add, a)):
-            if x is not None:
-                op(u, x, out=u)
-    return (mid, k4) if with_k4 else mid
+    a = P(y)
+    k2 = f(tuple(_axpy(u, h2, p) for u, p in zip(a, P(k1))))
+    z3 = tuple(_axpy(u, h2, k) for u, k in zip(a, k2))
+    del a
+    k3 = f(z3)
+    a = y if prop is None else tuple(_axpy(z, -h2, k) for z, k in zip(z3, k2))
+    z4 = tuple(_axpy(u, dt, k) for u, k in zip(a, k3))
+    s = tuple(_axpy(u, dt / 3.0, b2 if b3 is None else b3 if b2 is None else b2 + b3)
+              for u, b2, b3 in zip(a, k2, k3))
+    del a, k2, k3, z3
+    z4 = P(z4)
+    k4 = f(z4)
+    del z4
+    s = tuple(_axpy(u, dt / 6.0, p) for u, p in zip(s, P(k1)))
+    y1 = tuple(_axpy(u, dt / 6.0, k) for u, k in zip(P(s), k4))
+    return (y1, k4) if with_k4 else y1
 
 
 def spectral_norm(grid: Grid, y: tuple) -> float:
@@ -344,41 +352,47 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol
 def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
     """IF-RK4 legs (dt < 0: backward) on `state.spectral()` to each
     nondecreasing step count in `marks` (0: the input), `controlled_legs`
-    taking at most the leg's steps of dt at WAVE_LEG_TOL; emit(st, y) gets
-    the physical state at t + mark dt and its spectral fields, read only.
-    Returns the state at the last mark; a `legs` list receives the
-    `LegRecord`.  A Yang-Mills step makes 144 transforms, a leg's estimate
-    36 more."""
+    taking at most the leg's steps of dt at WAVE_LEG_TOL; emit(st, y, kept)
+    gets the physical state at t + mark dt, its spectral fields and kept,
+    the leg end's `spectral_rhs(y, kept)` record of them that st was built
+    from ({} if none), read only but for clearing kept.  Returns the last
+    mark's state; a `legs` list receives the `LegRecord`.  A Yang-Mills
+    step makes 144 transforms, a leg's estimate 36 more."""
     marks = [int(m) for m in marks]
     caps = [b - a for a, b in zip([0] + marks, marks)]
-    done, held = iter(marks), []
+    done, held, kept = iter(marks), [], {}
 
     def sample(y):
         mark = next(done)
-        held[:] = [state if mark == 0 else state.from_spectral(state.t + mark * dt, y)]
+        rec = kept if kept.get("Ah") is y[0] else {}     # made of this very y
+        held[:] = [state if mark == 0 else state.from_spectral(state.t + mark * dt, y, rec)]
         if emit is not None:
-            emit(held[0], y)
+            emit(held[0], y, rec)
 
     def step(y, h, k1):
-        held.clear()                        # no emitted state held through a leg
+        held.clear()                        # nothing emitted or recorded held through a leg
+        kept.clear()
         return rk4_step(y, h, state.spectral_rhs, state.propagate, k1=k1, with_k4=True)
 
     def blowup(leg):
         return BlowUpError(f"non-finite state at t={state.t + marks[leg] * dt:.6g}")
 
     record = controlled_legs(state.spectral(), [c * dt for c in caps], caps, step,
-                             state.spectral_rhs, lambda y: spectral_norm(state.grid, y),
+                             lambda y: state.spectral_rhs(y, kept),
+                             lambda y: spectral_norm(state.grid, y),
                              sample, blowup, WAVE_LEG_TOL)
     if legs is not None:
         legs.append(record)
     return held[0]
 
 
-def energy(state: CauchyState, Ah: np.ndarray | None = None) -> float:
+def energy(state: CauchyState, Ah: np.ndarray | None = None,
+           Fh: np.ndarray | None = None) -> float:
     """Total curvature energy: 1/2 sum_{a<b} ||F_ab||_L2^2, the magnetic part
-    by Parseval; pass the rfft of A as Ah when the caller holds it."""
+    by Parseval; pass rfft A as Ah, or the magnetic curvature hat as Fh."""
     g = state.grid
-    Fh = _curvature_hat(g, state.spec, state.A, g.fft(state.A) if Ah is None else Ah)
+    if Fh is None:
+        Fh = _curvature_hat(g, state.spec, state.A, g.fft(state.A) if Ah is None else Ah)
     nu = state.spec.metric_normalization
     return 0.5 * nu * (g.spectral_l2(Fh) ** 2 + g.l2_norm(state.E) ** 2)
 
@@ -401,9 +415,9 @@ def evolve(state: CauchyState, dt: float, T: float, sample_every: int = 0,
     g = state.grid
     traj = Trajectory()
 
-    def sample(st, hat):                         # hat = (Ah, Eh)
+    def sample(st, hat, kept):                   # hat = (Ah, Eh)
         traj.times.append(st.t)
-        traj.energies.append(energy(st, hat[0]))
+        traj.energies.append(energy(st, hat[0], kept.get("Fh")))
         rh = g.fft(sum(bracket(st.A[l], st.E[l], st.spec) for l in range(3)))
         rh *= g.dealias_mask                     # Gauss residual D^l E_l
         traj.gauss.append(g.spectral_l2(rh + sum(derivative_hat(g, hat[1][l], l)

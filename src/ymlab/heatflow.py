@@ -215,7 +215,7 @@ class _IFSystem:
         """One IF-RK4 step of size h, as `rk4_step` with the heat factors as
         the propagator: k1 = nonlin(y) when the caller holds it; with_k4
         returns (y at s + h, the last stage k4)."""
-        factors = {tau: self._factors(tau) for tau in (0.5 * h, h)}
+        factors = {0.5 * h: self._factors(0.5 * h)}   # rk4_step propagates over h/2 only
         return rk4_step(y, h, nonlin, lambda tau, z: tuple(
             u if e is None else e * u for u, e in zip(z, factors[tau])), k1, with_k4)
 
@@ -327,13 +327,15 @@ def to_caloric(flow: list[FlowState]) -> list[np.ndarray]:
 def run_caloric_direct(origin_A: np.ndarray, grid: Grid, spec: StructureSpec,
                        s_end: float, ds: float) -> np.ndarray:
     """Explicit RK4 on the caloric flow dA_i/ds = D^l F_li (degenerate
-    parabolic); guarded by the diffusion limit."""
+    parabolic), s_end in whole steps of ds; guarded by the diffusion limit."""
     cut = np.floor(grid.n / 3.0)
     k2max = 3.0 * (2.0 * np.pi / grid.L * cut) ** 2
     if ds * k2max > 0.25:
         raise ValueError(
             f"explicit caloric step too stiff: ds*kmax^2 = {ds * k2max:.3f} > 0.25")
-    nsteps = int(round(s_end / ds))
+    nsteps = dt_steps(s_end, ds)
+    if nsteps is None:
+        raise ValueError(f"s_end = {s_end} is not an integer multiple of ds = {ds}")
     A = origin_A.copy()
     for _ in range(nsteps):
         A = rk4_step((A,), ds, lambda y: (covariant_curl_div(grid, spec, y[0]),))[0]
@@ -380,8 +382,8 @@ def make_stencil(state, delta: float, dt: float) -> "TimeStencil":
         raise ValueError(f"stencil spacing {delta} must be a positive integer "
                          f"multiple of dt = {dt}")
     back, ahead = [], []
-    wave_legs(state, -dt, (m, 2 * m), lambda st, _hat: back.append(st))
-    wave_legs(state, dt, (m, 2 * m), lambda st, _hat: ahead.append(st))
+    wave_legs(state, -dt, (m, 2 * m), lambda st, _hat, _kept: back.append(st))
+    wave_legs(state, dt, (m, 2 * m), lambda st, _hat, _kept: ahead.append(st))
     return TimeStencil(back[::-1] + [state.copy()] + ahead, delta)
 
 

@@ -56,14 +56,16 @@ class MkgState:
         g = self.grid
         return g.fft(self.A), g.fft(self.E), g.cfft(self.phi), g.cfft(self.phit)
 
-    def spectral_rhs(self, y: tuple) -> tuple:
-        """Nonlinear part of d/dt of the spectral fields y: the masked scalar
-        current for E, the masked covariant terms for phit (None: zero).
-        The Maxwell brackets vanish: 8 + 12 transforms, no bracket."""
+    def spectral_rhs(self, y: tuple, kept: dict | None = None) -> tuple:
+        """Nonlinear part of d/dt of the spectral fields y (a kept dict gets
+        Ah, A and phi): the masked scalar current for E, the masked covariant
+        terms for phit (None: zero); 8 + 12 transforms, no Maxwell bracket."""
         g = self.grid
         Ah, _, phih, _ = y
-        NA, Nphi = _mkg_nonlinear(g, g.ifft(Ah), g.cifft(phih)[None], phih[None],
-                                  divergence(g, vh=Ah))
+        A, phi = g.ifft(Ah), g.cifft(phih)
+        if kept is not None:
+            kept.update(Ah=Ah, A=A, phi=phi)
+        NA, Nphi = _mkg_nonlinear(g, A, phi[None], phih[None], divergence(g, vh=Ah))
         return None, NA, None, Nphi[0]
 
     def propagate(self, tau: float, y: tuple) -> tuple:
@@ -72,9 +74,10 @@ class MkgState:
         g = self.grid
         return dyn._wave_flow(g, tau, *y[:2]) + dyn._wave_flow(g, tau, *y[2:], full=True)
 
-    def from_spectral(self, t: float, y: tuple) -> "MkgState":
+    def from_spectral(self, t: float, y: tuple, kept: dict | None = None) -> "MkgState":
         g = self.grid
-        return MkgState(g, t, g.ifft(y[0]), g.ifft(y[1]), g.cifft(y[2]), g.cifft(y[3]))
+        A, phi = (kept["A"], kept["phi"]) if kept else (g.ifft(y[0]), g.cifft(y[2]))
+        return MkgState(g, t, A, g.ifft(y[1]), phi, g.cifft(y[3]))
 
 
 def _jmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +178,7 @@ def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
     g = state.grid
     times, energies, charges, constraint = [], [], [], []
 
-    def sample(st, hat):                         # hat = (Ah, Eh, phih, phith)
+    def sample(st, hat, _kept):                  # hat = (Ah, Eh, phih, phith)
         times.append(st.t)
         energies.append(_hamiltonian(g, st.A, st.E, st.phi, st.phit, hat[0], hat[2]))
         charges.append(charge(st))

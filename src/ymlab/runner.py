@@ -164,7 +164,7 @@ def _run_acl_sweep(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     res = dg.almost_conservation_sweep(
         state, list(cfg.N_list), cfg.sigma, cfg.T, cfg.dt,
         n_time_samples=cfg.time_samples, n_s=cfg.s_samples,
-        substeps=cfg.substeps)
+        substeps=cfg.substeps, cfl=cfg.cfl)
     _write_csv(os.path.join(out_dir, "results.csv"),
                {"N": res.N_values, "drift": res.drifts,
                 "ie_initial": [res.modified_energies[N][0] for N in res.N_values]},

@@ -108,10 +108,12 @@ def test_mkg_step_transforms(counter, monkeypatch):
 
 
 def test_mkg_sample_transforms(counter, monkeypatch):
-    """An MKG evolve sample makes 4 + 2 transforms besides the driver's 8
-    inverses, reading the energy and the Gauss-law residual from the spectral
-    fields and skipping the abelian curvature brackets (7 + 2 with them; 28
-    when the energy and residual were physical): 4 steps sampled at every
+    """An MKG evolve sample makes 4 + 2 transforms besides the driver's 4
+    inverses of E and phit, taking A and phi from the leg-end right-hand
+    side (8 inverses when it did not), reading the energy and the Gauss-law
+    residual from the spectral fields and skipping the abelian curvature
+    brackets (7 + 2 with them; 28 when the energy and residual were
+    physical): 4 steps sampled at every
     step less sampled at the last only, the transforms of the right-hand
     sides, counted per call, taken out.  `mkg_energy` takes 7 (10 with the
     brackets, 22 in physical space)."""
@@ -125,7 +127,7 @@ def test_mkg_sample_transforms(counter, monkeypatch):
         mkg.evolve(st, 1e-3, 4e-3, sample_every=every)
         totals.append(tuple(counter[k] - before[k] - sum(c[i] for c in rhs)
                             for i, k in enumerate(("fwd", "inv"))))
-    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 8))
+    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 4))
     before = dict(counter)
     mkg.mkg_energy(st)
     assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (7, 0)
@@ -161,9 +163,9 @@ def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
     calls = [0]
     rhs = dynamics.CauchyState.spectral_rhs
 
-    def counted(self, y):
+    def counted(self, y, kept=None):
         calls[0] += 1
-        return rhs(self, y)
+        return rhs(self, y, kept)
 
     monkeypatch.setattr(dynamics.CauchyState, "spectral_rhs", counted)
     for n, T, every in ((32, 0.2, 2), (16, 0.5, 5)):

@@ -5,7 +5,7 @@ import pytest
 import scipy
 from scipy.integrate import quad, simpson
 
-from ymlab import config, datagen
+from ymlab import config, datagen, runner
 from ymlab import diagnostics as dg
 from ymlab import dynamics as dyn
 from ymlab import gauge as gt
@@ -232,6 +232,28 @@ def test_sweep_rejects_T_off_the_dt_grid(grid8, s2):
     with pytest.raises(ValueError, match=r"T = 0.0031 .*dt = 0.002"):
         dg.almost_conservation_sweep(abelian_wave(grid8, s2, 0.1), [2.0, 4.0],
                                      5.0 / 6.0, T=0.0031, dt=0.002)
+
+
+def test_sweep_rejects_one_time_sample(grid8, s2):
+    """One time sample would measure only t = 0: every drift 0, no wave run."""
+    with pytest.raises(ValueError, match="n_time_samples must be at least 2, got 1"):
+        dg.almost_conservation_sweep(abelian_wave(grid8, s2, 0.1), [2.0, 4.0],
+                                     5.0 / 6.0, T=0.004, dt=0.002, n_time_samples=1)
+
+
+def test_sweep_checks_the_wave_cfl(grid8, s2, tmp_path):
+    """dt * kmax = 0.69 at n = 8, dt = 0.2: the sweep and the acl-sweep run
+    raise on the CFL bound of `sample_marks` at the default cfl 0.5, and the
+    sweep runs its wave at cfl 0.7."""
+    st = abelian_wave(grid8, s2, 0.1)
+    with pytest.raises(ValueError, match=r"CFL violation: dt\*kmax = 0.693 > cfl = 0.5"):
+        dg.almost_conservation_sweep(st, [2.0, 4.0], 5.0 / 6.0, T=0.4, dt=0.2)
+    with pytest.raises(ValueError, match=r"CFL violation: dt\*kmax = 0.693 > cfl = 0.5"):
+        runner.run(config.ExperimentConfig(kind="acl-sweep", n=8, dt=0.2, T=0.4),
+                   str(tmp_path))
+    res = dg.almost_conservation_sweep(st, [2.0, 4.0], 5.0 / 6.0, T=0.4, dt=0.2,
+                                       n_time_samples=2, n_s=8, cfl=0.7)
+    assert res.times == [0.0, 0.4]
 
 
 def test_sweep_times_are_the_steps_it_reached(grid8, monkeypatch):

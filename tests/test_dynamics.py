@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ymlab import dynamics as dyn
 from ymlab import gauge as gt
+from ymlab import heatflow as hf
 from ymlab import spectral as sp
 from ymlab.datagen import abelian_wave, random_state
 
@@ -96,7 +99,7 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
         return out
 
     got, legs = [], []
-    final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat: got.append(state), legs)
+    final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat, _kept: got.append(state), legs)
     assert final is got[-1]
     assert legs[0].counts[0] == 3 and 1 <= legs[0].counts[1] <= 6
     ref = st.spectral()
@@ -105,7 +108,7 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
     gap = [u - v for u, v in zip(got[0].spectral(), ref)]
     assert dyn.spectral_norm(grid16, gap) <= dyn.WAVE_LEG_TOL * dyn.spectral_norm(grid16, ref)
     back = []
-    dyn.wave_legs(st, -dt, [1], lambda state, _hat: back.append(state), legs)
+    dyn.wave_legs(st, -dt, [1], lambda state, _hat, _kept: back.append(state), legs)
     assert legs[1].counts == [1]
     want = physical_loop([4, 10], legs[0].counts, dt) + physical_loop([1], [1], -dt)
     for t, state, (A, E) in zip((4 * dt, 10 * dt, -dt), got + back, want):
@@ -485,7 +488,8 @@ def _recorded(f, seen):
 def test_rk4_step_writes_no_input_and_matches_textbook(rng):
     """f returns arrays of its input (as `wave_legs` returns Eh as dA/dt):
     rk4_step leaves y and every k as they were, and gives the allocating
-    textbook expression bit for bit."""
+    textbook expression, in the operand order of its Lawson schedule
+    (y + dt/3 (k2 + k3) + dt/6 k1 + dt/6 k4), bit for bit."""
     y = (rng.standard_normal((3, 8)), rng.standard_normal((3, 8)) + 1j,
          rng.standard_normal((3, 8)))
 
@@ -497,7 +501,7 @@ def test_rk4_step_writes_no_input_and_matches_textbook(rng):
         k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
         k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
         k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
-        return tuple(a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+        return tuple(a + (dt / 3.0) * (b2 + b3) + (dt / 6.0) * b1 + (dt / 6.0) * b4
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
     y0 = [u.copy() for u in y]
@@ -513,11 +517,112 @@ def test_rk4_step_writes_no_input_and_matches_textbook(rng):
         assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
 
 
+def test_lawson_step_makes_five_half_step_propagations(s2, rng, monkeypatch):
+    """A Lawson step applies its propagator five times, all over h/2: three
+    on full states, two on k1 (seven, and over h too, when stage 4 and the
+    end each propagated y again), on a wave state and on an `_IFSystem`
+    with heat, cheat and ode blocks."""
+    from ymlab.grid import Grid
+    g, h = Grid(8), 1e-3
+    seen = []
+    rk4 = dyn.rk4_step
+
+    def counted(y, dt, f, prop=None, k1=None, with_k4=False):
+        def counted_prop(tau, z):
+            seen.append((tau, "k1" if z is k1 else
+                         "full" if all(u is not None for u in z) else "part"))
+            return prop(tau, z)
+        return rk4(y, dt, f, counted_prop, k1, with_k4)
+
+    st = su2_state(g, s2, rng)
+    y = st.spectral()
+    counted(y, h, st.spectral_rhs, st.propagate, k1=st.spectral_rhs(y))
+    sys = hf._IFSystem(g, ("heat", "cheat", "ode"))
+    y = sys.spectral((st.A, st.A[0, 0] + 1j * st.E[0, 0], st.E))
+
+    def nonlin(z):
+        return 0.5 * z[0], z[1] * z[1], z[2]
+
+    monkeypatch.setattr(hf, "rk4_step", counted)
+    sys.step(y, h, nonlin, nonlin(y))
+    for case in (seen[:5], seen[5:]):
+        assert sorted(case) == [(h / 2, "full")] * 3 + [(h / 2, "k1")] * 2
+    assert len(seen) == 10
+
+
+def _stage_memory(step, f):
+    """Traced bytes held at each call of f during step(f), allocations made
+    before the step not counted."""
+    seen = []
+
+    def traced(z):
+        seen.append(tracemalloc.get_traced_memory()[0] - base)
+        return f(z)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(traced)
+    finally:
+        tracemalloc.stop()
+    return seen
+
+
+def test_lawson_stages_hold_at_most_two_full_states(s2, rng, monkeypatch):
+    """Traced memory at each right-hand side of one IF step at n = 16, y and
+    k1 not counted, is at most two full states (5 % slack), on the wave and
+    on a ("heat", "heat") flow, whose k2 is a full state: a step that kept
+    a = P y through f(z3) would hold three there."""
+    from ymlab.grid import Grid
+    g, h = Grid(16), 1e-3
+    st = su2_state(g, s2, rng)
+    y = st.spectral()
+    k1 = st.spectral_rhs(y)
+    dyn.rk4_step(y, h, st.spectral_rhs, st.propagate, k1=k1)    # fills the symbol cache
+    sys = hf._IFSystem(g, ("heat", "heat"))
+    yf = sys.spectral((st.A, st.E))
+
+    def nonlin(z):
+        return hf._deturck_hat(g, s2, *z)
+
+    kf = nonlin(yf)
+    monkeypatch.setattr(sys, "_factors", {tau: sys._factors(tau)
+                                          for tau in (h / 2, h)}.__getitem__)
+    for z, f, step in (
+            (y, st.spectral_rhs, lambda f: dyn.rk4_step(y, h, f, st.propagate, k1=k1)),
+            (yf, nonlin, lambda f: sys.step(yf, h, f, kf))):
+        seen = _stage_memory(step, f)
+        assert len(seen) == 3 and max(seen) <= 2.1 * sum(u.nbytes for u in z)
+
+
+def test_evolve_sample_energy_matches_a_fresh_curvature(grid16, s2, rng):
+    """Each evolve sample after the first takes A and the curvature hat
+    from the leg-end right-hand side: its energy equals energy(from_spectral
+    (t, y), Ah) with nothing recorded, and its A the inverse of Ah, bit for
+    bit."""
+    st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
+    dt, T, every = 2e-3, 0.02, 5
+    energies = dyn.evolve(st, dt, T, every).energies
+    ref, recorded = [], []
+
+    def emit(s, hat, kept):
+        bare = s if s.t == st.t else st.from_spectral(s.t, hat)
+        assert bare.A.tobytes() == s.A.tobytes()
+        recorded.append(sorted(kept))
+        ref.append(dyn.energy(bare, hat[0]))
+
+    dyn.wave_legs(st, dt, dyn.sample_marks(grid16, dt, T, 0.5, every), emit)
+    assert recorded == [[], ["A", "Ah", "Fh"], ["A", "Ah", "Fh"]]
+    assert energies == ref
+
+
 def test_evolve_sample_transform_count(s2, rng, monkeypatch):
-    """An evolve sample makes 12 forward transforms besides the driver's 18
-    inverses (93 when energy, Gauss residual and H^sigma transformed A and E
-    again): 4 steps sampled at every step less sampled at the last only, the
-    transforms of the right-hand sides, counted per call, taken out."""
+    """An evolve sample makes 12 transforms: the driver's 9 inverses of E and
+    3 forward for the Gauss residual, A and the curvature hat taken from the
+    leg-end right-hand side (30 when the sample inverted Ah and rebuilt the
+    curvature, 93 when energy, Gauss residual and H^sigma transformed A and
+    E again): 4 steps sampled at every step less sampled at the last only,
+    the transforms of the right-hand sides, counted per call, taken out."""
     from ymlab.grid import Grid
     g = Grid(16)
     st = su2_state(g, s2, rng)
@@ -528,7 +633,7 @@ def test_evolve_sample_transform_count(s2, rng, monkeypatch):
         rhs.clear()
         dyn.evolve(st, 1e-3, 4e-3, every)
         totals.append(count[0] - sum(rhs))
-    assert totals[0] - totals[1] == 3 * 30
+    assert totals[0] - totals[1] == 3 * 12
 
 
 def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):
@@ -538,7 +643,7 @@ def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):
     tr = dyn.evolve(st, dt, T, every)
     states = []
     dyn.wave_legs(st, dt, dyn.sample_marks(grid16, dt, T, 0.5, every),
-                  lambda s, _hat: states.append(s.copy()))
+                  lambda s, _hat, _kept: states.append(s.copy()))
     assert len(states) == len(tr.energies) == 3
     for s, e, gauss, hs in zip(states, tr.energies, tr.gauss, tr.hsig):
         F = gt.curvature(grid16, s.A, s2)

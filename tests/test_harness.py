@@ -51,9 +51,9 @@ def test_config_round_trip():
 
 @pytest.mark.parametrize("field, value", [
     ("substeps", 0), ("s_samples", 0), ("s_samples", 1), ("time_samples", -1),
-    ("N_list", ()), ("N_list", (4.0, -8.0))],
-    ids=["substeps", "s_samples", "s_samples-one", "time_samples", "N_list-empty",
-         "N_list-negative"])
+    ("time_samples", 1), ("N_list", ()), ("N_list", (4.0, -8.0))],
+    ids=["substeps", "s_samples", "s_samples-one", "time_samples", "time_samples-one",
+         "N_list-empty", "N_list-negative"])
 def test_config_rejects_bad_counts(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**{field: value})

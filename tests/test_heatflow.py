@@ -136,6 +136,8 @@ def test_caloric_two_routes_agree(grid16, s2, rng):
     assert rel < 1e-6
     with pytest.raises(ValueError):
         hf.run_caloric_direct(st.A, grid16, s2, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"s_end = {2.5 * ds} .*ds = {ds}"):
+        hf.run_caloric_direct(st.A, grid16, s2, 2.5 * ds, ds)
 
 
 def test_to_caloric_s0_identity_and_covariance(grid16, s2, rng):
@@ -627,7 +629,8 @@ def test_flow_step_transform_count(s2, rng):
 def test_if_step_writes_no_input_and_matches_textbook(grid8, rng):
     """The nonlinearity returns arrays of its input: _IFSystem.step leaves y
     and every k as they were, and gives the allocating textbook IF-RK4
-    expression bit for bit, for heat, cheat and ode fields."""
+    expression, in the operand order of `rk4_step`'s five half-step
+    factors, bit for bit, for heat, cheat and ode fields."""
     sys = hf._IFSystem(grid8, ("heat", "cheat", "ode"))
     y = sys.spectral((rng.standard_normal((2, 8, 8, 8)),
                       rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8)),
@@ -637,17 +640,21 @@ def test_if_step_writes_no_input_and_matches_textbook(grid8, rng):
         return z[0], z[1] * z[2], z[2]
 
     def textbook(y, h):
-        half, full = ([1.0 if e is None else e for e in sys._factors(c)]
-                      for c in (0.5 * h, h))
+        half = [1.0 if e is None else e for e in sys._factors(0.5 * h)]
+
+        def P(z):
+            return tuple(e * u for u, e in zip(z, half))
+
         k1 = nonlin(y)
-        ya = tuple(e * (u0 + 0.5 * h * k) for u0, k, e in zip(y, k1, half))
-        k2 = nonlin(ya)
-        yb = tuple(e * u0 + 0.5 * h * k for u0, k, e in zip(y, k2, half))
-        k3 = nonlin(yb)
-        yc = tuple(f * u0 + h * (e * k) for u0, k, e, f in zip(y, k3, half, full))
-        k4 = nonlin(yc)
-        return tuple(f * u0 + (h / 6.0) * (f * a1 + 2.0 * (e * (a2 + a3)) + a4)
-                     for u0, a1, a2, a3, a4, e, f in zip(y, k1, k2, k3, k4, half, full))
+        a = P(y)
+        k2 = nonlin(tuple(u + 0.5 * h * p for u, p in zip(a, P(k1))))
+        z3 = tuple(u + 0.5 * h * k for u, k in zip(a, k2))
+        k3 = nonlin(z3)
+        a = tuple(z - 0.5 * h * k for z, k in zip(z3, k2))
+        k4 = nonlin(P(tuple(u + h * k for u, k in zip(a, k3))))
+        s = tuple(u + (h / 3.0) * (a2 + a3) + (h / 6.0) * p
+                  for u, a2, a3, p in zip(a, k2, k3, P(k1)))
+        return tuple(u + (h / 6.0) * a4 for u, a4 in zip(P(s), k4))
 
     y0 = [u.copy() for u in y]
     seen = []

@@ -67,7 +67,7 @@ def test_mkg_samples_match_physical_hamiltonian(grid16, ab):
     dt, marks = 2e-3, [0, 5, 10]
     out = mkg.evolve(st, dt, marks[-1] * dt, sample_every=5)
     states = []
-    dyn.wave_legs(st, dt, marks, lambda s, _hat: states.append(s.copy()))
+    dyn.wave_legs(st, dt, marks, lambda s, _hat, _kept: states.append(s.copy()))
     assert len(out["energies"]) == len(states) == 3
     for s, e in zip(states, out["energies"]):
         F = gt.curvature(grid16, s.A, ab)

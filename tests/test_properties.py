@@ -47,7 +47,7 @@ def valid_configs(draw):
         mode_cut=draw(_reals(0.0, 1e3, exclude_min=True)),
         decay=draw(_reals(0.0, 1e9, exclude_min=True)),
         N_list=tuple(draw(st.lists(_reals(1e-6, 1e6), min_size=1, max_size=6))),
-        time_samples=draw(st.integers(1, 1000)),
+        time_samples=draw(st.integers(2, 1000)),
         s_samples=draw(st.integers(2, 1000)),
         out_dir=draw(st.text(st.characters(min_codepoint=33, max_codepoint=126,
                                            blacklist_characters="#"), max_size=20)),
@@ -95,7 +95,7 @@ _INVALID = {
     ("data", "mode_cut"): ["nan", "0", "-1"],
     ("data", "decay"): ["-inf", "0", "-5"],
     ("sweep", "N_list"): ["", "4 -8", "4 0", "4 nan", "inf", "4 x"],
-    ("sweep", "time_samples"): ["0", "-1"],
+    ("sweep", "time_samples"): ["0", "-1", "1"],
     ("sweep", "s_samples"): ["0", "1"],
     ("output", "checkpoints"): ["maybe"],
 }
