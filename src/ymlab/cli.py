@@ -19,6 +19,13 @@ from .config import KINDS, ConfigError, ExperimentConfig, load_config
 from .runner import run
 
 
+def worker_count(text: str) -> int:
+    """A --threads value: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ymlab",
@@ -31,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the data seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=worker_count, default=None,
                        help="FFT worker threads (default: YMLAB_THREADS or 1)")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", dest="strict", action="store_true",

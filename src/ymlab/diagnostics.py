@@ -22,11 +22,11 @@ SIGMA_DEFAULT = 5.0 / 6.0
 log = logging.getLogger(__name__)
 
 
-def energy_at(flow: hf.FlowState, Ah: np.ndarray | None = None) -> float:
+def energy_at(flow: hf.FlowState, Fh: np.ndarray | None = None) -> float:
     """Smoothed energy at level s: `dynamics.energy` of (A(s), B(s)), half the
-    L2 square of all six curvature components (18 forward transforms, 9 when
-    the caller passes the rfft of A(s) as Ah)."""
-    return energy(CauchyState(flow.grid, flow.spec, flow.s, flow.A, flow.B), Ah)
+    L2 square of all six curvature components (18 forward transforms, none
+    when the caller passes the magnetic curvature hat of A(s) as Fh)."""
+    return energy(CauchyState(flow.grid, flow.spec, flow.s, flow.A, flow.B), Fh=Fh)
 
 
 def _simpson(y, x) -> float:
@@ -245,6 +245,8 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     """
     if n_time_samples < 2:
         raise ValueError(f"n_time_samples must be at least 2, got {n_time_samples}")
+    if len(set(N_values)) < max(2, len(N_values)):
+        raise ValueError(f"N_values must be two or more distinct thresholds, got {N_values}")
     nsteps = sample_marks(state0.grid, dt, T, cfl, 0)[-1]
     N_values = sorted(N_values)
     grids = dict(zip(N_values, hf.nested_sample_grids(

@@ -8,9 +8,9 @@ mode and its `spectral_rhs` the bracket terms only.  Every evolution runs
 through `wave_legs`: the state stays in Fourier space, each leg between
 samples takes as few steps as `controlled_legs`' error estimate allows (at
 most its steps of dt, which the CFL guard checks), and only the states a
-caller asks for are inverted, with their spectral fields (`evolve` samples
-from them by Parseval).  `mkg.MkgState` has the same methods, so one driver
-steps Maxwell-Klein-Gordon; `step_rk4` is one IF step without control.
+caller asks for are inverted, with their spectral fields, which a state's
+`observe` reads by Parseval.  `mkg.MkgState` has the same methods, so one
+`evolve` samples both systems; `step_rk4` is one IF step without control.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ class CauchyState:
         """The state of y at t, A from a `spectral_rhs(y, kept)` record."""
         g = self.grid
         return CauchyState(g, self.spec, t, kept["A"] if kept else g.ifft(y[0]), g.ifft(y[1]))
+
+    def observe(self, hat: tuple, kept: dict, sigma: float) -> dict:
+        """One `evolve` sample, keyed by its results.csv columns: the energy,
+        the L2 norm of the Gauss residual D^l E_l and the H^sigma norm of A,
+        from hat = (Ah, Eh) and kept, `wave_legs`' record; 12 transforms."""
+        g = self.grid
+        rh = g.fft(sum(bracket(self.A[l], self.E[l], self.spec) for l in range(3)))
+        rh *= g.dealias_mask
+        return {"energy": energy(self, hat[0], kept.get("Fh")),
+                "gauss_residual": g.spectral_l2(rh + sum(derivative_hat(g, hat[1][l], l)
+                                                         for l in range(3))),
+                "h_sigma": sobolev_norm(g, None, sigma, fh=hat[0])}
 
 
 def active_kmax(grid: Grid) -> float:
@@ -399,37 +411,30 @@ def energy(state: CauchyState, Ah: np.ndarray | None = None,
 
 @dataclass
 class Trajectory:
-    times: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
-    gauss: list = field(default_factory=list)
-    hsig: list = field(default_factory=list)
-    final: CauchyState | None = None
-    legs: LegRecord | None = None
+    """An `evolve` run: `columns` maps "t" and each `observe` key to its
+    samples, in results.csv order; the final state and the `LegRecord`."""
+
+    columns: dict
+    final: object
+    legs: LegRecord
 
 
-def evolve(state: CauchyState, dt: float, T: float, sample_every: int = 0,
-           cfl: float = 0.5, sigma: float = 5.0 / 6.0) -> Trajectory:
-    """Integrate to t + T, sampling energy / Gauss residual / H^sigma norms at
-    the `sample_marks` of dt, T, cfl and `sample_every`, as `mkg.evolve`
-    does; the trajectory keeps the `LegRecord`, and one INFO record logs it."""
-    g = state.grid
-    traj = Trajectory()
+def evolve(state, dt: float, T: float, sample_every: int = 0, cfl: float = 0.5,
+           sigma: float = 5.0 / 6.0) -> Trajectory:
+    """Integrate a wave state to t + T, sampling its `observe` (sigma read by
+    a Yang-Mills state alone) at the `sample_marks` of dt, T, cfl and
+    `sample_every`; one INFO record logs the `LegRecord`."""
+    columns = {}
 
-    def sample(st, hat, kept):                   # hat = (Ah, Eh)
-        traj.times.append(st.t)
-        traj.energies.append(energy(st, hat[0], kept.get("Fh")))
-        rh = g.fft(sum(bracket(st.A[l], st.E[l], st.spec) for l in range(3)))
-        rh *= g.dealias_mask                     # Gauss residual D^l E_l
-        traj.gauss.append(g.spectral_l2(rh + sum(derivative_hat(g, hat[1][l], l)
-                                                 for l in range(3))))
-        traj.hsig.append(sobolev_norm(g, None, sigma, fh=hat[0]))
+    def sample(st, hat, kept):
+        for name, value in {"t": st.t, **st.observe(hat, kept, sigma)}.items():
+            columns.setdefault(name, []).append(value)
 
     legs = []
-    traj.final = wave_legs(state, dt, sample_marks(g, dt, T, cfl, sample_every),
-                           sample, legs)
-    traj.legs = legs[0]
-    log_legs("evolve", traj.final.t, traj.legs)
-    return traj
+    final = wave_legs(state, dt, sample_marks(state.grid, dt, T, cfl, sample_every),
+                      sample, legs)
+    log_legs("evolve", final.t, legs[0])
+    return Trajectory(columns, final, legs[0])
 
 
 def log_legs(what: str, t: float, record: LegRecord, var: str = "t") -> None:

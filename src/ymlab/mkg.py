@@ -2,7 +2,7 @@
 tension fields, and the modified Hamiltonian.
 
 The Maxwell sector reuses the non-abelian stack with the abelian structure
-group.  `MkgState` is a wave state of `dynamics.wave_legs`: its IF step
+group.  `MkgState` is a wave state of `dynamics.wave_legs` and `evolve`: its IF step
 takes (A, E) in rfft layout by the Maxwell wave flow (`dynamics._wave_flow`)
 plus the scalar current, the abelian brackets being 0, and (phi, phi_t) in
 the full cfft layout by the Klein-Gordon rotation plus the covariant terms,
@@ -78,6 +78,14 @@ class MkgState:
         g = self.grid
         A, phi = (kept["A"], kept["phi"]) if kept else (g.ifft(y[0]), g.cifft(y[2]))
         return MkgState(g, t, A, g.ifft(y[1]), phi, g.cifft(y[3]))
+
+    def observe(self, hat: tuple, kept: dict, sigma: float) -> dict:
+        """One `dynamics.evolve` sample by its results.csv columns, from hat =
+        (Ah, Eh, phih, phith): Hamiltonian, charge, Gauss-law residual norm;
+        sigma goes unread, as an H^sigma column would change the artifacts."""
+        return {"hamiltonian": _hamiltonian(self.grid, self.A, self.E, self.phi, self.phit,
+                                            hat[0], hat[2]),
+                "charge": charge(self), "constraint": constraint_residual(self, hat[1])[1]}
 
 
 def _jmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,28 +176,6 @@ def repair_constraint(state: MkgState) -> MkgState:
     grad_psi = gradient(g, fh=g.inv_k2 * g.fft(r))
     return MkgState(g, state.t, state.A, state.E + grad_psi[:, None],
                     state.phi, state.phit)
-
-
-def evolve(state: MkgState, dt: float, T: float, sample_every: int = 0,
-           cfl: float = 0.5):
-    """Integrate to t + T as `dynamics.evolve` does, recording energy / charge /
-    constraint residual at its samples, and the wave's `LegRecord` ("legs"),
-    which one INFO record logs."""
-    g = state.grid
-    times, energies, charges, constraint = [], [], [], []
-
-    def sample(st, hat, _kept):                  # hat = (Ah, Eh, phih, phith)
-        times.append(st.t)
-        energies.append(_hamiltonian(g, st.A, st.E, st.phi, st.phit, hat[0], hat[2]))
-        charges.append(charge(st))
-        constraint.append(constraint_residual(st, hat[1])[1])
-
-    legs = []
-    final = dyn.wave_legs(state, dt, dyn.sample_marks(g, dt, T, cfl, sample_every),
-                          sample, legs)
-    dyn.log_legs("mkg evolve", final.t, legs[0])
-    return {"times": times, "energies": energies, "charges": charges,
-            "constraint": constraint, "final": final, "legs": legs[0]}
 
 
 # --- MKG heat flow ------------------------------------------------------------

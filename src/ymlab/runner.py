@@ -15,7 +15,6 @@ import numpy as np
 from . import diagnostics as dg
 from . import dynamics as dyn
 from . import heatflow as hf
-from . import mkg as mkg_mod
 from .ckpt import write_checkpoint
 from .config import ConfigError, ExperimentConfig, dt_steps, emit_config
 from .datagen import make_data, spec_of
@@ -55,6 +54,12 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         raise ConfigError(f"family {cfg.family!r} does not fit kind {cfg.kind!r}: "
                           "kind mkg takes the mkg-* families, the other kinds "
                           "the Yang-Mills ones")
+    if cfg.kind == "acl-sweep" and len(set(cfg.N_list)) < max(2, len(cfg.N_list)):
+        raise ConfigError(f"N_list must hold two or more distinct thresholds for kind "
+                          f"acl-sweep, got {cfg.N_list}: the drift slope is a fit over them")
+    if cfg.kind == "heatflow" and not np.isclose(cfg.s0_value, 1.0 / cfg.N**2, rtol=1e-8):
+        raise ConfigError(f"s0 = {cfg.s0_value} must be N^-2 = {1.0 / cfg.N**2} for kind "
+                          "heatflow: the modified energy integrates up to N^-2")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.echo"), "w", encoding="ascii") as fh:
@@ -75,25 +80,29 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     return summary
 
 
-def _sample_every(cfg: ExperimentConfig) -> int:
-    """Steps of dt between the about 50 samples of an evolve or mkg run."""
-    return max(1, round(dt_steps(cfg.T, cfg.dt) / 50))
+# results.csv descriptions of the `observe` columns of both wave systems
+_WAVE_COLUMNS = {"t": "physical time", "energy": "total curvature energy",
+                "gauss_residual": "L2 norm of the Gauss constraint residual",
+                "hamiltonian": "MKG energy", "charge": "Noether charge of the phase symmetry",
+                "constraint": "L2 norm of the Gauss-law residual"}
+
+
+def _run_wave(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> tuple:
+    """`dynamics.evolve` of the config's data, about 50 samples, writing its
+    columns and final state; returns the data report and the columns as arrays."""
+    state, report = make_data(cfg, grid)
+    traj = dyn.evolve(state, cfg.dt, cfg.T, max(1, round(dt_steps(cfg.T, cfg.dt) / 50)),
+                      cfg.cfl, cfg.sigma)
+    _write_csv(os.path.join(out_dir, "results.csv"), traj.columns,
+               {**_WAVE_COLUMNS, "h_sigma": f"H^{cfg.sigma} norm of the connection"})
+    if cfg.write_checkpoints:
+        write_checkpoint(os.path.join(out_dir, "final.ckpt"), traj.final)
+    return report, {name: np.asarray(v) for name, v in traj.columns.items()}
 
 
 def _run_evolve(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
-    state, report = make_data(cfg, grid)
-    traj = dyn.evolve(state, cfg.dt, cfg.T, _sample_every(cfg), cfg.cfl, cfg.sigma)
-    e = np.asarray(traj.energies)
-    gs = np.asarray(traj.gauss)
-    _write_csv(os.path.join(out_dir, "results.csv"),
-               {"t": traj.times, "energy": traj.energies,
-                "gauss_residual": traj.gauss, "h_sigma": traj.hsig},
-               {"t": "physical time",
-                "energy": "total curvature energy",
-                "gauss_residual": "L2 norm of the Gauss constraint residual",
-                "h_sigma": f"H^{cfg.sigma} norm of the connection"})
-    if cfg.write_checkpoints:
-        write_checkpoint(os.path.join(out_dir, "final.ckpt"), traj.final)
+    report, col = _run_wave(cfg, grid, out_dir)
+    e, gs = col["energy"], col["gauss_residual"]
     return {
         "data_report": report,
         "energy_initial": float(e[0]),
@@ -111,9 +120,8 @@ def _run_heatflow(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
     rec = []
 
     def observe(f):                              # the magnetic part by Parseval
-        Ah = grid.fft(f.A)
-        Fh = dyn._curvature_hat(grid, f.spec, f.A, Ah)
-        rec.append((f.s, dg.energy_at(f, Ah), 0.5 * grid.spectral_l2(Fh) ** 2))
+        Fh = dyn._curvature_hat(grid, f.spec, f.A, grid.fft(f.A))
+        rec.append((f.s, dg.energy_at(f, Fh), 0.5 * grid.spectral_l2(Fh) ** 2))
 
     legs = []
     hf.run_flow(state, samples, substeps=cfg.substeps, observer=observe, legs=legs)
@@ -180,19 +188,8 @@ def _run_acl_sweep(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
 
 
 def _run_mkg(cfg: ExperimentConfig, grid: Grid, out_dir: str) -> dict:
-    state, report = make_data(cfg, grid)
-    out = mkg_mod.evolve(state, cfg.dt, cfg.T, _sample_every(cfg), cfg.cfl)
-    e = np.asarray(out["energies"])
-    q = np.asarray(out["charges"])
-    c = np.asarray(out["constraint"])
-    _write_csv(os.path.join(out_dir, "results.csv"),
-               {"t": out["times"], "hamiltonian": out["energies"],
-                "charge": out["charges"], "constraint": out["constraint"]},
-               {"t": "physical time", "hamiltonian": "MKG energy",
-                "charge": "Noether charge of the phase symmetry",
-                "constraint": "L2 norm of the Gauss-law residual"})
-    if cfg.write_checkpoints:
-        write_checkpoint(os.path.join(out_dir, "final.ckpt"), out["final"])
+    report, col = _run_wave(cfg, grid, out_dir)
+    e, q, c = col["hamiltonian"], col["charge"], col["constraint"]
     return {
         "data_report": report,
         "energy_drift_rel": float(np.max(np.abs(e - e[0])) / max(e[0], 1e-300)),

@@ -95,6 +95,25 @@ def _transforms_per_call(counter, monkeypatch, owner, name):
     return calls
 
 
+def test_heatflow_sample_energy_reads_the_held_curvature(counter, monkeypatch, tmp_path):
+    """`energy_at` given the magnetic curvature hat makes no transform and
+    agrees bit for bit; the heatflow experiment passes the hat its magnetic
+    column already holds, so no sample's energy rebuilds it (9 forward
+    transforms and 3 brackets per sample when it did)."""
+    cfg = config.ExperimentConfig(kind="heatflow", n=8, s_samples=4)
+    g = grid.Grid(cfg.n, cfg.L)
+    state, _ = datagen.make_data(cfg, g)
+    flow = heatflow.FlowState(g, state.spec, 0.0, state.A, state.E)
+    Fh = dynamics._curvature_hat(g, state.spec, state.A, g.fft(state.A))
+    before = dict(counter)
+    held = diagnostics.energy_at(flow, Fh)
+    assert tuple(counter[k] - before[k] for k in counter) == (0, 0, 0)
+    assert held == diagnostics.energy_at(flow) > 0.0
+    calls = _transforms_per_call(counter, monkeypatch, diagnostics, "energy_at")
+    runner.run(cfg, str(tmp_path))
+    assert calls == [(0, 0)] * (cfg.s_samples + 1)
+
+
 def test_mkg_step_transforms(counter, monkeypatch):
     """An MKG wave step that makes its own first stage makes 4 x (8 + 12)
     transforms on the spectral state, each `rk4_step` call counted over the
@@ -103,7 +122,7 @@ def test_mkg_step_transforms(counter, monkeypatch):
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
     per_step = _transforms_per_call(counter, monkeypatch, dynamics, "rk4_step")
-    legs = mkg.evolve(st, 1e-3, 8e-3)["legs"]
+    legs = dynamics.evolve(st, 1e-3, 8e-3).legs
     assert legs.steps >= 1 and per_step == [(4 * 8, 4 * 12)] * legs.steps
 
 
@@ -124,7 +143,7 @@ def test_mkg_sample_transforms(counter, monkeypatch):
     for every in (1, 4):
         before = dict(counter)
         rhs.clear()
-        mkg.evolve(st, 1e-3, 4e-3, sample_every=every)
+        dynamics.evolve(st, 1e-3, 4e-3, sample_every=every)
         totals.append(tuple(counter[k] - before[k] - sum(c[i] for c in rhs)
                             for i, k in enumerate(("fwd", "inv"))))
     assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 4))

@@ -241,6 +241,16 @@ def test_sweep_rejects_one_time_sample(grid8, s2):
                                      5.0 / 6.0, T=0.004, dt=0.002, n_time_samples=1)
 
 
+@pytest.mark.parametrize("N_values", [[4.0], [4.0, 4.0], [2.0, 4.0, 2.0]],
+                         ids=["one", "repeated", "repeated-of-three"])
+def test_sweep_rejects_fewer_than_two_distinct_thresholds(grid8, s2, N_values):
+    """A single threshold, or a repeated one, leaves the log-log slope a
+    degenerate fit (numpy's RankWarning, and 4 4 gave two identical rows)."""
+    with pytest.raises(ValueError, match="N_values must be two or more distinct thresholds"):
+        dg.almost_conservation_sweep(abelian_wave(grid8, s2, 0.1), N_values, 5.0 / 6.0,
+                                     T=0.004, dt=0.002, n_time_samples=2, n_s=4)
+
+
 def test_sweep_checks_the_wave_cfl(grid8, s2, tmp_path):
     """dt * kmax = 0.69 at n = 8, dt = 0.2: the sweep and the acl-sweep run
     raise on the CFL bound of `sample_marks` at the default cfl 0.5, and the

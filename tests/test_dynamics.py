@@ -165,31 +165,29 @@ def test_controlled_evolve_accuracy(grid16, s2, amp):
         return np.sqrt(sum(np.sum((u - v) ** 2) for u, v in zip(y, ref)))
 
     assert gap((tr.final.A, tr.final.E)) <= gap(fixed)
-    e, gs = np.array(tr.energies), np.array(tr.gauss)
+    e, gs = np.array(tr.columns["energy"]), np.array(tr.columns["gauss_residual"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
     assert gs.max() / gs[0] < 1.001 * gauss.max() / gauss[0]
 
 
 def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
-    """`evolve` and `mkg.evolve` keep the wave's `LegRecord` and log it in
+    """`evolve` keeps the wave's `LegRecord` of either system and logs it in
     one INFO record each; on these data the cold first step misses, and the
     two-step probe of step doubling is the first leg (redone at its cap of 5
     before the probe sized it); the probe's steps count in the record."""
-    from ymlab import mkg
     from ymlab.datagen import mkg_random
     st = su2_state(grid16, s2, rng)
     with caplog.at_level("INFO", logger="ymlab.dynamics"):
         tr = dyn.evolve(st, 2e-3, 0.02, 5)
-        out = mkg.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
+        out = dyn.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
                          2e-3, 0.02, sample_every=5)
-    for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"])):
+    for rec in (tr.legs, out.legs):
         assert rec.counts == [2, 2] and rec.redone == 1
         assert 1 + sum(rec.counts) == rec.steps == 5
         assert 0.0 < rec.max_error <= dyn.WAVE_LEG_TOL
     msgs = [r.getMessage() for r in caplog.records]
-    assert msgs == [f"{what} to t = 0.02: {rec.steps} IF steps, 1 legs redone, "
-                    f"leg error <= {rec.max_error:.1e}"
-                    for what, rec in (("evolve", tr.legs), ("mkg evolve", out["legs"]))]
+    assert msgs == [f"evolve to t = 0.02: {rec.steps} IF steps, 1 legs redone, "
+                    f"leg error <= {rec.max_error:.1e}" for rec in (tr.legs, out.legs)]
 
 
 def _l2(y):
@@ -243,14 +241,13 @@ def test_missed_cold_leg_is_sized_by_step_doubling():
 
 
 def test_evolve_rejects_T_off_the_dt_grid(grid8, s2):
-    """T = 0.01 is no multiple of dt = 0.003: both wave drivers raise,
-    naming T and dt, instead of ending at t = 0.009."""
-    from ymlab import mkg
+    """T = 0.01 is no multiple of dt = 0.003: evolve raises for both wave
+    systems, naming T and dt, instead of ending at t = 0.009."""
     from ymlab.datagen import mkg_wave
     with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
         dyn.evolve(abelian_wave(grid8, s2, 0.1), 0.003, 0.01)
     with pytest.raises(ValueError, match=r"T = 0.01 .*dt = 0.003"):
-        mkg.evolve(mkg_wave(grid8, 0.1), 0.003, 0.01)
+        dyn.evolve(mkg_wave(grid8, 0.1), 0.003, 0.01)
 
 
 @pytest.mark.parametrize("name, dt, T, cfl", [
@@ -258,16 +255,14 @@ def test_evolve_rejects_T_off_the_dt_grid(grid8, s2):
     ("T", 1e-3, -0.01, 0.5), ("cfl", 1e-3, 0.01, 0.0), ("cfl", 1e-3, 0.01, 1.5)],
     ids=["dt-zero", "dt-negative", "dt-nan", "T-negative", "cfl-zero", "cfl-above-1"])
 def test_wave_evolves_reject_a_bad_schedule_alike(grid8, s2, name, dt, T, cfl):
-    """Both wave systems' evolves raise the same ValueError, naming the
-    value, before any step: `sample_marks` is their one check."""
-    from ymlab import mkg
+    """evolve raises the same ValueError for both wave systems, naming the
+    value, before any step: `sample_marks` is its one check."""
     from ymlab.datagen import mkg_wave
     value = {"dt": dt, "T": T, "cfl": cfl}[name]
     messages = []
-    for run, state in ((dyn.evolve, abelian_wave(grid8, s2, 0.1)),
-                       (mkg.evolve, mkg_wave(grid8, 0.1))):
+    for state in (abelian_wave(grid8, s2, 0.1), mkg_wave(grid8, 0.1)):
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$") as info:
-            run(state, dt, T, cfl=cfl)
+            dyn.evolve(state, dt, T, cfl=cfl)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
@@ -383,14 +378,14 @@ def test_energy_zero_and_plane_wave(grid16, s2, ab):
     expect = (a * k) ** 2 * grid16.volume / 2.0
     assert abs(dyn.energy(st) - expect) < 1e-12
     tr = dyn.evolve(st, 2e-3, 0.5, 50)
-    e = np.array(tr.energies)
+    e = np.array(tr.columns["energy"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
 
 
 def test_energy_conservation_su2(grid16, s2, rng):
     st = su2_state(grid16, s2, rng)
     tr = dyn.evolve(st, 2e-3, 0.3, 30)
-    e = np.array(tr.energies)
+    e = np.array(tr.columns["energy"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-9
 
 
@@ -448,7 +443,7 @@ def test_df_cf_consistency(grid16, s2, ab, rng):
 def test_gauss_propagation(grid16, s2, rng):
     st = su2_state(grid16, s2, rng, amp=0.1)
     tr = dyn.evolve(st, 2e-3, 0.2, 20)
-    gs = np.array(tr.gauss)
+    gs = np.array(tr.columns["gauss_residual"])
     # at n=16 the truncation cascade sets the floor; the strict 10x growth
     # criterion runs at n=32 in the acceptance suite
     assert gs.max() < 1e-8
@@ -602,7 +597,7 @@ def test_evolve_sample_energy_matches_a_fresh_curvature(grid16, s2, rng):
     bit."""
     st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
     dt, T, every = 2e-3, 0.02, 5
-    energies = dyn.evolve(st, dt, T, every).energies
+    energies = dyn.evolve(st, dt, T, every).columns["energy"]
     ref, recorded = [], []
 
     def emit(s, hat, kept):
@@ -644,8 +639,9 @@ def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):
     states = []
     dyn.wave_legs(st, dt, dyn.sample_marks(grid16, dt, T, 0.5, every),
                   lambda s, _hat, _kept: states.append(s.copy()))
-    assert len(states) == len(tr.energies) == 3
-    for s, e, gauss, hs in zip(states, tr.energies, tr.gauss, tr.hsig):
+    assert list(tr.columns) == ["t", "energy", "gauss_residual", "h_sigma"]
+    assert len(states) == len(tr.columns["energy"]) == 3
+    for s, e, gauss, hs in zip(states, *list(tr.columns.values())[1:]):
         F = gt.curvature(grid16, s.A, s2)
         e_ref = 0.5 * (grid16.l2_norm(F) ** 2 + grid16.l2_norm(s.E) ** 2)
         assert abs(e - e_ref) <= 1e-14 * e_ref

@@ -100,6 +100,73 @@ def test_runner_rejects_kind_family_mismatch(tmp_path, kind, family):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("N_list", [(4.0,), (4.0, 4.0)], ids=["one", "repeated"])
+def test_runner_rejects_an_acl_sweep_without_two_distinct_thresholds(tmp_path, N_list):
+    """At n = 8, T = 0.02, N_list = 4 and 4 4 both reported the slope of a
+    degenerate fit and exited 0: the run now stops before its output."""
+    cfg = ExperimentConfig(kind="acl-sweep", n=8, T=0.02, s_samples=4, time_samples=2,
+                           N_list=N_list)
+    with pytest.raises(ConfigError, match="N_list"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_heatflow_rejects_an_s0_other_than_N_minus_2(tmp_path, capsys):
+    """The heatflow's modified energy integrates up to s0 = N^-2: s0 = 0.01
+    at N = 8 exits 2, naming s0, before the output directory or the data
+    are made (it used to exit 1 after the whole flow); tension takes it."""
+    cfg_path = tmp_path / "hf.ini"
+    cfg_path.write_text("[grid]\nn = 8\n[physics]\ns0 = 0.01\n[sweep]\ns_samples = 4\n")
+    out = tmp_path / "hf"
+    assert cli.main(["heatflow", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "s0" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["tension", "--config", str(cfg_path), "--out", str(tmp_path / "tn")]) == 0
+    assert json.load(open(tmp_path / "tn" / "summary.json"))["experiment"] == "tension"
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_rejects_threads_below_one(value, capsys):
+    """--threads 0 and -2 used to run on one worker, `Grid` clamping them."""
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(["evolve", "--threads", value])
+    assert info.value.code == 2
+    assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+# Per wave experiment: its data, the results.csv columns with their schema
+# descriptions, and the summary.json keys.
+WAVE_ARTIFACTS = {
+    "evolve": ("random", "su2",
+               {"t": "physical time", "energy": "total curvature energy",
+                "gauss_residual": "L2 norm of the Gauss constraint residual",
+                "h_sigma": "H^0.8333333333333334 norm of the connection"},
+               ["data_report", "energy_drift_rel", "energy_initial", "experiment",
+                "gauss_growth_ratio", "gauss_initial", "gauss_max", "seed"]),
+    "mkg": ("mkg-random", "u1",
+            {"t": "physical time", "hamiltonian": "MKG energy",
+             "charge": "Noether charge of the phase symmetry",
+             "constraint": "L2 norm of the Gauss-law residual"},
+            ["charge_drift_abs", "constraint_initial", "constraint_max", "data_report",
+             "energy_drift_rel", "experiment", "seed"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WAVE_ARTIFACTS))
+def test_wave_runs_keep_their_artifact_contract(tmp_path, kind):
+    """The results.csv header, the schema's column names and descriptions,
+    and the summary.json key set of the evolve and mkg experiments; T = 0.02
+    is 10 steps of dt, each one sampled."""
+    family, group, columns, keys = WAVE_ARTIFACTS[kind]
+    out = tmp_path / kind
+    run(ExperimentConfig(kind=kind, family=family, group=group, n=8, T=0.02), str(out))
+    assert (out / "results.csv").read_text().splitlines()[0] == ",".join(columns)
+    schema = json.load(open(out / "results.schema.json"))
+    assert schema == {"columns": [{"name": c, "description": d} for c, d in columns.items()],
+                      "rows": 11}
+    assert sorted(json.load(open(out / "summary.json"))) == keys
+
+
 def test_spec_of_rejects_unknown_group():
     assert spec_of("su2").name == "su2" and spec_of("u1").name == "u1"
     with pytest.raises(ValueError, match="su3"):

@@ -31,8 +31,8 @@ def test_pure_maxwell_linear(grid16, ab, rng):
         [sp.derivative(grid16, sp.divergence(grid16, A), i) for i in range(3)])
     assert np.max(np.abs(dE - lin)) < 1e-11
     assert np.max(np.abs(dphit)) == 0.0
-    out = mkg.evolve(st, 2e-3, 0.2, sample_every=20)
-    e = np.asarray(out["energies"])
+    out = dyn.evolve(st, 2e-3, 0.2, sample_every=20)
+    e = np.asarray(out.columns["hamiltonian"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
 
 
@@ -51,12 +51,12 @@ def test_plane_wave_current_closed_form(grid16):
 def test_klein_gordon_standing_wave(grid16):
     """Exact linear solution phi = a cos(kx) cos(wt)."""
     st = mkg_wave(grid16, 0.1)
-    out = mkg.evolve(st, 5e-3, 1.0, sample_every=50)
-    fin = out["final"]
+    out = dyn.evolve(st, 5e-3, 1.0, sample_every=50)
+    fin = out.final
     X, _, _ = grid16.x
     exact = 0.1 * np.cos(X) * np.cos(fin.t) * np.ones((16,) * 3)
     assert np.max(np.abs(fin.phi - exact)) < 1e-9
-    e = np.asarray(out["energies"])
+    e = np.asarray(out.columns["hamiltonian"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-10
 
 
@@ -65,34 +65,34 @@ def test_mkg_samples_match_physical_hamiltonian(grid16, ab):
     + |D phi|^2) assembled in physical space."""
     st = mkg_random(grid16, 0.3, seed=7, mode_cut=2.5, decay=1e6)
     dt, marks = 2e-3, [0, 5, 10]
-    out = mkg.evolve(st, dt, marks[-1] * dt, sample_every=5)
+    out = dyn.evolve(st, dt, marks[-1] * dt, sample_every=5)
     states = []
     dyn.wave_legs(st, dt, marks, lambda s, _hat, _kept: states.append(s.copy()))
-    assert len(out["energies"]) == len(states) == 3
-    for s, e in zip(states, out["energies"]):
+    assert len(out.columns["hamiltonian"]) == len(states) == 3
+    for s, e in zip(states, out.columns["hamiltonian"]):
         F = gt.curvature(grid16, s.A, ab)
         Dphi = sp.cgradient(grid16, s.phi) + 1j * sp.cdealias(grid16, s.A[:, 0] * s.phi)
         e_ref = 0.5 * (grid16.l2_norm(F) ** 2 + grid16.l2_norm(s.E) ** 2
                        + grid16.integrate(np.abs(s.phit) ** 2 + np.sum(np.abs(Dphi) ** 2, 0)))
         assert abs(e - e_ref) <= 1e-14 * e_ref
-    assert np.array_equal(states[-1].phi, out["final"].phi)
+    assert np.array_equal(states[-1].phi, out.final.phi)
 
 
 def test_evolve_uses_cfl_bound(grid16):
     st = mkg_wave(grid16, 0.1)
     dt = 0.4 / dyn.active_kmax(grid16)
-    assert mkg.evolve(st, dt, dt)["final"].t == pytest.approx(dt)
+    assert dyn.evolve(st, dt, dt).final.t == pytest.approx(dt)
     with pytest.raises(ValueError, match="CFL"):
-        mkg.evolve(st, dt, dt, cfl=0.25)
+        dyn.evolve(st, dt, dt, cfl=0.25)
 
 
 def test_conservation_coupled(grid16):
     st = mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6)
     assert mkg.constraint_residual(st)[1] < 1e-12
-    out = mkg.evolve(st, 2e-3, 0.4, sample_every=40)
-    e = np.asarray(out["energies"])
-    q = np.asarray(out["charges"])
-    c = np.asarray(out["constraint"])
+    out = dyn.evolve(st, 2e-3, 0.4, sample_every=40)
+    e = np.asarray(out.columns["hamiltonian"])
+    q = np.asarray(out.columns["charge"])
+    c = np.asarray(out.columns["constraint"])
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-9
     assert np.max(np.abs(q - q[0])) < 1e-9 * e[0]
     # n=16 truncation floor; the dt-order study runs at n=32 in acceptance
@@ -108,8 +108,8 @@ def test_constraint_propagation_order(grid32):
     st = mkg_random(grid32, 0.3, seed=4, mode_cut=2.5, decay=1e6)
     drifts = []
     for dt in (2.4e-2, 1.2e-2):
-        out = mkg.evolve(st, dt, 0.24, sample_every=5)
-        drifts.append(np.max(np.asarray(out["constraint"])))
+        out = dyn.evolve(st, dt, 0.24, sample_every=5)
+        drifts.append(np.max(np.asarray(out.columns["constraint"])))
     order = np.log2(drifts[0] / drifts[1])
     assert order > 3.4, (drifts, order)
 
@@ -169,8 +169,8 @@ def test_mkg_tension_linear_zero(grid16):
     """Tension fields vanish on exact linear solutions."""
     st = mkg_wave(grid16, 0.1)
     dt = 2e-3
-    out = mkg.evolve(st, dt, 0.05)
-    v, w = mkg.mkg_tension(out["final"], 1 / 256.0, substeps=4)
+    out = dyn.evolve(st, dt, 0.05)
+    v, w = mkg.mkg_tension(out.final, 1 / 256.0, substeps=4)
     scale = max(grid16.l2_norm(np.abs(st.phi)), 1e-30)
     assert grid16.l2_norm(np.abs(v)) < 1e-6 * scale
     assert grid16.l2_norm(w) < 1e-10 * scale
@@ -179,9 +179,9 @@ def test_mkg_tension_linear_zero(grid16):
 def test_mkg_tension_onshell_small(grid16):
     st = mkg_random(grid16, 0.2, seed=8, mode_cut=1.5, decay=1e6)
     dt = 2e-3
-    out = mkg.evolve(st, dt, 0.05)
-    v, w = mkg.mkg_tension(out["final"], 0.0, substeps=4)
-    h = mkg.mkg_energy(out["final"])
+    out = dyn.evolve(st, dt, 0.05)
+    v, w = mkg.mkg_tension(out.final, 0.0, substeps=4)
+    h = mkg.mkg_energy(out.final)
     assert grid16.l2_norm(np.abs(v)) < 1e-5 * np.sqrt(h)
     assert grid16.l2_norm(w) < 1e-5 * np.sqrt(h)
 
