@@ -10,8 +10,10 @@ The subcommand selects the experiment kind and overrides the config's
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -24,6 +26,18 @@ def worker_count(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
+
+
+def keep_heap() -> None:
+    """Keep freed stage arrays in the heap: glibc's mmap and trim thresholds to 2**30."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mmap = mallopt(-3, 2**30)   # first: a trim threshold alone pins mmap's at 128 KiB
+        taken = f"M_MMAP_THRESHOLD {mmap}, M_TRIM_THRESHOLD {mmap and mallopt(-1, 2**30)}"
+    except (OSError, AttributeError):
+        taken = "none set, no mallopt found in the C library"
+    logging.getLogger(__name__).info("malloc thresholds to 2**30 (1: taken): %s", taken)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     args = build_parser().parse_args(argv)
     if args.threads is not None:
         os.environ["YMLAB_THREADS"] = str(args.threads)

@@ -85,13 +85,12 @@ class ExperimentConfig:
         for name in ("mode_cut", "decay"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.amplitude < 0:
-            problems.append(f"amplitude must be nonnegative, got {self.amplitude}")
         if not 0.0 < self.cfl <= 1.0:
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.kind in _STEPPED_KINDS and dt_steps(self.T, self.dt) is None:
             problems.append(f"T must be an integer multiple of dt = {self.dt}, got {self.T}")
-        for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 2)):
+        for name, low in (("substeps", 1), ("s_samples", 2), ("time_samples", 2),
+                          ("seed", 0), ("amplitude", 0)):
             if getattr(self, name) < low:
                 problems.append(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.N_list or not all(0 < x < math.inf for x in self.N_list):
@@ -171,8 +170,10 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
             _unknown(f"line {lineno}: unknown key {key!r} in section [{section}]", strict)
             continue
         name, typ = _BY_KEY[(section, key)]
-        values[name] = _convert(raw, typ, f"line {lineno}")
-    return ExperimentConfig(**values)
+        if name in values:     # ambiguous, not unknown: an error in lax mode too
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {values[name][0]}")
+        values[name] = lineno, _convert(raw, typ, f"line {lineno}")
+    return ExperimentConfig(**{name: value for name, (_, value) in values.items()})
 
 
 def load_config(path: str, strict: bool = True) -> ExperimentConfig:

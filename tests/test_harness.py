@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,13 @@ def test_config_parse_errors():
         parse_config("n = 16\n")
     with pytest.raises(ConfigError):
         parse_config("[grid]\nn = twelve\n")
+    # a repeated key is ambiguous, not unknown: an error in lax mode too
+    for strict in (True, False):
+        with pytest.raises(ConfigError, match="line 3: key 'n' repeats line 2"):
+            parse_config("[grid]\nn = 8\nn = 16\n", strict=strict)
+        with pytest.raises(ConfigError, match="line 6: key 'dt' repeats line 2"):
+            parse_config("[integrator]\ndt = 0.002\n[grid]\nn = 8\n[integrator]\ndt = 0.001\n",
+                         strict=strict)
 
 
 def test_checkpoint_round_trip(tmp_path, grid16, s2, rng):
@@ -357,6 +365,10 @@ def test_cli_bad_config(tmp_path):
     assert cli.main(["evolve", "--config", str(bad)]) == 2
     missing = str(tmp_path / "nope.ini")
     assert cli.main(["evolve", "--config", missing]) == 2
+    # a negative seed fails at the config, before the output directory exists
+    out = tmp_path / "neg"
+    assert cli.main(["evolve", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_seed_override(tmp_path):
@@ -402,6 +414,74 @@ def test_cli_runs_without_a_config(tmp_path):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["seed"] == ExperimentConfig().seed
     assert np.isfinite(summary["energy_drift_rel"])
+
+
+def test_cli_keeps_the_heap_through_mallopt(tmp_path, monkeypatch, caplog):
+    """`cli.main` sets M_MMAP_THRESHOLD (-3) and then M_TRIM_THRESHOLD (-1) to
+    2**30 with exactly two mallopt calls and logs what each returned.  A
+    glibc that refuses the mmap threshold (mallopt(3) documents 32 MiB as its
+    upper limit) gets no trim threshold either, which alone would pin the
+    mmap threshold at 128 KiB.  A C library without mallopt, or one that
+    cannot be loaded, sets nothing.  Every run exits 0 and writes the same
+    artifacts."""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[grid]\nn = 8\n[integrator]\nT = 0.02\n")
+    calls = {"glibc": [], "refuses": []}
+
+    def library(label, taken):
+        def mallopt(param, value):
+            calls[label].append((param, value))
+            return taken
+        return lambda name: types.SimpleNamespace(mallopt=mallopt)
+
+    def unloadable(name):
+        raise OSError("no C library")
+
+    libraries = {"glibc": library("glibc", 1), "refuses": library("refuses", 0),
+                 "no-mallopt": lambda name: types.SimpleNamespace(),
+                 "unloadable": unloadable}
+    logged = {"glibc": "M_MMAP_THRESHOLD 1, M_TRIM_THRESHOLD 1",
+              "refuses": "M_MMAP_THRESHOLD 0, M_TRIM_THRESHOLD 0",
+              "no-mallopt": "none set, no mallopt found in the C library",
+              "unloadable": "none set, no mallopt found in the C library"}
+    artifacts = {}
+    for label, loader in libraries.items():
+        monkeypatch.setattr(cli.ctypes, "CDLL", loader)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="ymlab.cli"):
+            assert cli.main(["evolve", "--config", str(cfg_path),
+                             "--out", str(tmp_path / label)]) == 0
+        records = [r.getMessage() for r in caplog.records if r.name == "ymlab.cli"]
+        assert len(records) == 1 and logged[label] in records[0], records
+        artifacts[label] = {name: (tmp_path / label / name).read_bytes()
+                            for name in ("results.csv", "summary.json", "final.ckpt",
+                                         "results.schema.json")}
+    assert calls == {"glibc": [(-3, 2**30), (-1, 2**30)], "refuses": [(-3, 2**30)]}
+    assert all(files == artifacts["glibc"] for files in artifacts.values())
+
+
+def test_import_makes_no_mallopt_call():
+    """Importing ymlab and all its modules leaves the allocator alone; only
+    `cli.main` (here `keep_heap`, the positive control) asks for mallopt."""
+    script = (
+        "import ctypes, pkgutil, importlib\n"
+        "asked = []\n"
+        "class Recording(ctypes.CDLL):\n"
+        "    def __getattr__(self, name):\n"
+        "        asked.append(name)\n"
+        "        return super().__getattr__(name)\n"
+        "ctypes.CDLL = Recording\n"
+        "import ymlab\n"
+        "for m in pkgutil.iter_modules(ymlab.__path__):\n"
+        "    importlib.import_module('ymlab.' + m.name)\n"
+        "print('mallopt' in asked)\n"
+        "importlib.import_module('ymlab.cli').keep_heap()\n"
+        "print('mallopt' in asked)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_cli_failure_is_a_json_record(tmp_path, capsys):
