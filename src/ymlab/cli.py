@@ -18,6 +18,7 @@ import os
 import sys
 
 from .config import KINDS, ConfigError, ExperimentConfig, load_config
+from .grid import env_workers
 from .runner import run
 
 
@@ -68,6 +69,7 @@ def main(argv=None) -> int:
     if args.threads is not None:
         os.environ["YMLAB_THREADS"] = str(args.threads)
     try:
+        env_workers()                       # before anything is written
         if args.config:
             cfg = load_config(args.config, strict=args.strict)
         else:

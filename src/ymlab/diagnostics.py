@@ -239,7 +239,7 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
     (`heatflow.nested_sample_grids`), so they share most of their points;
     their union is flowed once and each modified energy reads its own grid.
     Each time sample logs one INFO record with the t reached, the union
-    size, the IF steps taken, the legs redone and the largest leg error
+    size, the IF steps taken, the legs redone and the largest step error
     estimate (`heatflow.sample_legs`); the wave's `LegRecord` gets one more
     (`dynamics.log_legs`).  The fitted log-log slope is exploratory output.
     """
@@ -261,7 +261,7 @@ def almost_conservation_sweep(state0: CauchyState, N_values, sigma: float,
         hf.run_flow(st, union, substeps=substeps,
                     observer=lambda f: rec.append((f.s, energy_at(f))), legs=legs)
         log.info("sweep t = %.6g: %d flow samples, %d IF steps, %d legs redone, "
-                 "leg error <= %.1e", st.t, len(union),
+                 "step error <= %.1e", st.t, len(union),
                  legs[0].steps, legs[0].redone, legs[0].max_error)
         s_all, e_all = np.array(rec).T
         for N in N_values:

@@ -6,10 +6,11 @@ dealiased by the two-thirds rule.  Time stepping is Lawson's integrating-
 factor RK4: a state's `propagate` is the exact linear wave flow per Fourier
 mode and its `spectral_rhs` the bracket terms only.  Every evolution runs
 through `wave_legs`: the state stays in Fourier space, each leg between
-samples takes as few steps as `controlled_legs`' error estimate allows (at
-most its steps of dt, which the CFL guard checks), and only the states a
-caller asks for are inverted, with their spectral fields, which a state's
-`observe` reads by Parseval.  `mkg.MkgState` has the same methods, so one
+samples takes as few steps as `controlled_legs`' error estimate allows, a
+step spanning several legs with dense output in between (each at least the
+dt the CFL guard checks), and only the states a caller asks for are
+inverted, with their spectral fields, which a state's `observe` reads by
+Parseval.  `mkg.MkgState` has the same methods, so one
 `evolve` samples both systems; `step_rk4` is one IF step without control.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -193,6 +194,7 @@ def _wave_flow(grid: Grid, tau: float, X, V, full: bool = False) -> tuple:
             tmp = np.multiply(V, sk)
             X1 += tmp
             V1 += np.multiply(V, c, out=tmp)
+            del tmp                         # not held through the longitudinal part
     if lon is None:
         return X1, V1
     k, rX, rV = (grid.kx, grid.ky, grid.kz), 0.0, 0.0   # X1 += k rX, V1 += k rV
@@ -217,7 +219,7 @@ def _axpy(a, c, b):
     return u
 
 
-def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, with_k4: bool = False):
+def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, mid=None):
     """One RK4 step on a tuple of arrays; given prop(tau, z) = e^{tau L} z,
     Lawson's integrating-factor step of y' = L y + f(y) (Lawson 1967) in five
     P = prop(dt/2, .): a = P y, k2 = f(a + dt/2 P k1), k3 = f(z3 = a + dt/2
@@ -225,26 +227,31 @@ def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, with_k4: bool = False):
     y_next = P(a + dt/3 (k2 + k3) + dt/6 P k1) + dt/6 k4: at each f at most
     two full states live besides y and k1.  f may give None for a zero
     field, which prop takes too; no array f or prop returns is written to.
-    Pass k1 = f(y) when held; with_k4 returns (y_next, the last stage k4)."""
+    Pass k1 = f(y) when held, or a function giving P k1, so that no full k1
+    need be held through the stages; mid, when given, gets k2 + k3 before
+    k4 is formed."""
     h2 = 0.5 * dt
     P = (lambda z: z) if prop is None else (lambda z: prop(h2, z))
     k1 = f(y) if k1 is None else k1
+    Pk1 = k1 if callable(k1) else lambda: P(k1)
     a = P(y)
-    k2 = f(tuple(_axpy(u, h2, p) for u, p in zip(a, P(k1))))
+    k2 = f(tuple(_axpy(u, h2, p) for u, p in zip(a, Pk1())))
     z3 = tuple(_axpy(u, h2, k) for u, k in zip(a, k2))
     del a
     k3 = f(z3)
     a = y if prop is None else tuple(_axpy(z, -h2, k) for z, k in zip(z3, k2))
     z4 = tuple(_axpy(u, dt, k) for u, k in zip(a, k3))
-    s = tuple(_axpy(u, dt / 3.0, b2 if b3 is None else b3 if b2 is None else b2 + b3)
-              for u, b2, b3 in zip(a, k2, k3))
+    m = tuple(b2 if b3 is None else b3 if b2 is None else b2 + b3 for b2, b3 in zip(k2, k3))
+    s = tuple(_axpy(u, dt / 3.0, b) for u, b in zip(a, m))
     del a, k2, k3, z3
+    if mid is not None:
+        mid(m)
+    del m
     z4 = P(z4)
     k4 = f(z4)
     del z4
-    s = tuple(_axpy(u, dt / 6.0, p) for u, p in zip(s, P(k1)))
-    y1 = tuple(_axpy(u, dt / 6.0, k) for u, k in zip(P(s), k4))
-    return (y1, k4) if with_k4 else y1
+    s = tuple(_axpy(u, dt / 6.0, p) for u, p in zip(s, Pk1()))
+    return tuple(_axpy(u, dt / 6.0, k) for u, k in zip(P(s), k4))
 
 
 def spectral_norm(grid: Grid, y: tuple) -> float:
@@ -265,111 +272,179 @@ def step_rk4(state, dt: float):
     return state.from_spectral(state.t + dt, y)
 
 
-# Tolerance of a leg's error estimate, relative to the L2 norm of the whole
-# state.  One-step flow legs estimate at most 5e-13 on default data, 20x
-# below it: the estimate under-reads a one-step leg's error against 32
-# substeps by up to 16x.  Wave legs meet a tenth of it: at LEG_TOL, su(2)
-# data of amplitude 1 at n = 16 took one step per leg of 5 dt and ended 7x
-# further from a fine reference than fixed-dt classical RK4, at
-# WAVE_LEG_TOL (two steps) 2x closer.
+# Tolerances of one IF step's Simpson-error estimate, relative to the L2
+# norm of the state.  At WAVE_LEG_TOL a wave-n32 step spans two sample legs
+# (three at 1e-12, whose samples miss classical RK4 at 200 steps).
 LEG_TOL = 1e-11
-WAVE_LEG_TOL = 1e-12
+WAVE_LEG_TOL = 1e-13
 
 
 @dataclass
 class LegRecord:
-    """What `controlled_legs` did: the steps of each accepted leg, the IF
-    steps in all (redone legs included), the legs redone, and the largest
-    error estimate of an accepted leg."""
+    """What `controlled_legs` did: the steps ending on each leg (0 on a leg
+    inside a step), the IF steps in all (redone steps included), the legs
+    redone, the samples taken between step ends, and the largest error
+    estimate of a kept step."""
 
     counts: list = field(default_factory=list)
     steps: int = 0
     redone: int = 0
+    inner: int = 0
     max_error: float = 0.0
 
 
-def _minus(x: tuple, y: tuple) -> tuple:
-    """x - y fieldwise, None where x has None."""
-    return tuple(None if a is None else a - b for a, b in zip(x, y))
+def _lin(*terms):
+    """The sum of c z over (c, z) terms of field tuples, fieldwise, in fresh
+    arrays; None is 0."""
+    out = []
+    for us in zip(*(z for _, z in terms)):
+        parts = [(c, u) for (c, _), u in zip(terms, us) if u is not None]
+        acc = parts[0][1] * parts[0][0] if parts else None
+        for c, u in parts[1:]:
+            acc += u if c == 1.0 else u * c
+        out.append(acc)
+    return tuple(out)
 
 
-def controlled_legs(state: tuple, spans, caps, step, rhs, norm, emit, error, tol,
-                    cold: bool = True):
+class Band:
+    """A grid's two-thirds band, where every right-hand side lives: `pack`
+    and `unpack` hold a tuple's complex fields (rfft or cfft layout) there;
+    its wavenumber tables and Parseval weights let `propagate` and
+    `spectral_norm` act on packed fields."""
+
+    def __init__(self, grid: Grid):
+        half, full, unit = grid.dealias_mask, grid.dealias_mask_full, grid.volume / grid.n**6
+        self.masks = {grid.n // 2 + 1: half, grid.n: full, half.sum(): half, full.sum(): full}
+        self.kx, self.ky, self.kz, self.k2, self.inv_k2, w = (np.broadcast_to(t, half.shape)[
+            half] for t in (grid.kx, grid.ky, grid.kz, grid.k2, grid.inv_k2, grid.parseval_weight))
+        self.k2_full, self.n, self.volume = grid.k2_full[full], grid.n, grid.volume
+        self.l2_norm, self.weights = grid.l2_norm, {half.sum(): unit * w, full.sum(): unit}
+
+    def spectral_l2(self, v: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(self.weights[v.shape[-1]] * (v.real**2 + v.imag**2))))
+
+    def pack(self, z: tuple) -> tuple:
+        return tuple(u[..., self.masks[u.shape[-1]]] if np.iscomplexobj(u) else u for u in z)
+
+    def unpack(self, z: tuple, base: tuple | None = None) -> tuple:
+        """Packed z as full fields: zeros, or base, added to in place; real
+        fields and None as they are."""
+        out = list(base or (None,) * len(z))
+        for f, v in enumerate(z):
+            if not np.iscomplexobj(v):
+                out[f] = v
+                continue
+            mask = self.masks[v.shape[-1]]
+            if out[f] is None:
+                out[f] = np.zeros(v.shape[:-1] + mask.shape, complex)
+            out[f][..., mask] += v
+        return tuple(out)
+
+
+def controlled_legs(state: tuple, spans, caps, step, rhs, prop, norm, emit, error, tol,
+                    cold: bool = True, dense: bool = False, band=None, release=None):
     """Advance `state` over legs of the given spans (any sign), calling
     emit(state) at the end of each, a leg of span 0 without a step; returns
     the `LegRecord`.
 
-    step(y, h, k1) makes one step of size h from y, k1 being rhs(y) or None,
-    and returns the new state and its last stage k4.  The leg's last step
-    gives the estimate e = |h|/10 ||k4 - rhs(y_end)|| / ||y_end|| of the
-    embedded third-order pair (Balac & Mahe 2013), norm taking a whole
-    state, and rhs(y_end) is the next leg's k1 ("first same as last"): a run
-    makes 4 x steps + 1 right-hand sides.  caps give each leg's most steps.
-    The first leg that moves takes one step if cold, else its cap; each
-    later leg the fewest for which the previous estimate scaled by the h^4
-    law is at most tol.  A leg whose own estimate then exceeds tol is redone
-    once, from the kept state and k1: at its cap, except a cold first leg
-    (tol > 0), which is probed at two steps and redone at the fewest m >= 2
-    for which the probe's step-doubling error r = ||y_2 - y_1|| / 15 /
-    ||y_2|| (Richardson; the embedded e reads up to 140x low there), scaled
-    by (2/m)^4, is at most tol, at its cap if r is not finite; the probe
-    itself is the leg at m = 2.  Pass cold only when the estimate sees
-    every block of the state: a block whose right-hand side does not depend
-    on the state (the u(1) caloric transport) reads 0.
-    Non-finite values raise error(leg index).  No emitted state stays
-    referenced through the next leg, which would raise peak memory.
+    step(y, h, k1, mid) makes one Lawson step of y' = L y + N(y), k1 giving
+    P k1 for P = prop(h/2, .), and hands mid its k2 + k3; rhs(y_end) is the
+    next step's k1: 4 x steps + 1 right-hand sides in all.  The step is
+    Simpson's rule on g(tau) = e^{(t1 - tau)L} N(y(tau)), so its error
+    estimate is Simpson's, e = |h|^5/2880 ||g^(4)|| / ||y_end|| (Hochbruck &
+    Ostermann 2010), g^(4) from the fourth divided difference of the g-nodes
+    of the last two steps (k1, (k2 + k3)/2 and rhs(y_end) of each) in the
+    frame of the step's end; band = (pack, unpack, prop, norm on packed
+    fields) holds them on the band.  With no estimate yet a leg takes two
+    half steps if cold, else its cap; then each step is the longest that
+    the h^5 law allows at tol: several whole legs if dense, else the fewest
+    steps of a leg, at most its cap.  A step that misses tol has its leg
+    redone once, so sized, from the kept start, unless the leg took its cap
+    already.  With dense, a sample inside a step integrates the polynomial
+    through its g-nodes from the step's start (Hairer, Norsett & Wanner,
+    II.6), after release() has dropped what rhs recorded.  Non-finite
+    values raise error(leg index).
     """
-    record = LegRecord()
-    k1, e, h = None, 0.0, None
-    for leg, (span, cap) in enumerate(zip(spans, caps)):
-        if span == 0:
+    record, (pack, unpack, bprop, bnorm) = LegRecord(), band or ((lambda z: z), (
+        lambda z, base=None: z if base is None else _lin((1, base), (1, z))), prop, norm)
+    k1 = hist = e = h = None
+    i = 0
+
+    def size():
+        if e is None:
+            return 1, 2 if cold else caps[i]
+        j = 0
+        while (dense and hist is not None and i + j < len(spans)
+               and e * abs(sum(spans[i:i + j + 1]) / h) ** 5 <= tol):
+            j += 1
+        return (j, 1) if j else (1, next((q for q in range(1, caps[i])
+                                          if e * abs(spans[i] / (q * h)) ** 5 <= tol), caps[i]))
+
+    while i < len(spans):
+        if spans[i] == 0:
             emit(state)
+            i += 1
             continue
-        m = (1 if cold else cap) if h is None else next(
-            (j for j in range(1, cap) if e * (span / (j * h)) ** 4 <= tol), cap)
-        start = (state, k1) if m < cap else None      # kept for a redo
-        probe, y1, before = tol > 0 and h is None, None, record.steps
-        while True:
-            h = span / m
-            for _ in range(m - 1):
-                state, k1 = step(state, h, k1)[0], None
-            state, k4 = step(state, h, k1)
-            if not all(u is None or np.isfinite(u).all() for u in state):
-                raise error(leg)
-            k1 = rhs(state)
-            e = abs(h) / 10.0 * norm(_minus(k4, k1)) / max(norm(state), 1e-300)
-            record.steps += m
-            k4 = None                       # not held through a redo or the sample
-            if y1 is not None:              # the probe sizes the redo
-                r = norm(_minus(state, y1)) / 15.0 / max(norm(state), 1e-300)
-                q, y1 = 2.0 * (r / tol) ** 0.25, None
-                m = max(2, math.ceil(q)) if q < cap else cap
-                if m == 2:
-                    break
-                (state, k1), start = start, None
-            elif e <= tol or start is None:
-                break
-            elif probe:
-                (state, k1), y1, m = start, state, 2
+        (j, m), k1 = size(), pack(rhs(state)) if k1 is None else k1
+        start = (state, k1, hist) if j > 1 or m < caps[i] else None   # a redo, inner samples
+        for redo in (True, False):
+            hs, worst = sum(spans[i:i + j]) / m, 0.0
+            thetas, inner = np.cumsum(spans[i:i + j - 1]) / hs, []
+            for _ in range(m):
+                k10, hist0, mid = k1, hist, []
+                state = step(state, hs, lambda: unpack(bprop(0.5 * hs, k10)),
+                             lambda z: mid.append(_lin((0.5, pack(z)))))
+                if not all(u is None or np.isfinite(u).all() for u in state):
+                    raise error(i + j - 1)
+                size_y = max(norm(state), 1e-300)
+                k1, hist, e, h = pack(rhs(state)), (k10, mid.pop(), hs), None, hs
+                record.steps += 1
+                if j > 1 and release is not None:
+                    release()
+                if hist0 is not None:       # the g-nodes, the first three at t0
+                    hp = hist0[2]           # W's row 4: the fourth divided difference
+                    W = np.linalg.inv(np.vander([-hp / hs, -0.5 * hp / hs, 0.0, 0.5, 1.0],
+                                                increasing=True))
+                    g = (bprop(hp, hist0[0]), bprop(0.5 * hp, hist0[1]), k10,
+                         bprop(0.5 * hs, hist[1]), k1)
+                    for theta in thetas:    # samples inside, less e^{theta h L} y0
+                        c = theta ** np.arange(1.0, 6.0) / np.arange(1.0, 6.0) @ W * hs
+                        inner.append(_lin((1, bprop(theta * hs, _lin(*zip(c[:3], g[:3])))),
+                                          (1, bprop((theta - 1) * hs, _lin(*zip(c[3:], g[3:]))))))
+                    d = _lin((1, bprop(hs, _lin(*zip(W[4, :3], g[:3])))), *zip(W[4, 3:], g[3:]))
+                    e, g, d = abs(hs) / 120.0 * bnorm(d) / size_y, None, None
+                    worst = max(worst, e)
+                    if redo and start is not None and not e <= tol:
+                        break
             else:
-                (state, k1), start, m = start, None, cap
+                break
+            state, k1, hist = start
+            record.redone += 1
+            j, m = size()
+        record.counts += [0] * (j - 1) + [m]
+        record.max_error = max(record.max_error, worst)
+        for q, theta in enumerate(thetas):
+            y = prop(theta * hs, start[0])
+            start = start if q < len(thetas) - 1 else None   # not held through the sample
+            emit(unpack(inner.pop(0), y))
+            del y
         start = None                        # not held through the sample
-        record.redone += record.steps - before > m
-        record.counts.append(m)
-        record.max_error = max(record.max_error, e)
         emit(state)
+        i += j
+    record.inner = record.counts.count(0)
     return record
 
 
 def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
-    """IF-RK4 legs (dt < 0: backward) on `state.spectral()` to each
+    """IF-RK4 steps (dt < 0: backward) on `state.spectral()` to each
     nondecreasing step count in `marks` (0: the input), `controlled_legs`
-    taking at most the leg's steps of dt at WAVE_LEG_TOL; emit(st, y, kept)
-    gets the physical state at t + mark dt, its spectral fields and kept,
-    the leg end's `spectral_rhs(y, kept)` record of them that st was built
-    from ({} if none), read only but for clearing kept.  Returns the last
-    mark's state; a `legs` list receives the `LegRecord`.  A Yang-Mills
-    step makes 144 transforms, a leg's estimate 36 more."""
+    sizing them at WAVE_LEG_TOL (at least dt), a step spanning several legs
+    with dense output in between; emit(st, y, kept) gets the physical
+    state at t + mark dt, its spectral fields and kept, the step end's
+    `spectral_rhs(y, kept)` record of them that st was built from ({} if
+    none), read only but for clearing kept.  Returns the last mark's
+    state; a `legs` list receives the `LegRecord`.  A Yang-Mills step
+    makes 108 + 36 transforms, the last 36 the next step's first stage."""
     marks = [int(m) for m in marks]
     caps = [b - a for a, b in zip([0] + marks, marks)]
     done, held, kept = iter(marks), [], {}
@@ -381,18 +456,21 @@ def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
         if emit is not None:
             emit(held[0], y, rec)
 
-    def step(y, h, k1):
-        held.clear()                        # nothing emitted or recorded held through a leg
+    def step(y, h, k1, mid):
+        held.clear()                        # nothing emitted or recorded held through a step
         kept.clear()
-        return rk4_step(y, h, state.spectral_rhs, state.propagate, k1=k1, with_k4=True)
+        return rk4_step(y, h, state.spectral_rhs, state.propagate, k1, mid)
 
     def blowup(leg):
         return BlowUpError(f"non-finite state at t={state.t + marks[leg] * dt:.6g}")
 
+    band = Band(state.grid)
     record = controlled_legs(state.spectral(), [c * dt for c in caps], caps, step,
-                             lambda y: state.spectral_rhs(y, kept),
-                             lambda y: spectral_norm(state.grid, y),
-                             sample, blowup, WAVE_LEG_TOL)
+                             lambda y: state.spectral_rhs(y, kept), state.propagate,
+                             lambda y: spectral_norm(state.grid, y), sample, blowup,
+                             WAVE_LEG_TOL, dense=True, band=(band.pack, band.unpack, replace(
+                                 state, grid=band).propagate, lambda z: spectral_norm(band, z)),
+                             release=kept.clear)
     if legs is not None:
         legs.append(record)
     return held[0]
@@ -439,8 +517,9 @@ def evolve(state, dt: float, T: float, sample_every: int = 0, cfl: float = 0.5,
 
 def log_legs(what: str, t: float, record: LegRecord, var: str = "t") -> None:
     """One INFO record of a run's `LegRecord`, ending at var = t."""
-    log.info("%s to %s = %.6g: %d IF steps, %d legs redone, leg error <= %.1e",
-             what, var, t, record.steps, record.redone, record.max_error)
+    log.info("%s to %s = %.6g: %d IF steps, %d samples between them, %d legs redone, "
+             "step error <= %.1e", what, var, t, record.steps, record.inner, record.redone,
+             record.max_error)
 
 
 def ymt_bracket_rhs(state: CauchyState) -> np.ndarray:

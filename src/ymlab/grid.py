@@ -14,13 +14,27 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as _fft
 
+from .config import ConfigError
+
+
+def env_workers() -> int:
+    """The FFT workers YMLAB_THREADS asks for (default 1); a ConfigError, a
+    ValueError, names it when it is not an integer of at least 1."""
+    text = os.environ.get("YMLAB_THREADS", "1")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise ConfigError(f"YMLAB_THREADS must be an integer of at least 1, got {text!r}")
+
 
 class Grid:
     """n^3 periodic lattice of period L.
 
     Wavenumbers are k = 2*pi*m/L for integer modes m in (-n/2, n/2]
     (the Nyquist mode is assigned +n/2).  The transforms use YMLAB_THREADS
-    workers (default 1), read once when the grid is made.
+    workers (`env_workers`), read once when the grid is made.
     """
 
     def __init__(self, n: int, L: float = 2.0 * np.pi):
@@ -31,10 +45,7 @@ class Grid:
         self.n = int(n)
         self.L = float(L)
         self.dx = self.L / self.n
-        try:
-            self.workers = max(1, int(os.environ.get("YMLAB_THREADS", "1")))
-        except ValueError:
-            self.workers = 1
+        self.workers = env_workers()
         m_full = np.fft.fftfreq(n, d=1.0 / n)
         m_full[n // 2] = n // 2  # mode convention m in (-n/2, n/2]
         self.modes = m_full.astype(np.int64)

@@ -8,7 +8,7 @@ are stepped explicitly, so the abelian flow reproduces the heat semigroup to
 round-off.  The flow state lives in Fourier space between samples, so the
 heat factor is a multiply; only the samples go back to physical fields.
 Every flow runs through `sample_legs`, which takes each leg between samples
-in as few steps as an embedded error estimate allows (the wave's loop,
+in as few steps as a Simpson-error estimate allows (the wave's loop,
 `dynamics.controlled_legs`).
 The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
 dU/ds = U A_s.
@@ -33,7 +33,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StructureSpec, bracket
 from .config import dt_steps
-from .dynamics import (LEG_TOL, CauchyState, LegRecord, controlled_legs,
+from .dynamics import (LEG_TOL, Band, CauchyState, LegRecord, controlled_legs,
                        covariant_curl_div, rk4_step, spectral_norm, wave_legs)
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
@@ -197,36 +197,38 @@ class _IFSystem:
         `step` and nonlin, each step followed by project(state) when given,
         cold unless a field is an "ode" block; emit gets physical fields
         that no later step writes to (copies of y at s = 0)."""
-        def step(z, h, k1):
-            z, k4 = self.step(z, h, nonlin, k1, True)
-            return z if project is None else project(z), k4
+        band = Band(self.grid)
 
-        return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin,
+        def step(z, h, k1, mid):
+            z = self.step(z, h, nonlin, k1, mid)
+            return z if project is None else project(z)
+
+        return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin, self.propagate,
                            lambda z: spectral_norm(self.grid, z),
                            lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
                                              else self.physical(z)),
-                           "ode" not in self.kinds)
+                           "ode" not in self.kinds, (band.pack, band.unpack, _IFSystem(
+                               band, self.kinds).propagate, lambda z: spectral_norm(band, z)))
 
-    def _factors(self, h):
+    def propagate(self, tau: float, y: tuple) -> tuple:
+        """e^{tau Lap} on each heat field of y."""
         k2 = {"heat": self.grid.k2, "cheat": self.grid.k2_full}
-        return [np.exp(-h * k2[kd]) if kd in k2 else None for kd in self.kinds]
+        return tuple(np.exp(-tau * k2[kd]) * u if kd in k2 else u for u, kd in zip(y, self.kinds))
 
-    def step(self, y: tuple, h: float, nonlin, k1=None, with_k4: bool = False):
+    def step(self, y: tuple, h: float, nonlin, k1=None, mid=None):
         """One IF-RK4 step of size h, as `rk4_step` with the heat factors as
-        the propagator: k1 = nonlin(y) when the caller holds it; with_k4
-        returns (y at s + h, the last stage k4)."""
-        factors = {0.5 * h: self._factors(0.5 * h)}   # rk4_step propagates over h/2 only
-        return rk4_step(y, h, nonlin, lambda tau, z: tuple(
-            u if e is None else e * u for u, e in zip(z, factors[tau])), k1, with_k4)
+        the propagator: k1 = nonlin(y) when the caller holds it."""
+        return rk4_step(y, h, nonlin, self.propagate, k1, mid)
 
 
-def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
-                emit, cold: bool = True) -> LegRecord:
+def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, prop, norm, emit,
+                cold: bool = True, band=None) -> LegRecord:
     """`dynamics.controlled_legs` through the sorted parabolic times at
     LEG_TOL, calling emit(s, state) at each sample (at s = 0 the state as
-    given): the leg from s = 0 takes at most max(2 * substeps, 4) steps, one
-    if cold and its estimate meets LEG_TOL, each later leg at most
-    substeps.  Non-finite values raise ParabolicBlowUpError."""
+    given): the leg from s = 0 takes at most max(2 * substeps, 4) steps, two
+    half steps if cold and their estimate meets LEG_TOL, each later leg at
+    most substeps; band as `controlled_legs` takes it.  Non-finite values
+    raise ParabolicBlowUpError."""
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     times = sorted(float(s) for s in s_samples)
@@ -237,8 +239,8 @@ def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, norm,
     return controlled_legs(
         box.pop(), [b - a for a, b in zip(starts, times)],
         [max(2 * substeps, 4) if a == 0.0 else substeps for a in starts], step, rhs,
-        norm, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
-            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL, cold)
+        prop, norm, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
+            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL, cold, band=band)
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:

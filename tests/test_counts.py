@@ -115,25 +115,31 @@ def test_heatflow_sample_energy_reads_the_held_curvature(counter, monkeypatch, t
 
 
 def test_mkg_step_transforms(counter, monkeypatch):
-    """An MKG wave step that makes its own first stage makes 4 x (8 + 12)
-    transforms on the spectral state, each `rk4_step` call counted over the
-    steps of one leg.  The abelian Maxwell brackets are skipped (4 x (14 +
-    15) when their 6 + 3 transforms ran; 192 with physical-space stages)."""
+    """An MKG wave step makes 3 x (8 + 12) transforms on the spectral state
+    in `rk4_step` (4 x when it made its own first stage), each call counted
+    over the steps of one leg: its first stage is the last step's end
+    right-hand side, made by the leg controller.  The abelian Maxwell
+    brackets are skipped (4 x (14 + 15) when their 6 + 3 transforms ran;
+    192 with physical-space stages)."""
     g = grid.Grid(8)
     st = datagen.mkg_random(g, 0.2, seed=3, mode_cut=1.5, decay=1e6)
     per_step = _transforms_per_call(counter, monkeypatch, dynamics, "rk4_step")
     legs = dynamics.evolve(st, 1e-3, 8e-3).legs
-    assert legs.steps >= 1 and per_step == [(4 * 8, 4 * 12)] * legs.steps
+    assert legs.steps >= 1 and per_step == [(3 * 8, 3 * 12)] * legs.steps
 
 
 def test_mkg_sample_transforms(counter, monkeypatch):
-    """An MKG evolve sample makes 4 + 2 transforms besides the driver's 4
-    inverses of E and phit, taking A and phi from the leg-end right-hand
-    side (8 inverses when it did not), reading the energy and the Gauss-law
-    residual from the spectral fields and skipping the abelian curvature
-    brackets (7 + 2 with them; 28 when the energy and residual were
-    physical): 4 steps sampled at every
-    step less sampled at the last only, the transforms of the right-hand
+    """An MKG evolve sample at a step end makes 4 + 2 transforms besides the
+    driver's 4 inverses of E and phit, taking A and phi from the step end's
+    right-hand side (8 inverses when it did not), reading the energy and
+    the Gauss-law residual from the spectral fields and skipping the
+    abelian curvature brackets (7 + 2 with them; 28 when the energy and
+    residual were physical).  A sample inside a step, and the end of a
+    step that has one, invert A and phi too (4 more): the record is
+    released before the samples inside, which would hold it.  Sampled at
+    every dt, 4 dt take two half steps to the first mark and one step over
+    three legs: 3 x 4 forward and 3 x (2 + 4) + 3 x 4 inverse transforms
+    more than sampled at the last only, the transforms of the right-hand
     sides, counted per call, taken out.  `mkg_energy` takes 7 (10 with the
     brackets, 22 in physical space)."""
     g = grid.Grid(8)
@@ -143,10 +149,12 @@ def test_mkg_sample_transforms(counter, monkeypatch):
     for every in (1, 4):
         before = dict(counter)
         rhs.clear()
-        dynamics.evolve(st, 1e-3, 4e-3, sample_every=every)
+        legs = dynamics.evolve(st, 1e-3, 4e-3, sample_every=every).legs
         totals.append(tuple(counter[k] - before[k] - sum(c[i] for c in rhs)
                             for i, k in enumerate(("fwd", "inv"))))
-    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (3 * 4, 3 * (2 + 4))
+    assert legs.counts == [2] and dynamics.evolve(st, 1e-3, 4e-3, 1).legs.counts == [2, 0, 0, 1]
+    assert (totals[0][0] - totals[1][0], totals[0][1] - totals[1][1]) == (
+        3 * 4, 3 * (2 + 4) + 3 * 4)
     before = dict(counter)
     mkg.mkg_energy(st)
     assert (counter["fwd"] - before["fwd"], counter["inv"] - before["inv"]) == (7, 0)
@@ -174,11 +182,13 @@ def test_make_data_pulses_transforms(counter):
 
 
 def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
-    """The evolve experiment's wave: at n = 32, T = 0.2 (50 legs of 2 dt)
-    50 IF steps, one per leg, the first starting cold, and 4 x 50 + 1 = 201
-    right-hand sides (51 steps with a first leg of 2; 100 RK4 steps at
-    fixed dt); at the default config (50 legs of 5 dt) 50 steps (54 with a
-    first leg of 5; 250 at fixed dt)."""
+    """The evolve experiment's wave and 4 x steps + 1 right-hand sides.  At
+    n = 32, T = 0.2 (50 legs of 2 dt, the wave-n32 benchmark) 27 IF steps:
+    two cold half steps to the first mark, then one step over each two
+    legs and one over the last, 24 samples from dense output (50 steps at
+    one per leg; 100 RK4 steps at fixed dt).  At the default config (50
+    legs of 5 dt) 100 steps, two per leg: WAVE_LEG_TOL holds per step (50
+    when the embedded estimate sized them; 250 at fixed dt)."""
     calls = [0]
     rhs = dynamics.CauchyState.spectral_rhs
 
@@ -187,30 +197,31 @@ def test_wave_evolve_steps_and_right_hand_sides(monkeypatch):
         return rhs(self, y, kept)
 
     monkeypatch.setattr(dynamics.CauchyState, "spectral_rhs", counted)
-    for n, T, every in ((32, 0.2, 2), (16, 0.5, 5)):
+    for n, T, every, counts in ((32, 0.2, 2, [2] + [0, 1] * 24 + [1]), (16, 0.5, 5, [2] * 50)):
         cfg = config.ExperimentConfig(n=n, T=T)
         g = grid.Grid(cfg.n, cfg.L)
         state, _ = datagen.make_data(cfg, g)
         calls[0] = 0
         legs = dynamics.evolve(state, cfg.dt, cfg.T, every).legs
         assert calls[0] == 4 * legs.steps + 1 and legs.redone == 0
-        assert legs.counts == [1] * 50 and legs.steps == 50
+        assert legs.counts == counts and legs.steps == sum(counts)
+        assert legs.inner == counts.count(0)
 
 
-def test_cold_wave_leg_above_the_tolerance_is_sized_by_step_doubling(monkeypatch):
-    """The sweep-n16 benchmark's wave is one leg of 50 dt.  Its cold first
-    step misses WAVE_LEG_TOL, so the leg is probed at two steps, and the
-    probe's step-doubling error sizes the redo from the kept state at 12
-    steps: 1 + 2 + 12 = 15 IF steps (51 when the redo took its cap of 50),
-    and the state of a warm leg of 12 steps, bit for bit."""
+def test_cold_wave_leg_above_the_tolerance_is_redone_once(monkeypatch):
+    """The sweep-n16 benchmark's wave is one leg of 50 dt.  Its two cold
+    half steps miss WAVE_LEG_TOL, so the leg is redone from the kept state
+    at the 12 steps their Simpson estimate asks for: 2 + 12 = 14 IF steps
+    (15 when a step-doubling probe sized the redo, 51 when it took its cap
+    of 50), and the state of a warm leg of 12 steps, bit for bit."""
     cfg = config.ExperimentConfig(kind="acl-sweep", n=16, T=0.1, time_samples=2)
     state, _ = datagen.make_data(cfg, grid.Grid(cfg.n, cfg.L))
     legs = []
     final = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
-    assert legs[0].counts == [12] and legs[0].steps == 15 and legs[0].redone == 1
+    assert legs[0].counts == [12] and legs[0].steps == 14 and legs[0].redone == 1
     controlled = dynamics.controlled_legs
-    monkeypatch.setattr(dynamics, "controlled_legs", lambda y, spans, caps, *rest:
-                        controlled(y, spans, [0, 12], *rest, cold=False))
+    monkeypatch.setattr(dynamics, "controlled_legs", lambda y, spans, caps, *rest, **kw:
+                        controlled(y, spans, [0, 12], *rest, **kw, cold=False))
     warm = dynamics.wave_legs(state, cfg.dt, [0, 50], None, legs)
     assert legs[1].counts == [12] and legs[1].steps == 12 and legs[1].redone == 0
     assert final.A.tobytes() == warm.A.tobytes() and final.E.tobytes() == warm.E.tobytes()
@@ -231,10 +242,12 @@ def test_gauss_operator_counts(counter):
 
 
 def test_tangent_if_step_counts(counter, monkeypatch):
-    """One IF step of the tangent flow: 4 x (2 x 54 + 3, 2 x 81 + 12)
-    transforms, deturck_nonlinear on the doubled state plus the A_0 ODE.
-    A tangent bracket counts as itself and its three base brackets, so
-    the 36 brackets of a right-hand side count 4 x 36, plus one for A_0."""
+    """One IF step of the tangent flow: 3 x (2 x 54 + 3, 2 x 81 + 12)
+    transforms in `_IFSystem.step`, deturck_nonlinear on the doubled state
+    plus the A_0 ODE; its first stage is the last step's end right-hand
+    side, made by the leg controller (4 x when the step made it).  A
+    tangent bracket counts as itself and its three base brackets, so the
+    36 brackets of a right-hand side count 4 x 36, plus one for A_0."""
     cfg = config.ExperimentConfig(n=16)
     g = grid.Grid(cfg.n, cfg.L)
     state, _ = datagen.make_data(cfg, g)
@@ -249,7 +262,7 @@ def test_tangent_if_step_counts(counter, monkeypatch):
 
     monkeypatch.setattr(heatflow._IFSystem, "step", counted)
     heatflow.flow_tangent(state, [1e-4], substeps=1)
-    assert per_step == [(4 * 111, 4 * 174, 4 * 145)] * 4
+    assert per_step == [(3 * 111, 3 * 174, 3 * 145)] * 4
 
 
 def test_tension_run_flows_once_without_wave_steps(counter, monkeypatch, tmp_path):
@@ -276,8 +289,10 @@ def test_tension_run_flows_once_without_wave_steps(counter, monkeypatch, tmp_pat
 
 def test_controlled_flow_right_hand_sides(monkeypatch):
     """A controlled flow makes 4 x steps + 1 right-hand sides: the last one
-    of each leg gives its error estimate and is the next leg's first stage.
-    Every IF step is one `_IFSystem.step` call, as the record counts them."""
+    of each step is a node of its error estimate and the next step's first
+    stage.  Every IF step is one `_IFSystem.step` call, as the record counts
+    them: two cold half steps to the first sample, one step on each leg
+    after it but the last, whose Simpson estimate asks for two."""
     cfg = config.ExperimentConfig(n=16)
     g = grid.Grid(cfg.n, cfg.L)
     state, _ = datagen.make_data(cfg, g)
@@ -298,7 +313,7 @@ def test_controlled_flow_right_hand_sides(monkeypatch):
     heatflow.run_flow(state, heatflow.sample_grid(cfg.s0_value, 6), substeps=2,
                       legs=legs)
     assert calls == {"step": legs[0].steps, "rhs": 4 * legs[0].steps + 1}
-    assert legs[0].counts == [1] * 6 and legs[0].redone == 0
+    assert legs[0].counts == [2, 1, 1, 1, 1, 2] and legs[0].redone == 0
     calls.update(step=0, rhs=0)
     heatflow.flow_tangent(state, (0.0, cfg.s0_value / 4, cfg.s0_value), substeps=4)
     assert calls == {"step": 10, "rhs": 4 * 10 + 1}

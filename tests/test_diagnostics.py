@@ -194,11 +194,13 @@ def test_sweep_small(grid16, s2, rng):
 
 
 def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch):
-    """test_sweep_small's sweep: 17 nested samples and 16 IF steps per time
-    sample, 1 on each leg, the first starting cold (19 with a first leg of
-    4, 34 with a fixed 2 per later leg, 50 with disjoint grids); one INFO
-    record per time sample with the legs redone and the largest leg error
-    estimate, one more with the wave's legs, nothing on stdout."""
+    """test_sweep_small's sweep: 17 nested samples and 18 IF steps per time
+    sample, two cold half steps on the first leg, 1 on each later leg but
+    the last, which its Simpson estimate takes in 2 (16 when the embedded
+    estimate sized them, 34 with a fixed 2 per later leg, 50 with disjoint
+    grids); one INFO record per time sample with the legs redone and the
+    largest step error estimate, one more with the wave's legs and the
+    samples between its steps, nothing on stdout."""
     st, _ = random_state(grid16, s2, 0.08, seed=9, mode_cut=2.0, decay=1e6)
     calls = [0]
     step = hf._IFSystem.step
@@ -214,16 +216,17 @@ def test_sweep_if_steps_and_progress_log(grid16, s2, caplog, capsys, monkeypatch
         st, [4.0, 8.0], 5.0 / 6.0, T=0.05, dt=2.5e-3, n_time_samples=3,
         n_s=12, span=256.0, substeps=2)
     assert 0 < calls[0] <= 3 * 34
-    assert calls[0] == 3 * 16
+    assert calls[0] == 3 * 18
     msgs = [r.getMessage() for r in caplog.records if r.name == "ymlab.diagnostics"]
     assert len(msgs) == 3
     for t, msg in zip(("0", "0.025", "0.05"), msgs):
-        head, error = msg.split(", leg error <= ")
-        assert head == f"sweep t = {t}: 17 flow samples, 16 IF steps, 0 legs redone"
+        head, error = msg.split(", step error <= ")
+        assert head == f"sweep t = {t}: 17 flow samples, 18 IF steps, 0 legs redone"
         assert 0.0 < float(error) <= hf.LEG_TOL
     wave = [r.getMessage() for r in caplog.records if r.name == "ymlab.dynamics"]
-    head, error = wave[0].split(", leg error <= ")
-    assert len(wave) == 1 and head == "sweep wave to t = 0.05: 2 IF steps, 0 legs redone"
+    head, error = wave[0].split(", step error <= ")
+    assert len(wave) == 1 and head == ("sweep wave to t = 0.05: 4 IF steps, 0 samples between "
+                                       "them, 0 legs redone")
     assert 0.0 < float(error) <= dyn.WAVE_LEG_TOL
     assert capsys.readouterr().out == ""
 

@@ -76,10 +76,10 @@ def _linear_part(grid, A):
 def test_wave_legs_matches_physical_loop(grid16, s2, rng):
     """The spectral-state driver against Lawson IF-RK4 with physical-space
     stages, written out here on the steps the driver's `LegRecord` took:
-    legs to the marks 4 and 10 and one step back.  The first leg is redone
-    once, at the 3 steps its step-doubling probe sizes (1 + 2 + 3 IF
-    steps), and ends within WAVE_LEG_TOL of 64 IF steps; the emitted t is
-    t0 + mark dt."""
+    legs to the marks 4 and 10 and one step back.  The first leg's two
+    cold half steps miss WAVE_LEG_TOL, so it is redone once, at the 4 steps
+    its estimate asks for (2 + 4 IF steps), and ends within 4 x
+    WAVE_LEG_TOL of 64 IF steps; the emitted t is t0 + mark dt."""
     st = su2_state(grid16, s2, rng, amp=0.3, cut=3.0)
     dt = 4e-3
 
@@ -101,16 +101,17 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
     got, legs = [], []
     final = dyn.wave_legs(st, dt, [4, 10], lambda state, _hat, _kept: got.append(state), legs)
     assert final is got[-1]
-    assert legs[0].counts[0] == 3 and 1 <= legs[0].counts[1] <= 6
+    assert legs[0].counts[0] == 4 and 1 <= legs[0].counts[1] <= 6 and legs[0].redone == 1
     ref = st.spectral()
     for _ in range(64):
         ref = dyn.rk4_step(ref, 4 * dt / 64, st.spectral_rhs, st.propagate)
     gap = [u - v for u, v in zip(got[0].spectral(), ref)]
-    assert dyn.spectral_norm(grid16, gap) <= dyn.WAVE_LEG_TOL * dyn.spectral_norm(grid16, ref)
+    m = legs[0].counts[0]                       # WAVE_LEG_TOL holds per step
+    assert dyn.spectral_norm(grid16, gap) <= m * dyn.WAVE_LEG_TOL * dyn.spectral_norm(grid16, ref)
     back = []
     dyn.wave_legs(st, -dt, [1], lambda state, _hat, _kept: back.append(state), legs)
-    assert legs[1].counts == [1]
-    want = physical_loop([4, 10], legs[0].counts, dt) + physical_loop([1], [1], -dt)
+    assert legs[1].counts == [2]                 # two cold half steps
+    want = physical_loop([4, 10], legs[0].counts, dt) + physical_loop([1], [2], -dt)
     for t, state, (A, E) in zip((4 * dt, 10 * dt, -dt), got + back, want):
         assert state.t == st.t + t
         for ref, val in ((A, state.A), (E, state.E)):
@@ -172,71 +173,71 @@ def test_controlled_evolve_accuracy(grid16, s2, amp):
 
 def test_evolve_keeps_and_logs_its_legs(grid16, s2, rng, caplog):
     """`evolve` keeps the wave's `LegRecord` of either system and logs it in
-    one INFO record each; on these data the cold first step misses, and the
-    two-step probe of step doubling is the first leg (redone at its cap of 5
-    before the probe sized it); the probe's steps count in the record."""
+    one INFO record each.  Sampled at every dt, the first leg takes two cold
+    half steps; then a step spans several legs, and the samples inside it
+    come from its dense output: a leg inside a step counts 0 steps, and the
+    record counts those samples."""
     from ymlab.datagen import mkg_random
     st = su2_state(grid16, s2, rng)
     with caplog.at_level("INFO", logger="ymlab.dynamics"):
-        tr = dyn.evolve(st, 2e-3, 0.02, 5)
+        tr = dyn.evolve(st, 2e-3, 0.02, 1)
         out = dyn.evolve(mkg_random(grid16, 0.2, seed=3, mode_cut=2.0, decay=1e6),
-                         2e-3, 0.02, sample_every=5)
-    for rec in (tr.legs, out.legs):
-        assert rec.counts == [2, 2] and rec.redone == 1
-        assert 1 + sum(rec.counts) == rec.steps == 5
+                         2e-3, 0.02, sample_every=1)
+    for rec, steps in ((tr.legs, 6), (out.legs, 7)):
+        assert rec.counts[0] == 2 and len(rec.counts) == 10 and rec.redone == 0
+        assert sum(rec.counts) == rec.steps == steps
+        assert rec.inner == rec.counts.count(0) == 10 - (steps - 1)
         assert 0.0 < rec.max_error <= dyn.WAVE_LEG_TOL
     msgs = [r.getMessage() for r in caplog.records]
-    assert msgs == [f"evolve to t = 0.02: {rec.steps} IF steps, 1 legs redone, "
-                    f"leg error <= {rec.max_error:.1e}" for rec in (tr.legs, out.legs)]
+    assert msgs == [f"evolve to t = 0.02: {rec.steps} IF steps, {rec.inner} samples between "
+                    f"them, 0 legs redone, step error <= {rec.max_error:.1e}"
+                    for rec in (tr.legs, out.legs)]
 
 
 def _l2(y):
     return float(np.sqrt(sum(np.sum(u * u) for u in y)))
 
 
-def _scalar_controlled(rhs, y0, span, cap, tol, cold=True):
-    """`controlled_legs` over one leg on small arrays with the classical RK4
-    step; returns the record, the end state and the step sizes taken."""
+def _scalar_controlled(rhs, y0, spans, caps, tol, cold=True):
+    """`controlled_legs` on small arrays with the classical RK4 step; returns
+    the record, the emitted states and the step sizes taken."""
     hs, out = [], []
 
-    def step(y, h, k1):
+    def step(y, h, k1, mid):
         hs.append(h)
-        return dyn.rk4_step(y, h, rhs, k1=k1, with_k4=True)
+        return dyn.rk4_step(y, h, rhs, k1=k1, mid=mid)
 
-    record = dyn.controlled_legs(y0, [span], [cap], step, rhs, _l2, out.append,
-                                 dyn.BlowUpError, tol, cold)
-    return record, out[0], hs
+    record = dyn.controlled_legs(y0, spans, caps, step, rhs, lambda tau, z: z, _l2,
+                                 out.append, dyn.BlowUpError, tol, cold)
+    return record, out, hs
 
 
-def test_missed_cold_leg_is_sized_by_step_doubling():
-    """y' = cos(2 s) + c y, s' = 1: the estimate sees only the c y term, so
-    the cold step of span 0.1 misses tol.  The leg is probed at two steps
-    and redone once, at the fewest m for which the probe's step-doubling
-    error r = ||y_2 - y_1|| / 15 / ||y_2||, scaled by (2/m)^4, is at most
-    tol; that leg meets tol against a fine reference and is bit for bit a
-    warm leg of m steps.  At c = 0.01 it meets its own estimate too; at
-    c = 0.1 its own estimate misses, and it is kept (m = 25: 28 steps in
-    all)."""
-    tol, span, cap, y0 = dyn.WAVE_LEG_TOL, 0.1, 50, (np.zeros(1), np.zeros(1))
-    for c, m_want in ((0.01, 26), (0.1, 25)):
+def test_missed_cold_leg_is_redone_at_the_size_its_estimate_asks():
+    """y' = cos(2 s) + c y, s' = 1, from y = 1: the first leg, of span 0.1,
+    takes two cold half steps, and the Simpson estimate e of the second
+    (the first one's nodes are its history) misses tol.  The leg is redone
+    once from the kept state, at the fewest m for which e (2/m)^5 is at
+    most tol, and is then bit for bit a warm leg of m steps that ends
+    within m tol of a fine reference.  Its own estimates exceed tol by up
+    to 4x (the errors fall like h^4.8 here, not h^5), and it is kept."""
+    tol, span, cap, y0 = dyn.WAVE_LEG_TOL, 0.1, 50, (np.ones(1), np.zeros(1))
+    for c, m_want in ((0.01, 14), (0.1, 16)):
         def rhs(y):
             return np.cos(2.0 * y[1]) + c * y[0], np.ones(1)
 
-        y1 = dyn.rk4_step(y0, span, rhs)
-        y2 = dyn.rk4_step(dyn.rk4_step(y0, span / 2, rhs), span / 2, rhs)
-        r = _l2([u - v for u, v in zip(y2, y1)]) / 15.0 / _l2(y2)
-        m = int(np.ceil(2.0 * (r / tol) ** 0.25))
+        e = _scalar_controlled(rhs, y0, [span / 2] * 2, [1, 1], 0.0, cold=False)[0].max_error
+        m = next(q for q in range(1, cap) if e * (2.0 / q) ** 5 <= tol)
         assert m == m_want
-        record, end, hs = _scalar_controlled(rhs, y0, span, cap, tol)
-        assert hs == [span, span / 2, span / 2] + [span / m] * m
+        record, (end,), hs = _scalar_controlled(rhs, y0, [span], [cap], tol)
+        assert hs == [span / 2] * 2 + [span / m] * m
         assert record.redone == 1
-        assert record.counts == [m] and record.steps == len(hs) == 1 + 2 + m
-        assert (0.0 < record.max_error <= tol) == (c == 0.01)
+        assert record.counts == [m] and record.steps == len(hs) == 2 + m
+        assert tol < record.max_error < 4 * tol
         ref = y0
         for _ in range(4000):
             ref = dyn.rk4_step(ref, span / 4000, rhs)
-        assert _l2([u - v for u, v in zip(end, ref)]) <= tol * _l2(ref)
-        _, warm, _ = _scalar_controlled(rhs, y0, span, m, tol, cold=False)
+        assert _l2([u - v for u, v in zip(end, ref)]) <= m * tol * _l2(ref)
+        _, (warm,), _ = _scalar_controlled(rhs, y0, [span], [m], tol, cold=False)
         assert all(u.tobytes() == v.tobytes() for u, v in zip(end, warm))
 
 
@@ -267,62 +268,85 @@ def test_wave_evolves_reject_a_bad_schedule_alike(grid8, s2, name, dt, T, cfl):
     assert messages[0] == messages[1]
 
 
-def test_missed_cold_leg_keeps_its_cap_without_a_finite_probe():
-    """With tol <= 0 (the fixed-step idiom) the missed cold step is redone
-    at its cap with no probe; a probe whose step-doubling error is not
-    finite (here the squared norm of a state near 1e200 overflows) leaves
-    the redo at its cap too; neither raises."""
+def test_missed_cold_leg_takes_its_cap_without_a_finite_estimate():
+    """With tol <= 0 (the fixed-step idiom) the cold half steps miss and the
+    leg is redone at its cap; an estimate that is not finite (here the
+    squared norm of a state near 1e200 overflows) redoes it at its cap too;
+    neither raises."""
     def rhs(y):
         return (y[0],)
 
-    record, _, hs = _scalar_controlled(rhs, (np.ones(1),), 0.5, 20, -1.0)
-    assert record.counts == [20] and record.redone == 1 and hs == [0.5] + [0.025] * 20
+    record, _, hs = _scalar_controlled(rhs, (np.ones(1),), [0.5], [20], -1.0)
+    assert record.counts == [20] and record.redone == 1 and hs == [0.25] * 2 + [0.025] * 20
     with np.errstate(over="ignore", invalid="ignore"):
-        record, end, hs = _scalar_controlled(rhs, (np.full(1, 1e200),), 0.5, 20,
-                                             dyn.WAVE_LEG_TOL)
+        record, (end,), hs = _scalar_controlled(rhs, (np.full(1, 1e200),), [0.5], [20],
+                                                dyn.WAVE_LEG_TOL)
     assert record.counts == [20] and record.redone == 1
-    assert hs == [0.5, 0.25, 0.25] + [0.025] * 20 and np.isfinite(end[0]).all()
+    assert hs == [0.25] * 2 + [0.025] * 20 and np.isfinite(end[0]).all()
 
 
-def test_step_doubling_reads_the_sweep_wave_leg_error():
-    """The sweep-n16 benchmark's wave leg (50 dt, seed 1): against 256 IF
-    steps, the step-doubling error ||y_2m - y_m|| / 15 / ||y_2m|| lies within
-    [0.5, 2] x the true error of y_2m for m = 1, 2, 4, 8, while the embedded
-    estimate of the m-step leg reads at least 50x below its true error; the
-    leg that `wave_legs` sizes from the probe ends no further from the
-    reference than fixed-dt classical RK4."""
+def _one_step_errors(y, rhs, prop, h, norm, band=None):
+    """The Simpson estimate of a second IF step of size h from y (the
+    first one's nodes its history) and that step's true error against 64
+    steps."""
+    out = []
+
+    def step(z, tau, k1, mid):
+        return dyn.rk4_step(z, tau, rhs, prop, k1, mid)
+
+    record = dyn.controlled_legs(y, [h, h], [1, 1], step, rhs, prop, norm, out.append,
+                                 dyn.BlowUpError, 0.0, cold=False, band=band)
+    one = ref = out[0]
+    one = dyn.rk4_step(one, h, rhs, prop)
+    for _ in range(64):
+        ref = dyn.rk4_step(ref, h / 64, rhs, prop)
+    return record.max_error, norm(tuple(u - v for u, v in zip(one, ref))) / norm(ref)
+
+
+@pytest.mark.parametrize("case, amp, h", [("wave", 0.1, 0.02), ("wave", 1.0, 0.04),
+                                          ("deturck", 1.0, 0.016)])
+def test_simpson_estimate_reads_the_one_step_error(grid16, s2, case, amp, h):
+    """The leg controller's estimate, Simpson's error from the fourth
+    divided difference of the last two steps' g-nodes, lies within [0.5, 2]
+    x the true error of one IF step (1.0x to 1.5x here): on the su(2) wave
+    at amplitudes 0.1 and 1 (with the band packing and band propagator of
+    `wave_legs`) and on the DeTurck flow.  The midpoint node (k2 + k3)/2
+    carries an O(h^3) stage error, so at smaller steps the estimate reads
+    high: 7x at amplitude 1 and h = 0.005."""
+    from dataclasses import replace
+    st = su2_state(grid16, s2, np.random.default_rng(20240817), amp=amp)
+
+    def norm(y):
+        return dyn.spectral_norm(grid16, y)
+
+    if case == "wave":
+        band = dyn.Band(grid16)
+        args = (st.spectral(), st.spectral_rhs, st.propagate, h, norm,
+                (band.pack, band.unpack, replace(st, grid=band).propagate,
+                 lambda z: dyn.spectral_norm(band, z)))
+    else:
+        flow = hf._IFSystem(grid16, ("heat", "heat"))
+        args = (flow.spectral((st.A, st.E)), lambda z: hf._deturck_hat(grid16, s2, *z),
+                flow.propagate, h, norm)
+    estimate, true = _one_step_errors(*args)
+    assert true > 1e-11 and 0.5 <= estimate / true <= 2.0
+
+
+def test_sweep_wave_leg_ends_no_further_than_classical_rk4():
+    """The sweep-n16 benchmark's wave leg (50 dt, seed 1): its two cold half
+    steps miss WAVE_LEG_TOL, and the leg that `wave_legs` then takes at the
+    size their estimate asks for ends no further from 256 IF steps than
+    fixed-dt classical RK4."""
     from ymlab import config, datagen, grid
     cfg = config.ExperimentConfig(kind="acl-sweep", n=16, T=0.1, time_samples=2)
     g = grid.Grid(cfg.n, cfg.L)
     st, _ = datagen.make_data(cfg, g)
-    span = 50 * cfg.dt
-
-    def step(y, h, k1):
-        return dyn.rk4_step(y, h, st.spectral_rhs, st.propagate, k1=k1, with_k4=True)
-
-    def norm(y):
-        return dyn.spectral_norm(g, y)
-
-    def leg(m):
-        out = []
-        rec = dyn.controlled_legs(st.spectral(), [span], [m], step, st.spectral_rhs,
-                                  norm, out.append, dyn.BlowUpError, 0.0, cold=False)
-        return out[0], rec.max_error
-
-    legs = {m: leg(m) for m in (1, 2, 4, 8, 16, 256)}
-    ref = legs.pop(256)[0]
-
-    def true(y):
-        return norm(tuple(u - v for u, v in zip(y, ref))) / norm(ref)
-
-    for m in (1, 2, 4, 8):
-        y, y2 = legs[m][0], legs[2 * m][0]
-        doubling = norm(tuple(u - v for u, v in zip(y2, y))) / 15.0 / norm(y2)
-        assert 0.5 <= doubling / true(y2) <= 2.0
-        assert true(y) >= 50.0 * legs[m][1]
+    span, ref = 50 * cfg.dt, st.spectral()
+    for _ in range(256):
+        ref = dyn.rk4_step(ref, span / 256, st.spectral_rhs, st.propagate)
     record = []
     sized = dyn.wave_legs(st, cfg.dt, [0, 50], None, record)
-    assert record[0].counts[0] < 50
+    assert record[0].counts[0] < 50 and record[0].redone == 1
     fixed = (st.A, st.E)
     for _ in range(50):
         fixed = dyn.rk4_step(fixed, cfg.dt,
@@ -333,6 +357,36 @@ def test_step_doubling_reads_the_sweep_wave_leg_error():
         return np.sqrt(np.sum((A - exact.A) ** 2) + np.sum((E - exact.E) ** 2))
 
     assert gap(sized.A, sized.E) <= gap(*fixed)
+
+
+def test_default_sweep_wave_legs_end_no_further_than_classical_rk4():
+    """On the default `acl-sweep` config (n = 16, T = 0.5, seed 1: four legs
+    of 62-63 dt), each wave leg of `wave_legs`, replayed from its own start
+    against 128 IF steps, ends no further from them than fixed-dt classical
+    RK4 from the same start (0.44-0.54x; the embedded estimate the leg
+    controller used before ended the later legs 35x further)."""
+    from ymlab import config, datagen, grid
+    cfg = config.ExperimentConfig(kind="acl-sweep")
+    g = grid.Grid(cfg.n, cfg.L)
+    st, _ = datagen.make_data(cfg, g)
+    marks = [int(m) for m in np.round(np.linspace(0, round(cfg.T / cfg.dt), cfg.time_samples))]
+    ends = []
+    dyn.wave_legs(st, cfg.dt, marks, lambda s, y, kept: ends.append(y))
+
+    def rk4(z):
+        return dyn.ym_rhs(dyn.CauchyState(g, st.spec, 0.0, *z))
+
+    def norm(y):
+        return dyn.spectral_norm(g, y)
+
+    for a, b, y0, y1 in zip(marks, marks[1:], ends, ends[1:]):
+        ref, fixed = y0, (g.ifft(y0[0]), g.ifft(y0[1]))
+        for _ in range(128):
+            ref = dyn.rk4_step(ref, (b - a) * cfg.dt / 128, st.spectral_rhs, st.propagate)
+        for _ in range(b - a):
+            fixed = dyn.rk4_step(fixed, cfg.dt, rk4)
+        gaps = [norm(tuple(u - v for u, v in zip(y, ref))) for y in (y1, tuple(map(g.fft, fixed)))]
+        assert gaps[0] <= gaps[1]
 
 
 def _counted_transforms(g, owner, name, monkeypatch):
@@ -357,15 +411,16 @@ def _counted_transforms(g, owner, name, monkeypatch):
 
 
 def test_evolve_transform_count(s2, rng, monkeypatch):
-    """An evolve step that makes its own first stage makes 144 scalar 3-D
-    transforms (180 with physical-space stages), each `rk4_step` call
-    counted over the steps of one leg."""
+    """An evolve step makes 108 scalar 3-D transforms in `rk4_step` (144
+    when it made its own first stage, 180 with physical-space stages): its
+    first stage is the last step's end right-hand side, made by the leg
+    controller, each call counted over the steps of one leg."""
     from ymlab.grid import Grid
     g = Grid(16)
     st = su2_state(g, s2, rng)
     _, per_step = _counted_transforms(g, dyn, "rk4_step", monkeypatch)
     legs = dyn.evolve(st, 1e-3, 8e-3).legs
-    assert legs.steps >= 1 and per_step == [144] * legs.steps
+    assert legs.steps >= 1 and per_step == [108] * legs.steps
 
 
 def test_energy_zero_and_plane_wave(grid16, s2, ab):
@@ -522,12 +577,12 @@ def test_lawson_step_makes_five_half_step_propagations(s2, rng, monkeypatch):
     seen = []
     rk4 = dyn.rk4_step
 
-    def counted(y, dt, f, prop=None, k1=None, with_k4=False):
+    def counted(y, dt, f, prop=None, k1=None, mid=None):
         def counted_prop(tau, z):
             seen.append((tau, "k1" if z is k1 else
                          "full" if all(u is not None for u in z) else "part"))
             return prop(tau, z)
-        return rk4(y, dt, f, counted_prop, k1, with_k4)
+        return rk4(y, dt, f, counted_prop, k1, mid)
 
     st = su2_state(g, s2, rng)
     y = st.spectral()
@@ -581,8 +636,6 @@ def test_lawson_stages_hold_at_most_two_full_states(s2, rng, monkeypatch):
         return hf._deturck_hat(g, s2, *z)
 
     kf = nonlin(yf)
-    monkeypatch.setattr(sys, "_factors", {tau: sys._factors(tau)
-                                          for tau in (h / 2, h)}.__getitem__)
     for z, f, step in (
             (y, st.spectral_rhs, lambda f: dyn.rk4_step(y, h, f, st.propagate, k1=k1)),
             (yf, nonlin, lambda f: sys.step(yf, h, f, kf))):
@@ -612,12 +665,16 @@ def test_evolve_sample_energy_matches_a_fresh_curvature(grid16, s2, rng):
 
 
 def test_evolve_sample_transform_count(s2, rng, monkeypatch):
-    """An evolve sample makes 12 transforms: the driver's 9 inverses of E and
-    3 forward for the Gauss residual, A and the curvature hat taken from the
-    leg-end right-hand side (30 when the sample inverted Ah and rebuilt the
-    curvature, 93 when energy, Gauss residual and H^sigma transformed A and
-    E again): 4 steps sampled at every step less sampled at the last only,
-    the transforms of the right-hand sides, counted per call, taken out."""
+    """An evolve sample at a step end makes 12 transforms: the driver's 9
+    inverses of E and 3 forward for the Gauss residual, A and the curvature
+    hat taken from the step end's right-hand side (30 when the sample
+    inverted Ah and rebuilt the curvature, 93 when energy, Gauss residual
+    and H^sigma transformed A and E again).  A sample inside a step, and
+    the end of a step that has one, make those 30: the record is released
+    before the samples inside, which would hold it.  Sampled at every dt, 4
+    dt take two half steps to the first mark and then one step over three
+    legs: 12 + 2 x 30 + 18 more than sampled at the last only, the
+    transforms of the right-hand sides, counted per call, taken out."""
     from ymlab.grid import Grid
     g = Grid(16)
     st = su2_state(g, s2, rng)
@@ -626,9 +683,10 @@ def test_evolve_sample_transform_count(s2, rng, monkeypatch):
     for every in (1, 4):
         count[0] = 0
         rhs.clear()
-        dyn.evolve(st, 1e-3, 4e-3, every)
+        legs = dyn.evolve(st, 1e-3, 4e-3, every).legs
         totals.append(count[0] - sum(rhs))
-    assert totals[0] - totals[1] == 3 * 12
+    assert legs.counts == [2] and dyn.evolve(st, 1e-3, 4e-3, 1).legs.counts == [2, 0, 0, 1]
+    assert totals[0] - totals[1] == 12 + 2 * 30 + 18
 
 
 def test_evolve_samples_match_physical_diagnostics(grid16, s2, rng):

@@ -249,9 +249,18 @@ def test_grid_reads_thread_count_once(monkeypatch, rng):
     assert g.workers == 2
     f = rng.standard_normal((8, 8, 8))
     assert np.allclose(g.ifft(g.fft(f)), f)
-    assert Grid(8).workers == 1                 # unparsable: one worker
     monkeypatch.delenv("YMLAB_THREADS")
     assert Grid(8).workers == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_grid_rejects_a_bad_thread_count(monkeypatch, value):
+    """A YMLAB_THREADS that is not an integer of at least 1 raises a
+    ValueError naming it (it used to run on one worker)."""
+    monkeypatch.setenv("YMLAB_THREADS", value)
+    with pytest.raises(ValueError, match=f"^YMLAB_THREADS must be an integer of at least 1, "
+                                         f"got '{value}'$"):
+        Grid(8)
 
 
 def test_gradient_batches_one_inverse(grid16, rng):

@@ -135,6 +135,23 @@ def test_cli_rejects_threads_below_one(value, capsys):
     assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_cli_rejects_a_bad_threads_variable(value, tmp_path, monkeypatch, capsys):
+    """A YMLAB_THREADS that is not an integer of at least 1 is a config error
+    naming it, before any output is written (it used to run on one worker);
+    --threads overrides it."""
+    monkeypatch.setenv("YMLAB_THREADS", value)
+    out = tmp_path / "ev"
+    assert cli.main(["evolve", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ymlab: config error: YMLAB_THREADS must be an integer of at least 1")
+    assert not out.exists()
+    cfg_path = tmp_path / "small.ini"
+    cfg_path.write_text("[grid]\nn = 8\n[integrator]\nT = 0.004\n")
+    assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                     "--threads", "1"]) == 0
+
+
 # Per wave experiment: its data, the results.csv columns with their schema
 # descriptions, and the summary.json keys.
 WAVE_ARTIFACTS = {
@@ -323,7 +340,7 @@ def test_runner_heatflow_logs_its_legs(tmp_path, caplog):
         summary = run(cfg, str(tmp_path / "hf"))
     msgs = [r.getMessage() for r in caplog.records if r.name == "ymlab.dynamics"]
     assert len(msgs) == 1 and msgs[0].startswith("heatflow to s = 0.015625: ")
-    assert " IF steps, 0 legs redone, leg error <= " in msgs[0]
+    assert " IF steps, 0 samples between them, 0 legs redone, step error <= " in msgs[0]
     assert sorted(summary) == ["data_report", "experiment", "magnetic_monotone",
                                "modified_energy", "modified_energy_parts", "s0", "seed"]
 

@@ -283,8 +283,10 @@ def test_hamiltonian_identity_flows_each_node_once(grid8, monkeypatch):
 
 
 def test_stencil_if_step_transform_count(monkeypatch):
-    """One IF step of the MKG jet flow makes 4 x 61 scalar 3-D transforms,
-    each `_IFSystem.step` call counted over the steps of one leg."""
+    """One IF step of the MKG jet flow makes 3 x 61 scalar 3-D transforms in
+    `_IFSystem.step` (4 x when it made its own first stage), each call
+    counted over the steps of one leg: its first stage is the last step's
+    end right-hand side, made by the leg controller."""
     from ymlab import heatflow as hf
     from ymlab.grid import Grid
     g = Grid(8)
@@ -306,7 +308,7 @@ def test_stencil_if_step_transform_count(monkeypatch):
 
     monkeypatch.setattr(hf._IFSystem, "step", counted_step)
     mkg.flow_jets(st, [1 / 256.0], substeps=1)
-    assert per_step and per_step == [244] * len(per_step)
+    assert per_step and per_step == [3 * 61] * len(per_step)
 
 
 def test_repair_requires_neutral_charge(grid16, ab, rng):
