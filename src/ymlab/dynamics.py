@@ -5,10 +5,11 @@ covariant curl divergence sum_j D_j F_{ji}, all quadratic and cubic products
 dealiased by the two-thirds rule.  Time stepping is Lawson's integrating-
 factor RK4: a state's `propagate` is the exact linear wave flow per Fourier
 mode and its `spectral_rhs` the bracket terms only.  Every evolution runs
-through `wave_legs`: the state stays in Fourier space, each leg between
-samples takes as few steps as `controlled_legs`' error estimate allows, a
-step spanning several legs with dense output in between (each at least the
-dt the CFL guard checks), and only the states a caller asks for are
+through `wave_legs`: the state stays in Fourier space, packed on its
+two-thirds `Band` between right-hand sides, each leg between samples takes
+as few steps as `controlled_legs`' error estimate allows, a step spanning
+several legs with dense output in between (each at least the dt the CFL
+guard checks), and only the states a caller asks for are unpacked and
 inverted, with their spectral fields, which a state's `observe` reads by
 Parseval.  `mkg.MkgState` has the same methods, so one
 `evolve` samples both systems; `step_rk4` is one IF step without control.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -225,11 +226,12 @@ def rk4_step(y: tuple, dt: float, f, prop=None, k1=None, mid=None):
     P = prop(dt/2, .): a = P y, k2 = f(a + dt/2 P k1), k3 = f(z3 = a + dt/2
     k2), a recovered as z3 - dt/2 k2 (y without prop), k4 = f(P(a + dt k3)),
     y_next = P(a + dt/3 (k2 + k3) + dt/6 P k1) + dt/6 k4: at each f at most
-    two full states live besides y and k1.  f may give None for a zero
-    field, which prop takes too; no array f or prop returns is written to.
-    Pass k1 = f(y) when held, or a function giving P k1, so that no full k1
-    need be held through the stages; mid, when given, gets k2 + k3 before
-    k4 is formed."""
+    two states of y's size live besides y and k1.  f may give None for a
+    zero field, which prop takes too; no array f or prop returns is written
+    to.  Pass k1 = f(y) when held, or a function giving P k1, so that no
+    propagated k1 need be held through the stages; mid, when given, gets
+    k2 + k3 before k4 is formed.  y may be packed on a `Band`, f and prop
+    acting there."""
     h2 = 0.5 * dt
     P = (lambda z: z) if prop is None else (lambda z: prop(h2, z))
     k1 = f(y) if k1 is None else k1
@@ -307,68 +309,80 @@ def _lin(*terms):
 
 
 class Band:
-    """A grid's two-thirds band, where every right-hand side lives: `pack`
-    and `unpack` hold a tuple's complex fields (rfft or cfft layout) there;
-    its wavenumber tables and Parseval weights let `propagate` and
-    `spectral_norm` act on packed fields."""
+    """The modes a run steps: a grid's two-thirds band, where every
+    right-hand side lives, and each mode where a complex field of y carries
+    more than round-off (1e-14 of its largest), rfft and cfft layouts apart.
+    The linear flows act per mode and every nonlinear term is dealiased, so
+    the set holds for the run.  `pack` and `unpack` gather and scatter a
+    tuple's complex fields by flat indices (packed: C-contiguous); on the
+    packed tables `system` = system(band) (a wave state or `_IFSystem`), its
+    `propagate` and `norm` act on packed fields."""
 
-    def __init__(self, grid: Grid):
-        half, full, unit = grid.dealias_mask, grid.dealias_mask_full, grid.volume / grid.n**6
-        self.masks = {grid.n // 2 + 1: half, grid.n: full, half.sum(): half, full.sum(): full}
-        self.kx, self.ky, self.kz, self.k2, self.inv_k2, w = (np.broadcast_to(t, half.shape)[
-            half] for t in (grid.kx, grid.ky, grid.kz, grid.k2, grid.inv_k2, grid.parseval_weight))
-        self.k2_full, self.n, self.volume = grid.k2_full[full], grid.n, grid.volume
-        self.l2_norm, self.weights = grid.l2_norm, {half.sum(): unit * w, full.sum(): unit}
+    def __init__(self, grid: Grid, y: tuple, system):
+        n, unit = grid.n, grid.volume / grid.n**6
+        masks = {n // 2 + 1: grid.dealias_mask.copy(), n: grid.dealias_mask_full.copy()}
+        for u in filter(np.iscomplexobj, y):
+            a = np.abs(u).reshape((-1,) + u.shape[-3:])
+            masks[u.shape[-1]] |= (a > 1e-14 * a.max()).any(0)
+        half, full = (np.flatnonzero(masks[m]) for m in (n // 2 + 1, n))
+        self.index = {n // 2 + 1: half, n: full, half.size: half, full.size: full}
+        self.shape = {half.size: masks[n // 2 + 1].shape, full.size: masks[n].shape}
+        self.kx, self.ky, self.kz, self.k2, self.inv_k2, w = (np.broadcast_to(t, masks[
+            n // 2 + 1].shape).ravel()[half] for t in (grid.kx, grid.ky, grid.kz, grid.k2,
+                                                       grid.inv_k2, grid.parseval_weight))
+        self.k2_full, self.n, self.volume = grid.k2_full.ravel()[full], n, grid.volume
+        self.l2_norm, self.weights = grid.l2_norm, {half.size: unit * w, full.size: unit}
+        self.norm, self.system = partial(spectral_norm, self), system(self)
+        self.propagate = self.system.propagate
 
     def spectral_l2(self, v: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights[v.shape[-1]] * (v.real**2 + v.imag**2))))
 
     def pack(self, z: tuple) -> tuple:
-        return tuple(u[..., self.masks[u.shape[-1]]] if np.iscomplexobj(u) else u for u in z)
+        return tuple(np.take(u.reshape(u.shape[:-3] + (-1,)), self.index[u.shape[-1]], -1)
+                     if np.iscomplexobj(u) else u for u in z)
 
-    def unpack(self, z: tuple, base: tuple | None = None) -> tuple:
-        """Packed z as full fields: zeros, or base, added to in place; real
-        fields and None as they are."""
-        out = list(base or (None,) * len(z))
-        for f, v in enumerate(z):
-            if not np.iscomplexobj(v):
-                out[f] = v
-                continue
-            mask = self.masks[v.shape[-1]]
-            if out[f] is None:
-                out[f] = np.zeros(v.shape[:-1] + mask.shape, complex)
-            out[f][..., mask] += v
-        return tuple(out)
+    def unpack(self, z: tuple) -> tuple:
+        """Packed z as full fields, zero off the band; real fields and None
+        as they are."""
+        out = tuple(np.zeros(v.shape[:-1] + self.shape[v.shape[-1]], complex)
+                    if np.iscomplexobj(v) else v for v in z)
+        for u, v in zip(out, z):
+            if u is not v:
+                u.reshape(v.shape[:-1] + (-1,))[..., self.index[v.shape[-1]]] = v
+        return out
 
 
-def controlled_legs(state: tuple, spans, caps, step, rhs, prop, norm, emit, error, tol,
-                    cold: bool = True, dense: bool = False, band=None, release=None):
+def controlled_legs(state: tuple, spans, caps, step, rhs, band, emit, error, tol,
+                    cold: bool = True, dense: bool = False, release=None):
     """Advance `state` over legs of the given spans (any sign), calling
     emit(state) at the end of each, a leg of span 0 without a step; returns
     the `LegRecord`.
 
-    step(y, h, k1, mid) makes one Lawson step of y' = L y + N(y), k1 giving
-    P k1 for P = prop(h/2, .), and hands mid its k2 + k3; rhs(y_end) is the
-    next step's k1: 4 x steps + 1 right-hand sides in all.  The step is
-    Simpson's rule on g(tau) = e^{(t1 - tau)L} N(y(tau)), so its error
-    estimate is Simpson's, e = |h|^5/2880 ||g^(4)|| / ||y_end|| (Hochbruck &
-    Ostermann 2010), g^(4) from the fourth divided difference of the g-nodes
-    of the last two steps (k1, (k2 + k3)/2 and rhs(y_end) of each) in the
-    frame of the step's end; band = (pack, unpack, prop, norm on packed
-    fields) holds them on the band.  With no estimate yet a leg takes two
-    half steps if cold, else its cap; then each step is the longest that
-    the h^5 law allows at tol: several whole legs if dense, else the fewest
-    steps of a leg, at most its cap.  A step that misses tol has its leg
-    redone once, so sized, from the kept start, unless the leg took its cap
-    already.  With dense, a sample inside a step integrates the polynomial
-    through its g-nodes from the step's start (Hairer, Norsett & Wanner,
-    II.6), after release() has dropped what rhs recorded.  Non-finite
-    values raise error(leg index).
+    The state is held packed on `band` (a `Band`, or anything with its pack,
+    unpack, propagate and norm): step(y, h, f, k1, mid) makes one Lawson
+    step of y' = L y + f(y) on packed y, f = pack . rhs . unpack, k1 giving
+    P k1 for P = propagate(h/2, .), and hands mid its k2 + k3; rhs of the
+    unpacked y_end, which emit gets, is the next step's k1: 4 x steps + 1
+    right-hand sides in all.  The step is Simpson's rule on g(tau) =
+    e^{(t1 - tau)L} N(y(tau)), so its error estimate is Simpson's, e =
+    |h|^5/2880 ||g^(4)|| / ||y_end|| (Hochbruck & Ostermann 2010), g^(4)
+    from the fourth divided difference of the g-nodes of the last two steps
+    (k1, (k2 + k3)/2 and rhs(y_end) of each) in the frame of the step's
+    end.  With no estimate yet a leg takes two half steps if cold, else its
+    cap; then each step is the longest that the h^5 law allows at tol:
+    several whole legs if dense, else the fewest steps of a leg, at most its
+    cap.  A step that misses tol has its leg redone once, so sized, from the
+    kept start, unless the leg took its cap already.  With dense, a sample
+    inside a step integrates the polynomial through its g-nodes from the
+    step's start (Hairer, Norsett & Wanner, II.6), after release() has
+    dropped what rhs recorded.  Non-finite values raise error(leg index).
     """
-    record, (pack, unpack, bprop, bnorm) = LegRecord(), band or ((lambda z: z), (
-        lambda z, base=None: z if base is None else _lin((1, base), (1, z))), prop, norm)
-    k1 = hist = e = h = None
-    i = 0
+    record, k1, hist, e, h, i = LegRecord(), None, None, None, None, 0
+    full, state, P = state, band.pack(state), band.propagate
+
+    def f(z):
+        return band.pack(rhs(band.unpack(z)))
 
     def size():
         if e is None:
@@ -382,22 +396,21 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, prop, norm, emit, erro
 
     while i < len(spans):
         if spans[i] == 0:
-            emit(state)
+            emit(full)
             i += 1
             continue
-        (j, m), k1 = size(), pack(rhs(state)) if k1 is None else k1
+        (j, m), k1 = size(), band.pack(rhs(full)) if k1 is None else k1
         start = (state, k1, hist) if j > 1 or m < caps[i] else None   # a redo, inner samples
         for redo in (True, False):
             hs, worst = sum(spans[i:i + j]) / m, 0.0
             thetas, inner = np.cumsum(spans[i:i + j - 1]) / hs, []
             for _ in range(m):
-                k10, hist0, mid = k1, hist, []
-                state = step(state, hs, lambda: unpack(bprop(0.5 * hs, k10)),
-                             lambda z: mid.append(_lin((0.5, pack(z)))))
+                k10, hist0, mid, full = k1, hist, [], None   # no full state through a step
+                state = step(state, hs, f, lambda: P(0.5 * hs, k10), mid.append)
                 if not all(u is None or np.isfinite(u).all() for u in state):
                     raise error(i + j - 1)
-                size_y = max(norm(state), 1e-300)
-                k1, hist, e, h = pack(rhs(state)), (k10, mid.pop(), hs), None, hs
+                full = band.unpack(state)
+                k1, hist, e, h = band.pack(rhs(full)), (k10, _lin((0.5, mid.pop())), hs), None, hs
                 record.steps += 1
                 if j > 1 and release is not None:
                     release()
@@ -405,14 +418,15 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, prop, norm, emit, erro
                     hp = hist0[2]           # W's row 4: the fourth divided difference
                     W = np.linalg.inv(np.vander([-hp / hs, -0.5 * hp / hs, 0.0, 0.5, 1.0],
                                                 increasing=True))
-                    g = (bprop(hp, hist0[0]), bprop(0.5 * hp, hist0[1]), k10,
-                         bprop(0.5 * hs, hist[1]), k1)
-                    for theta in thetas:    # samples inside, less e^{theta h L} y0
+                    g = (P(hp, hist0[0]), P(0.5 * hp, hist0[1]), k10, P(0.5 * hs, hist[1]), k1)
+                    for theta in thetas:    # samples inside: y0 and the polynomial
                         c = theta ** np.arange(1.0, 6.0) / np.arange(1.0, 6.0) @ W * hs
-                        inner.append(_lin((1, bprop(theta * hs, _lin(*zip(c[:3], g[:3])))),
-                                          (1, bprop((theta - 1) * hs, _lin(*zip(c[3:], g[3:]))))))
-                    d = _lin((1, bprop(hs, _lin(*zip(W[4, :3], g[:3])))), *zip(W[4, 3:], g[3:]))
-                    e, g, d = abs(hs) / 120.0 * bnorm(d) / size_y, None, None
+                        inner.append(_lin((1, P(theta * hs, _lin((1, start[0]),
+                                                                  *zip(c[:3], g[:3])))),
+                                          (1, P((theta - 1) * hs, _lin(*zip(c[3:], g[3:]))))))
+                    d = _lin((1, P(hs, _lin(*zip(W[4, :3], g[:3])))), *zip(W[4, 3:], g[3:]))
+                    e = abs(hs) / 120.0 * band.norm(d) / max(band.norm(state), 1e-300)
+                    g = d = None
                     worst = max(worst, e)
                     if redo and start is not None and not e <= tol:
                         break
@@ -423,31 +437,29 @@ def controlled_legs(state: tuple, spans, caps, step, rhs, prop, norm, emit, erro
             j, m = size()
         record.counts += [0] * (j - 1) + [m]
         record.max_error = max(record.max_error, worst)
-        for q, theta in enumerate(thetas):
-            y = prop(theta * hs, start[0])
-            start = start if q < len(thetas) - 1 else None   # not held through the sample
-            emit(unpack(inner.pop(0), y))
-            del y
-        start = None                        # not held through the sample
-        emit(state)
+        start = None                        # not held through the samples
+        while inner:
+            emit(band.unpack(inner.pop(0)))
+        emit(full)
         i += j
     record.inner = record.counts.count(0)
     return record
 
 
 def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
-    """IF-RK4 steps (dt < 0: backward) on `state.spectral()` to each
-    nondecreasing step count in `marks` (0: the input), `controlled_legs`
-    sizing them at WAVE_LEG_TOL (at least dt), a step spanning several legs
-    with dense output in between; emit(st, y, kept) gets the physical
-    state at t + mark dt, its spectral fields and kept, the step end's
-    `spectral_rhs(y, kept)` record of them that st was built from ({} if
-    none), read only but for clearing kept.  Returns the last mark's
-    state; a `legs` list receives the `LegRecord`.  A Yang-Mills step
-    makes 108 + 36 transforms, the last 36 the next step's first stage."""
+    """IF-RK4 steps (dt < 0: backward) on `state.spectral()`, held packed on
+    its `Band`, to each nondecreasing step count in `marks` (0: the input),
+    `controlled_legs` sizing them at WAVE_LEG_TOL (at least dt), a step
+    spanning several legs with dense output in between; emit(st, y, kept)
+    gets the physical state at t + mark dt, its spectral fields and kept,
+    the step end's `spectral_rhs(y, kept)` record of them that st was built
+    from ({} if none), read only but for clearing kept.  Returns the last
+    mark's state; a `legs` list receives the `LegRecord`.  A Yang-Mills
+    step makes 108 + 36 transforms, the last 36 the next step's first
+    stage."""
     marks = [int(m) for m in marks]
     caps = [b - a for a, b in zip([0] + marks, marks)]
-    done, held, kept = iter(marks), [], {}
+    done, held, kept, box = iter(marks), [], {}, [state.spectral()]
 
     def sample(y):
         mark = next(done)
@@ -456,21 +468,18 @@ def wave_legs(state, dt: float, marks, emit=None, legs: list | None = None):
         if emit is not None:
             emit(held[0], y, rec)
 
-    def step(y, h, k1, mid):
+    def step(y, h, f, k1, mid):
         held.clear()                        # nothing emitted or recorded held through a step
         kept.clear()
-        return rk4_step(y, h, state.spectral_rhs, state.propagate, k1, mid)
+        return rk4_step(y, h, f, band.propagate, k1, mid)
 
     def blowup(leg):
         return BlowUpError(f"non-finite state at t={state.t + marks[leg] * dt:.6g}")
 
-    band = Band(state.grid)
-    record = controlled_legs(state.spectral(), [c * dt for c in caps], caps, step,
-                             lambda y: state.spectral_rhs(y, kept), state.propagate,
-                             lambda y: spectral_norm(state.grid, y), sample, blowup,
-                             WAVE_LEG_TOL, dense=True, band=(band.pack, band.unpack, replace(
-                                 state, grid=band).propagate, lambda z: spectral_norm(band, z)),
-                             release=kept.clear)
+    band = Band(state.grid, box[0], lambda b: replace(state, grid=b))
+    record = controlled_legs(box.pop(), [c * dt for c in caps], caps, step,
+                             lambda y: state.spectral_rhs(y, kept), band, sample, blowup,
+                             WAVE_LEG_TOL, dense=True, release=kept.clear)
     if legs is not None:
         legs.append(record)
     return held[0]

@@ -5,11 +5,12 @@ connection and the electric curvature B_i = F_{0i} satisfy genuinely
 parabolic equations.  Stiffness is absorbed exactly by an integrating-factor
 RK4: the heat factor is applied in Fourier space and only the bracket terms
 are stepped explicitly, so the abelian flow reproduces the heat semigroup to
-round-off.  The flow state lives in Fourier space between samples, so the
-heat factor is a multiply; only the samples go back to physical fields.
-Every flow runs through `sample_legs`, which takes each leg between samples
-in as few steps as a Simpson-error estimate allows (the wave's loop,
-`dynamics.controlled_legs`).
+round-off.  The flow state lives in Fourier space, packed on its two-thirds
+`dynamics.Band`, so the heat factor is a multiply on the modes the flow
+reaches; only right-hand sides and samples see full fields, and only the
+samples go back to physical fields.  Every flow runs through `sample_legs`,
+which takes each leg between samples in as few steps as a Simpson-error
+estimate allows (the wave's loop, `dynamics.controlled_legs`).
 The caloric gauge (A_s = 0) is reached by the pointwise transport ODE
 dU/ds = U A_s.
 
@@ -34,7 +35,7 @@ from . import algebra as alg
 from .algebra import StructureSpec, bracket
 from .config import dt_steps
 from .dynamics import (LEG_TOL, Band, CauchyState, LegRecord, controlled_legs,
-                       covariant_curl_div, rk4_step, spectral_norm, wave_legs)
+                       covariant_curl_div, rk4_step, wave_legs)
 from .gauge import PAIRS, curvature, gauge_transform, pair_component
 from .grid import Grid
 from .spectral import (dealias, derivative_hat, divergence, duhamel, gradient,
@@ -193,22 +194,21 @@ class _IFSystem:
 
     def sample_legs(self, y: tuple, s_samples, substeps: int, nonlin, emit,
                     project=None) -> "LegRecord":
-        """Module `sample_legs` on the spectral state of the physical y with
-        `step` and nonlin, each step followed by project(state) when given,
-        cold unless a field is an "ode" block; emit gets physical fields
-        that no later step writes to (copies of y at s = 0)."""
-        band = Band(self.grid)
+        """Module `sample_legs` on the spectral state of the physical y, on
+        its `Band`, with `step` and nonlin, each followed by project(state)
+        when given, cold unless a field is an "ode" block; emit gets physical
+        fields that no later step writes to (copies of y at s = 0)."""
+        box = [self.spectral(y)]
+        band = Band(self.grid, box[0], lambda b: _IFSystem(b, self.kinds))
 
-        def step(z, h, k1, mid):
-            z = self.step(z, h, nonlin, k1, mid)
+        def step(z, h, f, k1, mid):
+            z = band.system.step(z, h, f, k1, mid)
             return z if project is None else project(z)
 
-        return sample_legs(self.spectral(y), s_samples, substeps, step, nonlin, self.propagate,
-                           lambda z: spectral_norm(self.grid, z),
+        return sample_legs(box.pop(), s_samples, substeps, step, nonlin, band,
                            lambda s, z: emit(s, tuple(u.copy() for u in y) if s == 0.0
                                              else self.physical(z)),
-                           "ode" not in self.kinds, (band.pack, band.unpack, _IFSystem(
-                               band, self.kinds).propagate, lambda z: spectral_norm(band, z)))
+                           "ode" not in self.kinds)
 
     def propagate(self, tau: float, y: tuple) -> tuple:
         """e^{tau Lap} on each heat field of y."""
@@ -221,14 +221,14 @@ class _IFSystem:
         return rk4_step(y, h, nonlin, self.propagate, k1, mid)
 
 
-def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, prop, norm, emit,
-                cold: bool = True, band=None) -> LegRecord:
+def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, band, emit,
+                cold: bool = True) -> LegRecord:
     """`dynamics.controlled_legs` through the sorted parabolic times at
-    LEG_TOL, calling emit(s, state) at each sample (at s = 0 the state as
-    given): the leg from s = 0 takes at most max(2 * substeps, 4) steps, two
-    half steps if cold and their estimate meets LEG_TOL, each later leg at
-    most substeps; band as `controlled_legs` takes it.  Non-finite values
-    raise ParabolicBlowUpError."""
+    LEG_TOL, the state held packed on band, calling emit(s, state) at each
+    sample (at s = 0 the state as given): the leg from s = 0 takes at most
+    max(2 * substeps, 4) steps, two half steps if cold and their estimate
+    meets LEG_TOL, each later leg at most substeps.  Non-finite values raise
+    ParabolicBlowUpError."""
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     times = sorted(float(s) for s in s_samples)
@@ -239,8 +239,8 @@ def sample_legs(state: tuple, s_samples, substeps: int, step, rhs, prop, norm, e
     return controlled_legs(
         box.pop(), [b - a for a, b in zip(starts, times)],
         [max(2 * substeps, 4) if a == 0.0 else substeps for a in starts], step, rhs,
-        prop, norm, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
-            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL, cold, band=band)
+        band, lambda y: emit(next(done), y), lambda leg: ParabolicBlowUpError(
+            f"non-finite flow state at s={times[leg]:.3e}"), LEG_TOL, cold)
 
 
 def flow_step(flow: FlowState, ds: float) -> FlowState:

@@ -227,6 +227,37 @@ def test_cold_wave_leg_above_the_tolerance_is_redone_once(monkeypatch):
     assert final.A.tobytes() == warm.A.tobytes() and final.E.tobytes() == warm.E.tobytes()
 
 
+def test_evolve_and_heatflow_propagate_packed_states_only(monkeypatch, tmp_path):
+    """An `evolve` run and a `heatflow` run at n = 16 on random data pass no
+    full rfft-layout array to `_wave_flow` or `_IFSystem.propagate`: the
+    loop steps the state packed on its `Band`, and only right-hand sides
+    and samples see full fields."""
+    full, calls = [], [0]
+    layout = (16, 16, 9)
+
+    def seen(*fields):
+        calls[0] += 1
+        full.extend(u.shape for y in fields for u in (y if isinstance(y, tuple) else (y,))
+                    if isinstance(u, np.ndarray) and u.shape[-3:] == layout)
+
+    wave_flow, propagate = dynamics._wave_flow, heatflow._IFSystem.propagate
+
+    def counted_wave_flow(grid, tau, X, V, full=False):
+        seen(X, V)
+        return wave_flow(grid, tau, X, V, full)
+
+    def counted_propagate(self, tau, y):
+        seen(y)
+        return propagate(self, tau, y)
+
+    monkeypatch.setattr(dynamics, "_wave_flow", counted_wave_flow)
+    monkeypatch.setattr(heatflow._IFSystem, "propagate", counted_propagate)
+    for kind in ("evolve", "heatflow"):
+        calls[0] = 0
+        runner.run(config.ExperimentConfig(kind=kind, n=16, T=0.05), str(tmp_path / kind))
+        assert calls[0] > 0 and full == []
+
+
 def test_gauss_operator_counts(counter):
     """One application of the repair's operator: 12 + 12 transforms and 6
     brackets at su(2)."""

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +120,67 @@ def test_wave_legs_matches_physical_loop(grid16, s2, rng):
             assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_band_packs_contiguous_fields_and_round_trips(grid16, s2, rng):
+    """`Band.pack` gives C-contiguous fields, and unpack(pack(z)) equals z
+    exactly for band-limited rfft and cfft fields, leading axes batched.
+    On random data the band adds no mode to the two-thirds band, and what
+    packing drops off it is at most 1e-14 of the largest coefficient."""
+    from ymlab import config, datagen
+    g = grid16
+    z = (g.dealias_mask * g.fft(rng.standard_normal((3, 3, 16, 16, 16))),
+         g.dealias_mask_full * g.cfft(rng.standard_normal((2, 16, 16, 16))
+                                      + 1j * rng.standard_normal((2, 16, 16, 16))), None)
+    band = dyn.Band(g, z, lambda b: hf._IFSystem(b, ("heat", "cheat", "ode")))
+    packed = band.pack(z)
+    assert [u.shape for u in packed[:2]] == [(3, 3, 726), (2, 1331)] and packed[2] is None
+    assert all(u.flags["C_CONTIGUOUS"] for u in packed[:2])
+    back = band.unpack(packed)
+    assert all(np.array_equal(u, v) for u, v in zip(z[:2], back[:2])) and back[2] is None
+    st, _ = datagen.make_data(config.ExperimentConfig(n=16), g)
+    y = st.spectral()
+    band = dyn.Band(g, y, lambda b: dataclasses.replace(st, grid=b))
+    assert [u.shape[-1] for u in band.pack(y)] == [int(g.dealias_mask.sum())] * 2
+    for u, v in zip(y, band.unpack(band.pack(y))):
+        assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(u))
+
+
+def test_off_band_pulses_step_as_the_unpacked_state(grid16):
+    """The pulses data carry 12 % of A's norm off the two-thirds band, and
+    their `Band` keeps those modes: `wave_legs` and `run_flow` end each
+    step within 1e-12 of plain `rk4_step` on the unpacked spectral state,
+    taking the steps their `LegRecord`s took."""
+    from ymlab import config, datagen
+    g = grid16
+    cfg = config.ExperimentConfig(n=16, family="pulses")
+    st, _ = datagen.make_data(cfg, g)
+    Ah = g.fft(st.A)
+    assert g.spectral_l2(Ah * ~g.dealias_mask) > 0.1 * g.spectral_l2(Ah)
+
+    def close(got, want):
+        for u, v in zip(got, want):
+            assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+
+    marks, got, legs = [2, 5, 9, 14], [], []
+    dyn.wave_legs(st, cfg.dt, marks, lambda s, y, kept: got.append(y), legs)
+    y, span = st.spectral(), 0.0
+    for a, b, m, out in zip([0] + marks, marks, legs[0].counts, got):
+        span += (b - a) * cfg.dt
+        for _ in range(m):
+            y = dyn.rk4_step(y, span / m, st.spectral_rhs, st.propagate)
+        if m:
+            close(out, y)
+            span = 0.0
+    assert 0 in legs[0].counts              # a step spanned legs
+    s_samples, sys = [1e-3, 3e-3], hf._IFSystem(g, ("heat", "heat"))
+    flows = hf.run_flow(st, s_samples, legs=legs)
+    y = sys.spectral((st.A, st.E))
+    for a, b, m, flow in zip([0.0] + s_samples, s_samples, legs[1].counts, flows):
+        for _ in range(m):
+            y = dyn.rk4_step(y, (b - a) / m, lambda z: hf._deturck_hat(g, st.spec, *z),
+                             sys.propagate)
+        close((flow.A, flow.B), sys.physical(y))
+
+
 def test_wave_propagator_group_law(grid16, s2, rng):
     """P_h P_h = P_2h and P_-h P_h = 1 to round-off, on random spectral
     (A, E) and on MKG scalar pairs (cfft layout), zero blocks included."""
@@ -198,16 +261,22 @@ def _l2(y):
     return float(np.sqrt(sum(np.sum(u * u) for u in y)))
 
 
+def _plain_band(norm):
+    """A `controlled_legs` band for small arrays: no packing, no propagator."""
+    return SimpleNamespace(pack=lambda z: z, unpack=lambda z: z,
+                           propagate=lambda tau, z: z, norm=norm)
+
+
 def _scalar_controlled(rhs, y0, spans, caps, tol, cold=True):
     """`controlled_legs` on small arrays with the classical RK4 step; returns
     the record, the emitted states and the step sizes taken."""
     hs, out = [], []
 
-    def step(y, h, k1, mid):
+    def step(y, h, f, k1, mid):
         hs.append(h)
         return dyn.rk4_step(y, h, rhs, k1=k1, mid=mid)
 
-    record = dyn.controlled_legs(y0, spans, caps, step, rhs, lambda tau, z: z, _l2,
+    record = dyn.controlled_legs(y0, spans, caps, step, rhs, _plain_band(_l2),
                                  out.append, dyn.BlowUpError, tol, cold)
     return record, out, hs
 
@@ -285,17 +354,17 @@ def test_missed_cold_leg_takes_its_cap_without_a_finite_estimate():
     assert hs == [0.25] * 2 + [0.025] * 20 and np.isfinite(end[0]).all()
 
 
-def _one_step_errors(y, rhs, prop, h, norm, band=None):
+def _one_step_errors(y, rhs, prop, h, norm, band):
     """The Simpson estimate of a second IF step of size h from y (the
     first one's nodes its history) and that step's true error against 64
     steps."""
     out = []
 
-    def step(z, tau, k1, mid):
-        return dyn.rk4_step(z, tau, rhs, prop, k1, mid)
+    def step(z, tau, f, k1, mid):
+        return dyn.rk4_step(z, tau, f, band.propagate, k1, mid)
 
-    record = dyn.controlled_legs(y, [h, h], [1, 1], step, rhs, prop, norm, out.append,
-                                 dyn.BlowUpError, 0.0, cold=False, band=band)
+    record = dyn.controlled_legs(y, [h, h], [1, 1], step, rhs, band, out.append,
+                                 dyn.BlowUpError, 0.0, cold=False)
     one = ref = out[0]
     one = dyn.rk4_step(one, h, rhs, prop)
     for _ in range(64):
@@ -320,14 +389,14 @@ def test_simpson_estimate_reads_the_one_step_error(grid16, s2, case, amp, h):
         return dyn.spectral_norm(grid16, y)
 
     if case == "wave":
-        band = dyn.Band(grid16)
-        args = (st.spectral(), st.spectral_rhs, st.propagate, h, norm,
-                (band.pack, band.unpack, replace(st, grid=band).propagate,
-                 lambda z: dyn.spectral_norm(band, z)))
+        y = st.spectral()
+        args = (y, st.spectral_rhs, st.propagate, h, norm,
+                dyn.Band(grid16, y, lambda b: replace(st, grid=b)))
     else:
         flow = hf._IFSystem(grid16, ("heat", "heat"))
-        args = (flow.spectral((st.A, st.E)), lambda z: hf._deturck_hat(grid16, s2, *z),
-                flow.propagate, h, norm)
+        y = flow.spectral((st.A, st.E))
+        args = (y, lambda z: hf._deturck_hat(grid16, s2, *z), flow.propagate, h, norm,
+                dyn.Band(grid16, y, lambda b: hf._IFSystem(b, flow.kinds)))
     estimate, true = _one_step_errors(*args)
     assert true > 1e-11 and 0.5 <= estimate / true <= 2.0
 

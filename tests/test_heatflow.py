@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -197,7 +199,7 @@ def test_first_leg_starts_cold_only_where_the_estimate_sees_every_block(
     for cold in (False, True):
         if cold:
             monkeypatch.setattr(hf, "sample_legs",
-                                lambda *a: sample_legs(*a[:8], True, *a[9:]))
+                                lambda *a: sample_legs(*a[:7], True))
         flows = hf.run_flow(st, [s], with_transport=True, substeps=8, legs=legs)
         gap = np.max(np.abs(hf.to_caloric(flows)[-1] - expect)) / np.max(np.abs(st.A))
         assert legs[-1].counts == ([3] if cold else [16]) and legs[-1].redone == cold
@@ -349,14 +351,16 @@ def _scalar_legs(rhs, times, substeps, state):
     record, the emitted samples and the step sizes taken."""
     hs, out = [], []
 
-    def step(y, h, k1, mid):
+    def step(y, h, f, k1, mid):
         hs.append(h)
         return dyn.rk4_step(y, h, rhs, k1=k1, mid=mid)
 
     def norm(y):
         return float(np.sqrt(sum(np.sum(u * u) for u in y)))
 
-    record = hf.sample_legs(state, times, substeps, step, rhs, lambda tau, z: z, norm,
+    band = SimpleNamespace(pack=lambda z: z, unpack=lambda z: z,
+                           propagate=lambda tau, z: z, norm=norm)
+    record = hf.sample_legs(state, times, substeps, step, rhs, band,
                             lambda s, y: out.append((s, y[0][0])))
     return record, out, hs
 
